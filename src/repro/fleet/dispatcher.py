@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.fleet.population import FleetParameters, sample_population
+from repro.fleet.population import FleetParameters
 from repro.fleet.shard import (
     POLICIES,
     AdslVerdict,
@@ -33,8 +33,9 @@ from repro.fleet.shard import (
     OnloadResult,
     OnloadVerdict,
     RoundAggregates,
-    ShardFinal,
+    ShardPopulation,
     ShardState,
+    cached_population,
     finish_round,
     initial_state,
     offer,
@@ -129,68 +130,40 @@ class FleetOutcome:
 
 
 # ----------------------------------------------------------------------
-# Worker-side leg wrappers (module-level, picklable). Each wrapper
-# rebuilds the shard's population slice from the seed via the
-# per-process cache and returns the mutated state alongside the leg's
-# aggregates — state travels explicitly, never through globals.
+# Worker-side leg wrappers (module-level, picklable). Each takes the
+# shard's population slice — which a pool worker rebuilds from the seed
+# via its per-process cache — and returns the mutated state alongside
+# the leg's aggregates: state travels explicitly, never through globals.
 # ----------------------------------------------------------------------
 
 
 def _leg_offer(
-    params: FleetParameters,
-    n_shards: int,
-    shard: int,
+    pop: ShardPopulation,
     state: ShardState,
     round_index: int,
     adoption: float,
     onload_enabled: bool,
     est_factor: NDArray[np.float64],
 ) -> Tuple[Offers, ShardState]:
-    pop = shard_population(params, n_shards, shard)
-    offers = offer(
-        pop, state, round_index, adoption, onload_enabled, est_factor
+    return (
+        offer(pop, state, round_index, adoption, onload_enabled, est_factor),
+        state,
     )
-    return offers, state
 
 
 def _leg_settle(
-    params: FleetParameters,
-    n_shards: int,
-    shard: int,
-    state: ShardState,
-    verdict: OnloadVerdict,
+    pop: ShardPopulation, state: ShardState, verdict: OnloadVerdict
 ) -> Tuple[OnloadResult, ShardState]:
-    pop = shard_population(params, n_shards, shard)
-    result = settle_onload(pop, state, verdict)
-    return result, state
+    return settle_onload(pop, state, verdict), state
 
 
 def _leg_finish(
-    params: FleetParameters,
-    n_shards: int,
-    shard: int,
+    pop: ShardPopulation,
     state: ShardState,
     round_index: int,
     verdict: AdslVerdict,
 ) -> Tuple[RoundAggregates, ShardState]:
-    pop = shard_population(params, n_shards, shard)
-    aggregates = finish_round(pop, state, round_index, verdict)
-    return aggregates, state
-
-
-def _leg_initial(
-    params: FleetParameters, n_shards: int, shard: int
-) -> ShardState:
-    return initial_state(shard_population(params, n_shards, shard))
-
-
-def _leg_final(
-    params: FleetParameters,
-    n_shards: int,
-    shard: int,
-    state: ShardState,
-) -> ShardFinal:
-    return shard_final(shard_population(params, n_shards, shard), state)
+    return finish_round(pop, state, round_index, verdict), state
 
 
 def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
@@ -207,8 +180,12 @@ class _Exchange:
     def __init__(
         self, params: FleetParameters, n_shards: int, jobs: int
     ) -> None:
-        self.params = params
-        self.n_shards = n_shards
+        # Resolved once per run; a pool worker receives each slice as
+        # its key and resolves it from its own cache.
+        self.pops = [
+            shard_population(params, n_shards, shard)
+            for shard in range(n_shards)
+        ]
         self.pool: Optional[ProcessPoolExecutor] = None
         if jobs > 1 and n_shards > 1:
             self.pool = ProcessPoolExecutor(
@@ -224,15 +201,14 @@ class _Exchange:
     def map(
         self, fn: Callable[..., Any], per_shard_args: Sequence[Tuple[Any, ...]]
     ) -> List[Any]:
-        """Apply ``fn(params, n_shards, shard, *args)`` per shard.
+        """Apply ``fn(pop, *args)`` per shard population slice.
 
         Results come back in shard order regardless of completion
         order — the merge is over exact integers so this is belt and
         braces, not a correctness requirement.
         """
         calls = [
-            (self.params, self.n_shards, shard, *per_shard_args[shard])
-            for shard in range(self.n_shards)
+            (pop, *args) for pop, args in zip(self.pops, per_shard_args)
         ]
         if self.pool is None:
             return [fn(*call) for call in calls]
@@ -342,16 +318,16 @@ def run_policy(
         )
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+    if not 0.0 <= adoption <= 1.0:
+        raise ValueError(f"adoption must be in [0, 1], got {adoption}")
+    population = cached_population(params)
     n_shards = min(n_shards, params.n_sectors)
     onload_enabled = policy != "adsl-only"
-    population = sample_population(params)
     obs = obs_current()
 
     exchange = _Exchange(params, n_shards, jobs)
     try:
-        states: List[ShardState] = exchange.map(
-            _leg_initial, [() for _ in range(n_shards)]
-        )
+        states = [initial_state(pop) for pop in exchange.pops]
 
         n_rounds = params.n_rounds
         n_sectors = params.n_sectors
@@ -494,9 +470,10 @@ def run_policy(
             engine.advance_clock(engine.next_boundary())
             engine.run_due_timers()
 
-        finals: List[ShardFinal] = exchange.map(
-            _leg_final, [(states[shard],) for shard in range(n_shards)]
-        )
+        finals = [
+            shard_final(pop, state)
+            for pop, state in zip(exchange.pops, states)
+        ]
     finally:
         exchange.close()
 

@@ -15,6 +15,7 @@ reduction to be exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -43,6 +44,9 @@ _SECTOR_PEAK_UTIL_HIGH = 0.90
 @dataclass(frozen=True)
 class FleetParameters:
     """Scalar knobs of one fleet day; hashable, so shards can cache by it.
+
+    The per-round byte capacities are cached on first use: the shard
+    legs read them every round, and they depend only on the fields.
 
     Capacities are deliberately 2011-vintage: 3 Mbps ADSL lines on an
     oversubscribed shared DSLAM backhaul (§2.1 quotes 40-50 Mbps for
@@ -101,22 +105,22 @@ class FleetParameters:
         """Cell-sector count (uniform random attachment)."""
         return -(-self.n_households // self.households_per_sector)
 
-    @property
+    @cached_property
     def line_round_bytes(self) -> int:
         """One household's ADSL line capacity per round, integer bytes."""
         return int(transfer_volume(self.adsl_down_bps, self.round_s))
 
-    @property
+    @cached_property
     def dslam_round_bytes(self) -> int:
         """One DSLAM backhaul's capacity per round, integer bytes."""
         return int(transfer_volume(self.dslam_backhaul_bps, self.round_s))
 
-    @property
+    @cached_property
     def cell_round_bytes(self) -> int:
         """One sector's full HSDPA capacity per round, integer bytes."""
         return int(transfer_volume(self.hsdpa_cell_bps, self.round_s))
 
-    @property
+    @cached_property
     def home_round_bytes(self) -> int:
         """One household's 3G onload ceiling per round, integer bytes."""
         return int(transfer_volume(self.home_3g_bps, self.round_s))

@@ -31,7 +31,7 @@ exchange):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -50,9 +50,12 @@ __all__ = [
     "ShardFinal",
     "ShardPopulation",
     "ShardState",
+    "cached_population",
+    "dslam_sums",
     "finish_round",
     "initial_state",
     "offer",
+    "sector_sums",
     "settle_onload",
     "shard_final",
     "shard_population",
@@ -64,24 +67,71 @@ __all__ = [
 POLICIES = ("adsl-only", "multi-provider", "network-integrated")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShardPopulation:
-    """One shard's slice of the city, in ascending household-id order."""
+    """One shard's slice of the city, laid out for the round legs.
 
-    params: FleetParameters
-    shard: int
+    Rows are households stably ordered by (sector, DSLAM), so each
+    sector is one contiguous block of rows and each (sector, DSLAM)
+    group one contiguous *run*: group sums are ``np.add.reduceat`` over
+    the block or run starts (:func:`sector_sums`, :func:`dslam_sums`).
+    Demand is round-major: row ``r`` holds round ``r``'s arrivals
+    contiguously.
+
+    A slice pickles as its key (parameters, shard count, shard) and is
+    rebuilt from the receiving process's cache
+    (:func:`shard_population`), so a pool worker is never sent the
+    arrays.
+    """
+
+    population: Population = field(repr=False)
     n_shards: int
+    shard: int
     #: Global household ids of this shard's rows.
     household_ids: NDArray[np.int64] = field(repr=False)
     dslam_of: NDArray[np.int64] = field(repr=False)
     sector_of: NDArray[np.int64] = field(repr=False)
-    adoption_rank: NDArray[np.int64] = field(repr=False)
+    #: (n_rounds, size) integer bytes requested per round.
     demand: NDArray[np.int64] = field(repr=False)
+    #: Per-round total of ``demand``.
+    round_arrivals: NDArray[np.int64] = field(repr=False)
+    #: First row of each sector's block, and the block's sector.
+    sector_starts: NDArray[np.intp] = field(repr=False)
+    sector_keys: NDArray[np.int64] = field(repr=False)
+    #: First row of each (sector, DSLAM) run, and the run's DSLAM.
+    run_starts: NDArray[np.intp] = field(repr=False)
+    run_dslam: NDArray[np.int64] = field(repr=False)
+    #: Per-row 3G ceiling by adoption fraction, filled on first use.
+    _ceilings: Dict[float, NDArray[np.int64]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    @property
+    def params(self) -> FleetParameters:
+        """The city's parameters."""
+        return self.population.params
 
     @property
     def size(self) -> int:
         """Households in this shard."""
         return int(self.household_ids.shape[0])
+
+    def onload_ceiling(self, adoption: float) -> NDArray[np.int64]:
+        """Per-row 3G bytes a round may onload: the home ceiling for
+        adopters at ``adoption``, zero for everyone else.
+
+        Cached on this slice by the adoption value, so a day computes it
+        once, not once per round.
+        """
+        ceiling = self._ceilings.get(adoption)
+        if ceiling is None:
+            adopters = self.population.adopters(adoption)[self.household_ids]
+            ceiling = np.where(adopters, self.params.home_round_bytes, 0)
+            self._ceilings[adoption] = ceiling
+        return ceiling
+
+    def __reduce__(self) -> Tuple[Any, Tuple[FleetParameters, int, int]]:
+        return shard_population, (self.params, self.n_shards, self.shard)
 
 
 @dataclass
@@ -182,18 +232,21 @@ class ShardFinal:
     cap_exhausted: NDArray[np.bool_] = field(repr=False)
 
 
-#: Per-process caches: the full city per parameter set, and the slice
-#: per (parameter set, partition, shard). With a fork-context pool the
-#: first call in each worker process pays the sampling cost once.
+#: Per-process caches, keyed by value: the city per parameter set, and
+#: its slices per (parameter set, partition, shard). Only one city is
+#: kept, and its slices go with it. With a fork-context pool, workers
+#: inherit whatever the dispatcher process had cached.
 _POPULATION_CACHE: Dict[FleetParameters, Population] = {}
 _SHARD_CACHE: Dict[Tuple[FleetParameters, int, int], ShardPopulation] = {}
 
 
-def _population(params: FleetParameters) -> Population:
+def cached_population(params: FleetParameters) -> Population:
+    """The city of ``params``, sampled at most once per process."""
     cached = _POPULATION_CACHE.get(params)
     if cached is None:
         cached = sample_population(params)
-        _POPULATION_CACHE.clear()  # one city per process is plenty
+        _POPULATION_CACHE.clear()
+        _SHARD_CACHE.clear()
         _POPULATION_CACHE[params] = cached
     return cached
 
@@ -204,37 +257,75 @@ def shard_population(
     """This shard's population slice (process-cached, seed-derived)."""
     key = (params, n_shards, shard)
     cached = _SHARD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    population = _population(params)
-    mask = (population.sector_of % n_shards) == shard
-    ids = np.flatnonzero(mask).astype(np.int64)
-    sliced = ShardPopulation(
-        params=params,
-        shard=shard,
-        n_shards=n_shards,
-        household_ids=ids,
-        dslam_of=population.dslam_of[ids],
-        sector_of=population.sector_of[ids],
-        adoption_rank=population.adoption_rank[ids],
-        demand=population.demand[ids],
+    if cached is None:
+        cached = _slice(cached_population(params), n_shards, shard)
+        if len(_SHARD_CACHE) > 64:
+            _SHARD_CACHE.clear()
+        _SHARD_CACHE[key] = cached
+    return cached
+
+
+def _slice(
+    population: Population, n_shards: int, shard: int
+) -> ShardPopulation:
+    params = population.params
+    ids = np.flatnonzero(population.sector_of % n_shards == shard)
+    group = (
+        population.sector_of[ids] * params.n_dslams
+        + population.dslam_of[ids]
     )
-    if len(_SHARD_CACHE) > 64:
-        _SHARD_CACHE.clear()
-    _SHARD_CACHE[key] = sliced
-    return sliced
+    order = np.argsort(group, kind="stable")
+    ids = ids[order].astype(np.int64)
+    group = group[order]
+    sector_of = population.sector_of[ids]
+    dslam_of = population.dslam_of[ids]
+    # A block starts wherever its key changes, and at row 0.
+    sector_starts = np.flatnonzero(np.diff(sector_of, prepend=-1))
+    run_starts = np.flatnonzero(np.diff(group, prepend=-1))
+    demand = np.ascontiguousarray(population.demand[ids].T)
+    return ShardPopulation(
+        population=population,
+        n_shards=n_shards,
+        shard=shard,
+        household_ids=ids,
+        dslam_of=dslam_of,
+        sector_of=sector_of,
+        demand=demand,
+        round_arrivals=demand.sum(axis=1),
+        sector_starts=sector_starts,
+        sector_keys=sector_of[sector_starts],
+        run_starts=run_starts,
+        run_dslam=dslam_of[run_starts],
+    )
 
 
-def _int_sums(
-    index: NDArray[np.int64], values: NDArray[np.int64], size: int
+def sector_sums(
+    pop: ShardPopulation, values: NDArray[Any]
 ) -> NDArray[np.int64]:
-    """Exact int64 scatter-add of ``values`` grouped by ``index``.
+    """Exact int64 sums of per-row ``values`` by cell sector.
 
-    ``np.bincount`` with weights would sum in float64; this stays in
-    integer arithmetic so merged totals are exact at any partitioning.
+    Rows are sector-major, so each sector is one contiguous block.
+    Integer arithmetic throughout (``np.bincount`` with weights would
+    sum in float64): exact sums are what keep merged totals identical
+    at any partitioning.
     """
-    out = np.zeros(size, dtype=np.int64)
-    np.add.at(out, index, values)
+    out = np.zeros(pop.params.n_sectors, dtype=np.int64)
+    if pop.size:  # an empty shard has nothing to sum
+        out[pop.sector_keys] = np.add.reduceat(
+            values, pop.sector_starts, dtype=np.int64
+        )
+    return out
+
+
+def dslam_sums(
+    pop: ShardPopulation, values: NDArray[Any]
+) -> NDArray[np.int64]:
+    """Exact int64 sums of per-row ``values`` by DSLAM: a sum over each
+    (sector, DSLAM) run, folded into the run's DSLAM."""
+    out = np.zeros(pop.params.n_dslams, dtype=np.int64)
+    if pop.size:
+        runs = np.add.reduceat(values, pop.run_starts, dtype=np.int64)
+        np.add.at(out, pop.run_dslam, runs)
     return out
 
 
@@ -276,36 +367,30 @@ def offer(
     shows up later as waste, not as an extra exchange iteration.
     """
     params = pop.params
-    state.backlog = state.backlog + pop.demand[:, round_index]
     line = params.line_round_bytes
-    state.pending_want = np.minimum(state.backlog, line)
+    backlog = state.backlog
+    backlog += pop.demand[round_index]
+    np.minimum(backlog, line, out=state.pending_want)
 
+    spill = state.pending_spill
     if onload_enabled:
-        est_adsl = (line * est_factor[pop.dslam_of]).astype(np.int64)
-        adopter = pop.adoption_rank < int(
-            round(params.n_households * adoption)
-        )
-        cap_left = np.maximum(
-            params.daily_cap_bytes - state.cap_used, 0
-        )
-        spill = np.minimum(
-            np.maximum(state.backlog - est_adsl, 0),
-            np.minimum(params.home_round_bytes, cap_left),
-        )
-        state.pending_spill = np.where(adopter, spill, 0)
+        est_adsl = (line * est_factor).astype(np.int64)[pop.dslam_of]
+        # spill = min(backlog - est_adsl, ceiling, cap left), floored at
+        # 0; the ceiling is 0 for non-adopters.
+        np.subtract(params.daily_cap_bytes, state.cap_used, out=spill)
+        np.minimum(spill, pop.onload_ceiling(adoption), out=spill)
+        np.subtract(backlog, est_adsl, out=est_adsl)
+        np.minimum(spill, est_adsl, out=spill)
+        np.maximum(spill, 0, out=spill)
+        sector_spill = sector_sums(pop, spill)
+        sector_requests = sector_sums(pop, spill > 0)
     else:
-        state.pending_spill = np.zeros(pop.size, dtype=np.int64)
-
-    n_sectors = params.n_sectors
-    sector_spill = _int_sums(pop.sector_of, state.pending_spill, n_sectors)
-    requesting = (state.pending_spill > 0).astype(np.int64)
-    sector_requests = _int_sums(pop.sector_of, requesting, n_sectors)
-    dslam_want = _int_sums(
-        pop.dslam_of, state.pending_want, params.n_dslams
-    )
+        spill.fill(0)
+        sector_spill = np.zeros(params.n_sectors, dtype=np.int64)
+        sector_requests = np.zeros(params.n_sectors, dtype=np.int64)
     return Offers(
         shard=pop.shard,
-        dslam_want=dslam_want,
+        dslam_want=dslam_sums(pop, state.pending_want),
         sector_spill=sector_spill,
         sector_requests=sector_requests,
     )
@@ -318,46 +403,43 @@ def settle_onload(
 ) -> OnloadResult:
     """Leg 2: apply the onload verdict, meter caps, relieve DSLAM demand."""
     params = pop.params
+    serve3g = state.pending_serve3g
     cap_exhaustions = 0
     if verdict.enabled and pop.size > 0:
-        sector = pop.sector_of
-        granted = verdict.sector_granted[sector]
-        pool = verdict.sector_pool[sector]
-        total = np.maximum(verdict.sector_spill_total[sector], 1)
-        spill = state.pending_spill
-        # Proportional share of the sector's free pool, floor-rounded:
-        # integer arithmetic, so the share depends only on (own spill,
-        # global totals) — partition invariant by construction.
-        share = np.where(
-            verdict.sector_spill_total[sector] <= pool,
-            spill,
-            spill * pool // total,
+        # Per sector: nothing unless granted; all of the spill when the
+        # sector's total fits its free pool; else the floor-rounded
+        # proportional share spill * pool // total. Integer arithmetic,
+        # so the share depends only on (own spill, global totals) —
+        # partition invariant by construction.
+        total = verdict.sector_spill_total
+        pool = verdict.sector_pool
+        fits = total <= pool
+        numerator = np.where(
+            verdict.sector_granted, np.where(fits, 1, pool), 0
         )
-        serve3g = np.where(granted, np.minimum(spill, share), 0)
-        state.pending_serve3g = serve3g.astype(np.int64)
-        before_left = params.daily_cap_bytes - state.cap_used
-        state.cap_used = state.cap_used + state.pending_serve3g
-        now_left = params.daily_cap_bytes - state.cap_used
-        newly_dry = (before_left > 0) & (now_left <= 0)
+        denominator = np.where(fits, 1, np.maximum(total, 1))
+        np.multiply(
+            state.pending_spill, numerator[pop.sector_of], out=serve3g
+        )
+        serve3g //= denominator[pop.sector_of]
+
+        cap = params.daily_cap_bytes
+        had_left = state.cap_used < cap
+        state.cap_used += serve3g
+        newly_dry = had_left & (state.cap_used >= cap)
         cap_exhaustions = int(np.count_nonzero(newly_dry))
-        state.cap_exhausted = state.cap_exhausted | newly_dry
+        state.cap_exhausted |= newly_dry
     else:
-        state.pending_serve3g = np.zeros(pop.size, dtype=np.int64)
+        serve3g.fill(0)
 
     # The DSLAM only carries what the 3G leg did not: relieved demand.
-    relieved = np.minimum(
-        state.pending_want,
-        np.maximum(state.backlog - state.pending_serve3g, 0),
-    )
-    state.pending_want = relieved
-    dslam_want = _int_sums(pop.dslam_of, relieved, params.n_dslams)
-    sector_served = _int_sums(
-        pop.sector_of, state.pending_serve3g, params.n_sectors
-    )
+    relieved = state.backlog - serve3g
+    np.maximum(relieved, 0, out=relieved)
+    np.minimum(state.pending_want, relieved, out=state.pending_want)
     return OnloadResult(
         shard=pop.shard,
-        dslam_want=dslam_want,
-        sector_served=sector_served,
+        dslam_want=dslam_sums(pop, state.pending_want),
+        sector_served=sector_sums(pop, serve3g),
         cap_exhaustions=cap_exhaustions,
     )
 
@@ -370,7 +452,7 @@ def finish_round(
 ) -> RoundAggregates:
     """Leg 3: allocate the DSLAM backhaul, drain backlogs, count waste."""
     params = pop.params
-    arrivals = int(pop.demand[:, round_index].sum())
+    arrivals = int(pop.round_arrivals[round_index])
     if pop.size == 0:
         return RoundAggregates(
             shard=pop.shard,
@@ -381,35 +463,34 @@ def finish_round(
             backlog_bytes=0,
         )
     want = state.pending_want
-    total = np.maximum(verdict.dslam_want_total[pop.dslam_of], 1)
-    capacity = params.dslam_round_bytes
-    adsl = np.where(
-        verdict.dslam_want_total[pop.dslam_of] <= capacity,
-        want,
-        want * capacity // total,
-    ).astype(np.int64)
+    backlog = state.backlog
     serve3g = state.pending_serve3g
-
-    delivered = np.minimum(state.backlog, adsl + serve3g)
-    state.backlog = state.backlog - delivered
+    capacity = params.dslam_round_bytes
+    total = verdict.dslam_want_total[pop.dslam_of]
+    uncongested = total <= capacity
+    adsl = want * capacity
+    adsl //= np.maximum(total, 1, out=total)
+    np.copyto(adsl, want, where=uncongested)
 
     # Waste: onloaded bytes whose ADSL line share went unused. The line
     # share actually available was min(line, what the DSLAM factor
     # would have granted the full want) — conservatively approximated
     # by the granted adsl plus the headroom up to the line rate when
-    # the DSLAM was uncongested.
-    line = params.line_round_bytes
-    uncongested = verdict.dslam_want_total[pop.dslam_of] <= capacity
-    line_available = np.where(
-        uncongested, np.minimum(state.backlog + delivered, line), adsl
-    )
-    unused_line = np.maximum(line_available - adsl, 0)
-    waste = np.minimum(serve3g, unused_line).astype(np.int64)
+    # the DSLAM was uncongested (a congested DSLAM leaves none).
+    unused = np.minimum(backlog, params.line_round_bytes)
+    unused -= adsl
+    np.maximum(unused, 0, out=unused)
+    unused *= uncongested
+    waste = np.minimum(serve3g, unused, out=unused)
 
-    state.served_adsl = state.served_adsl + adsl
-    state.served_3g = state.served_3g + serve3g
-    state.waste = state.waste + waste
-    state.backlog_integral = state.backlog_integral + state.backlog
+    delivered = adsl + serve3g
+    np.minimum(backlog, delivered, out=delivered)
+    backlog -= delivered
+
+    state.served_adsl += adsl
+    state.served_3g += serve3g
+    state.waste += waste
+    state.backlog_integral += backlog
 
     return RoundAggregates(
         shard=pop.shard,
@@ -417,7 +498,7 @@ def finish_round(
         adsl_bytes=int(adsl.sum()),
         onload_bytes=int(serve3g.sum()),
         waste_bytes=int(waste.sum()),
-        backlog_bytes=int(state.backlog.sum()),
+        backlog_bytes=int(backlog.sum()),
     )
 
 

@@ -10,12 +10,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import ext_fleet
+from repro.fleet import shard as fleet_shard
 from repro.fleet.cli import main as fleet_main
-from repro.fleet.dispatcher import run_city, run_policy
+from repro.fleet.dispatcher import PolicyRun, run_city, run_policy
 from repro.fleet.population import FleetParameters, sample_population
 from repro.fleet.report import FleetReport
+from repro.fleet.shard import dslam_sums, sector_sums, shard_population
 from repro.util.units import mbps
 
 #: Small-but-contended city: 16 Mbps backhaul over 128-household
@@ -105,6 +109,156 @@ class TestDeterministicMerge:
         assert eight.digest() == reference.digest()
 
 
+def _reference_sums(index, values, size):
+    """The oracle: an exact int64 scatter-add over households."""
+    out = np.zeros(size, dtype=np.int64)
+    np.add.at(out, index, values)
+    return out
+
+
+def _assert_group_sums_match(params, n_shards, value_seed):
+    """Every shard's group sums equal the ``np.add.at`` oracle."""
+    rng = np.random.default_rng(value_seed)
+    covered = 0
+    for shard in range(n_shards):
+        pop = shard_population(params, n_shards, shard)
+        covered += pop.size
+        values = rng.integers(-(2**40), 2**40, size=pop.size)
+        flags = values > 0
+        for got, index, size in (
+            (sector_sums, pop.sector_of, params.n_sectors),
+            (dslam_sums, pop.dslam_of, params.n_dslams),
+        ):
+            for vals in (values, flags):
+                assert np.array_equal(
+                    got(pop, vals), _reference_sums(index, vals, size)
+                )
+                assert got(pop, vals).dtype == np.int64
+    assert covered == params.n_households
+
+
+def _first_seed(kw, n_shards, predicate):
+    """The first city seed whose partition satisfies ``predicate``."""
+    for seed in range(200):
+        params = FleetParameters(seed=seed, **kw)
+        sizes = [
+            shard_population(params, n_shards, shard).size
+            for shard in range(n_shards)
+        ]
+        if predicate(sizes):
+            return params
+    raise AssertionError(f"no seed below 200 gives that partition: {kw}")
+
+
+class TestGroupSums:
+    """The reduceat group sums agree with the scatter-add oracle."""
+
+    @given(
+        n_households=st.integers(min_value=1, max_value=80),
+        per_sector=st.integers(min_value=1, max_value=30),
+        per_dslam=st.integers(min_value=1, max_value=30),
+        n_shards=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_small_cities(
+        self, n_households, per_sector, per_dslam, n_shards, seed
+    ):
+        params = FleetParameters(
+            n_households=n_households,
+            seed=seed,
+            households_per_sector=per_sector,
+            households_per_dslam=per_dslam,
+        )
+        n_shards = min(n_shards, params.n_sectors)
+        _assert_group_sums_match(params, n_shards, seed)
+
+    def test_empty_shard(self):
+        """One shard per sector, one sector nobody lives in."""
+        kw = dict(n_households=6, households_per_sector=1)
+        params = _first_seed(kw, 6, lambda sizes: 0 in sizes)
+        _assert_group_sums_match(params, params.n_sectors, 1)
+
+    def test_single_household_shard(self):
+        kw = dict(
+            n_households=9, households_per_sector=3, households_per_dslam=2
+        )
+        params = _first_seed(kw, 3, lambda sizes: 1 in sizes)
+        _assert_group_sums_match(params, 3, 2)
+
+    def test_single_sector_city(self):
+        params = _params(households_per_sector=1000)
+        assert params.n_sectors == 1
+        _assert_group_sums_match(params, 1, 3)
+
+    def test_rows_are_sector_then_dslam_ordered(self):
+        params = _params()
+        for shard in range(4):
+            pop = shard_population(params, 4, shard)
+            key = pop.sector_of * params.n_dslams + pop.dslam_of
+            assert (np.diff(key) >= 0).all()
+            # Stable: ids ascend within each (sector, DSLAM) run.
+            same = np.diff(key) == 0
+            assert (np.diff(pop.household_ids)[same] > 0).all()
+            assert pop.demand.shape == (params.n_rounds, pop.size)
+            assert pop.demand.flags.c_contiguous
+
+
+def _assert_runs_identical(a: PolicyRun, b: PolicyRun):
+    for name in (
+        "round_arrivals",
+        "round_adsl",
+        "round_onload",
+        "round_waste",
+        "round_backlog",
+        "permit_requests",
+        "permit_grants",
+        "permit_denials",
+        "cap_exhaustions",
+    ):
+        assert getattr(a, name) == getattr(b, name), name
+    for name in (
+        "served_adsl",
+        "served_3g",
+        "waste",
+        "backlog_integral",
+        "backlog",
+        "cap_used",
+        "cap_exhausted",
+        "sector_util",
+    ):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestCachesKeyedByValue:
+    """Process caches must never hand one city's data to another."""
+
+    @staticmethod
+    def _clear():
+        fleet_shard._POPULATION_CACHE.clear()
+        fleet_shard._SHARD_CACHE.clear()
+
+    def test_ramp_over_two_cities(self):
+        """The ext-fleet ramp pattern, twice: warm caches, then cold."""
+        cities = (_params(seed=21), _params(seed=22))
+        plan = [
+            (params, policy, adoption)
+            for params in cities
+            for adoption in (0.25, 0.75)
+            for policy in ("multi-provider", "network-integrated")
+        ]
+        self._clear()
+        warm = [run_policy(*step) for step in plan]
+        cold = []
+        for step in plan:
+            self._clear()
+            cold.append(run_policy(*step))
+        for a, b in zip(warm, cold):
+            _assert_runs_identical(a, b)
+        # And the cities really differ, so a crossed cache would show.
+        assert warm[0].round_arrivals != warm[4].round_arrivals
+
+
 class TestCityDay:
     @pytest.fixture(scope="class")
     def outcome(self):
@@ -150,6 +304,13 @@ class TestCityDay:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):
             run_policy(_params(), "carrier-pigeon", 0.5)
+
+    @pytest.mark.parametrize("adoption", [1.7, -0.5, float("nan")])
+    def test_adoption_outside_unit_interval_rejected(self, adoption):
+        with pytest.raises(ValueError, match="adoption"):
+            run_policy(_params(), "multi-provider", adoption)
+        with pytest.raises(ValueError, match="adoption"):
+            run_city(_params(), adoption=adoption)
 
 
 class TestRegistry:
