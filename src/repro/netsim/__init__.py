@@ -28,7 +28,7 @@ from repro.netsim.faults import (
     WifiDepartureProcess,
 )
 from repro.netsim.link import Link, PiecewiseLink, StochasticLink, TIME_INFINITY
-from repro.netsim.fluid import FluidNetwork, Flow, max_min_allocation
+from repro.netsim.fluid import FluidNetwork, Flow
 from repro.netsim.path import NetworkPath
 from repro.netsim.adsl import AdslLine, sync_rate_for_distance
 from repro.netsim.wifi import WifiNetwork, WIFI_80211G, WIFI_80211N
@@ -59,7 +59,6 @@ __all__ = [
     "TIME_INFINITY",
     "FluidNetwork",
     "Flow",
-    "max_min_allocation",
     "NetworkPath",
     "AdslLine",
     "sync_rate_for_distance",

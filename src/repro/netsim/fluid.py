@@ -29,11 +29,14 @@ golden digests. Concretely:
 * flow ETAs are re-derived whenever a flow's rate changed or bytes moved
   (an unchanged ETA would differ by ulps from a re-derived one, shifting
   completion times), and the derivation arithmetic is unchanged;
-* the vectorized array paths use the same IEEE-754 double operations in
-  the same order as the scalar loops they replace (elementwise multiply/
-  divide/min, and ``np.add.at`` for in-order link byte accumulation), so
-  both paths are bit-equal — property-tested in
-  ``tests/test_netsim_fluid.py``.
+* the vectorized advance/ETA paths use the same IEEE-754 double
+  operations in the same order as the scalar loops they replace
+  (elementwise multiply/divide/min, and ``np.add.at`` for in-order link
+  byte accumulation), so both paths are bit-equal;
+* the event-driven water-filling allocator performs the same operations
+  on the same values as brute-force progressive filling, in an order
+  the result does not depend on — property-tested against a reference
+  in ``tests/test_netsim_fluid.py``.
 
 This is the substrate every 3GOL experiment runs on: the multipath
 scheduler submits items as flows over paths, reacts to completion callbacks
@@ -43,9 +46,10 @@ the granularity the paper's evaluation reports (seconds).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -73,14 +77,10 @@ def completion_epsilon(size_bytes: float) -> float:
 _SHARE_EPSILON = 1e-12
 
 #: Active-flow count from which the stepper switches from the scalar
-#: per-flow loops to the vectorized numpy paths. Both paths are
-#: bit-identical; the threshold only picks whichever has less overhead.
+#: per-flow advance/ETA loops to the vectorized numpy paths. Both paths
+#: are bit-identical; the threshold only picks whichever has less
+#: overhead.
 VECTOR_MIN_FLOWS = 8
-
-#: Active-flow count from which the water-filling allocator switches to
-#: its vectorized rounds (higher than :data:`VECTOR_MIN_FLOWS` because a
-#: round has more numpy fixed cost than an advance).
-VECTOR_MIN_ALLOC_FLOWS = 32
 
 #: Initial slot-array capacity; arrays double when full.
 _INITIAL_SLOTS = 16
@@ -142,16 +142,17 @@ class Flow:
         #: Owning network and slot while active; ``None``/-1 otherwise.
         self._net: Optional["FluidNetwork"] = None
         self._slot = -1
+        #: True while a delayed start is scheduled but has not run yet.
+        self._pending = False
         #: Byte-accounting rows (per chain occurrence, duplicates kept).
         self._link_rows: List[int] = []
-        #: Allocator link-use handles while registered (deduplicated for
-        #: fair-share membership, full chain for capacity subtraction).
-        self._alloc_uses: List["_LinkUse"] = []
-        self._sub_uses: List["_LinkUse"] = []
-        #: Cached numpy views of the same indices, built once per
-        #: registration so cache rebuilds concatenate instead of looping.
-        self._a_cols_arr: NDArray[np.intp] = np.zeros(0, dtype=np.intp)
-        self._s_cols_arr: NDArray[np.intp] = np.zeros(0, dtype=np.intp)
+        #: Allocator columns while registered: deduplicated for fair-share
+        #: membership, full chain (duplicates kept) for capacity
+        #: subtraction.
+        self._alloc_cols: List[int] = []
+        self._sub_cols: List[int] = []
+        #: Numpy view of the byte-accounting rows, built once per
+        #: registration so :meth:`FluidNetwork._flat` concatenates.
         self._rows_arr: NDArray[np.intp] = np.zeros(0, dtype=np.intp)
 
     @property
@@ -187,104 +188,20 @@ class Flow:
         )
 
 
-def max_min_allocation(
-    flows: Sequence[Flow], time: float
-) -> Dict[Flow, float]:
-    """Progressive-filling (water-filling) max-min fair rate allocation.
-
-    Per-flow rate caps are honoured by treating each cap as a virtual
-    single-flow link. Links with zero capacity freeze their flows at rate
-    zero (the flows stay active but make no progress).
-
-    This is the *brute-force reference*: it rebuilds link membership from
-    scratch on every call. The stepper uses the incremental allocator in
-    :meth:`FluidNetwork._recompute_rates`, which maintains membership as
-    flows start and finish but runs the same water-filling arithmetic —
-    property tests assert the two agree exactly on randomized topologies.
-    """
-    rates: Dict[Flow, float] = {}
-    active = [flow for flow in flows]
-    remaining_capacity: Dict[Link, float] = {}
-    link_members: Dict[Link, set] = {}
-    for flow in active:
-        for link in flow.links:
-            if link not in remaining_capacity:
-                remaining_capacity[link] = link.capacity_at(time)
-                link_members[link] = set()
-            link_members[link].add(flow)
-
-    active_set = set(active)
-    while active_set:
-        # Fair share offered by each constraint still in play.
-        bottleneck_share = math.inf
-        for link, members in link_members.items():
-            live = members & active_set
-            if not live:
-                continue
-            share = remaining_capacity[link] / len(live)
-            bottleneck_share = min(bottleneck_share, share)
-        for flow in active_set:
-            if flow.rate_cap_bps is not None:
-                bottleneck_share = min(bottleneck_share, flow.rate_cap_bps)
-        if bottleneck_share is math.inf:
-            # No constraining link at all; should not happen because chains
-            # are non-empty, but guard against an all-frozen corner.
-            for flow in active_set:
-                rates[flow] = 0.0
-            break
-
-        # Freeze every flow pinned at the bottleneck share: flows whose own
-        # cap equals it, plus all flows on saturated links.
-        frozen = set()
-        for flow in active_set:
-            cap = flow.rate_cap_bps
-            if cap is not None and cap <= bottleneck_share * (1 + _SHARE_EPSILON):
-                frozen.add(flow)
-        for link, members in link_members.items():
-            live = members & active_set
-            if not live:
-                continue
-            share = remaining_capacity[link] / len(live)
-            if share <= bottleneck_share * (1 + _SHARE_EPSILON) or (
-                share == 0.0 and bottleneck_share == 0.0
-            ):
-                frozen.update(live)
-        if not frozen:
-            # Numerical corner: freeze everything at the share to guarantee
-            # termination.
-            frozen = set(active_set)
-
-        # Deterministic order (flow id) so capacity subtraction is a pure
-        # function of the inputs, not of set iteration order.
-        for flow in sorted(frozen, key=lambda f: f.flow_id):
-            rate = bottleneck_share
-            if flow.rate_cap_bps is not None:
-                rate = min(rate, flow.rate_cap_bps)
-            rates[flow] = max(rate, 0.0)
-            for link in flow.links:
-                remaining_capacity[link] = max(
-                    0.0, remaining_capacity[link] - rates[flow]
-                )
-        active_set -= frozen
-    return rates
-
-
 class _LinkUse:
     """Allocator-side state of one link while flows cross it."""
 
-    __slots__ = ("link", "members", "scratch", "col")
+    __slots__ = ("link", "members", "col")
 
-    def __init__(self, link: Link) -> None:
+    def __init__(self, link: Link, col: int) -> None:
         self.link = link
         #: Active flows crossing the link (each at most once), in
         #: activation order.
         self.members: List[Flow] = []
-        #: Per-recompute scratch index (column in the local arrays).
-        self.scratch = -1
         #: Persistent column id in the network's column space, stable for
         #: the lifetime of the use (assigned at creation, recycled when
-        #: the last member leaves). The vector allocator indexes by it.
-        self.col = -1
+        #: the last member leaves). The allocator indexes by it.
+        self.col = col
 
 
 class FluidNetwork:
@@ -314,14 +231,14 @@ class FluidNetwork:
         self._link_totals: NDArray[np.float64] = np.zeros(_INITIAL_SLOTS)
 
         # Incremental allocator membership, keyed by link object. Each
-        # use owns a persistent column in ``_col_live`` (live member
-        # counts, maintained on register/unregister); columns are
-        # recycled through ``_free_cols`` when a use dies.
+        # use owns a persistent column: ``_col_members`` holds its member
+        # list and ``_col_live`` its member count, both maintained on
+        # register/unregister; columns are recycled through ``_free_cols``
+        # when a use dies.
         self._uses: Dict[int, _LinkUse] = {}
-        self._col_live: NDArray[np.int64] = np.zeros(
-            _INITIAL_SLOTS, dtype=np.int64
-        )
-        self._free_cols: List[int] = list(range(_INITIAL_SLOTS - 1, -1, -1))
+        self._col_members: List[List[Flow]] = []
+        self._col_live: List[int] = []
+        self._free_cols: List[int] = []
 
         # Flow-major flattened index caches for the vectorized paths;
         # rebuilt lazily whenever membership changes.
@@ -330,27 +247,12 @@ class FluidNetwork:
         self._flat_rows: NDArray[np.intp] = np.zeros(0, dtype=np.intp)
         self._flat_flow_pos: NDArray[np.intp] = np.zeros(0, dtype=np.intp)
 
-        # Allocator setup cache (use list, column indices, live counts,
-        # caps): a pure function of membership, rebuilt only when a flow
-        # starts or finishes, not on every rate recompute. ``_alloc_vector``
-        # selects which recompute path the cache was built for.
+        # Allocator setup (live uses, rate-cap heap seeds): a pure
+        # function of membership, rebuilt only when a flow starts or
+        # finishes, not on every rate recompute.
         self._alloc_dirty = True
-        self._alloc_vector = False
-        self._alloc_uses_cache: List[_LinkUse] = []
-        self._alloc_base_live: List[int] = []
-        self._alloc_cols_cache: List[List[int]] = []
-        self._sub_cols_cache: List[List[int]] = []
-        self._alloc_caps_cache: List[Optional[float]] = []
-        self._alloc_pos_cache: Dict[int, int] = {}
-        # Vector-mode caches (flow-major flattened membership pairs).
-        self._valloc_caps: NDArray[np.float64] = np.zeros(0)
-        self._valloc_use_cols: NDArray[np.intp] = np.zeros(0, dtype=np.intp)
-        self._valloc_links: List[Link] = []
-        self._valloc_a_cols: NDArray[np.intp] = np.zeros(0, dtype=np.intp)
-        self._valloc_a_pos: NDArray[np.intp] = np.zeros(0, dtype=np.intp)
-        self._valloc_s_cols: NDArray[np.intp] = np.zeros(0, dtype=np.intp)
-        self._valloc_s_pos: NDArray[np.intp] = np.zeros(0, dtype=np.intp)
-        self._valloc_slots: NDArray[np.intp] = np.zeros(0, dtype=np.intp)
+        self._alloc_uses: List[_LinkUse] = []
+        self._alloc_cap_seeds: List[Tuple[float, int]] = []
 
         self.engine.set_eta_source(self._earliest_eta)
 
@@ -392,7 +294,10 @@ class FluidNetwork:
         delay = check_non_negative("delay", delay)
         if flow.is_done:
             raise ValueError(f"cannot add finished flow {flow!r}")
+        if flow._net is not None or flow._pending:
+            raise ValueError(f"flow {flow!r} was already added")
         if delay > 0.0:
+            flow._pending = True
             self.engine.schedule_at(
                 self.engine.time + delay,
                 lambda: self._activate(flow),
@@ -413,14 +318,17 @@ class FluidNetwork:
             self._free_slots = list(range(grown - 1, old - 1, -1))
         return self._free_slots.pop()
 
-    def _alloc_col(self) -> int:
-        if not self._free_cols:
-            old = len(self._col_live)
-            grown = np.zeros(old * 2, dtype=np.int64)
-            grown[:old] = self._col_live
-            self._col_live = grown
-            self._free_cols = list(range(old * 2 - 1, old - 1, -1))
-        return self._free_cols.pop()
+    def _new_use(self, link: Link) -> _LinkUse:
+        if self._free_cols:
+            col = self._free_cols.pop()
+        else:
+            col = len(self._col_members)
+            self._col_members.append([])
+            self._col_live.append(0)
+        use = _LinkUse(link, col)
+        self._col_members[col] = use.members
+        self._uses[id(link)] = use
+        return use
 
     def _row_for(self, name: str) -> int:
         row = self._link_row.get(name)
@@ -445,22 +353,13 @@ class FluidNetwork:
         flow._link_rows = [self._row_for(link.name) for link in flow.links]
         now = self.engine.time
         for link in flow._alloc_links:
-            use = self._uses.get(id(link))
-            if use is None:
-                use = _LinkUse(link)
-                use.col = self._alloc_col()
-                self._uses[id(link)] = use
+            use = self._uses.get(id(link)) or self._new_use(link)
             use.members.append(flow)
             self._col_live[use.col] += 1
             self.engine.links.acquire(link, now)
-        flow._alloc_uses = [self._uses[id(link)] for link in flow._alloc_links]
-        flow._sub_uses = [self._uses[id(link)] for link in flow.links]
-        flow._a_cols_arr = np.array(
-            [use.col for use in flow._alloc_uses], dtype=np.intp
-        )
-        flow._s_cols_arr = np.array(
-            [use.col for use in flow._sub_uses], dtype=np.intp
-        )
+        uses = self._uses
+        flow._alloc_cols = [uses[id(link)].col for link in flow._alloc_links]
+        flow._sub_cols = [uses[id(link)].col for link in flow.links]
         flow._rows_arr = np.array(flow._link_rows, dtype=np.intp)
 
     def _unregister(self, flow: Flow) -> None:
@@ -472,8 +371,8 @@ class FluidNetwork:
         flow._net = None
         self._free_slots.append(flow._slot)
         flow._slot = -1
-        flow._alloc_uses = []
-        flow._sub_uses = []
+        flow._alloc_cols = []
+        flow._sub_cols = []
         for link in flow._alloc_links:
             use = self._uses[id(link)]
             use.members.remove(flow)
@@ -484,6 +383,7 @@ class FluidNetwork:
             self.engine.links.release(link)
 
     def _activate(self, flow: Flow) -> None:
+        flow._pending = False
         if flow.is_done:
             return  # aborted while waiting to start
         flow.started_at = self.engine.time
@@ -540,256 +440,120 @@ class FluidNetwork:
             flow.on_complete(flow, self.engine.time)
 
     # ------------------------------------------------------------------
-    # Rate allocation (incremental-membership water-filling)
+    # Rate allocation (event-driven water-filling)
     # ------------------------------------------------------------------
     def _recompute_rates(self) -> None:
-        """Re-run max-min water-filling over the active flows.
+        """Max-min fair rates for the active flows by progressive filling.
 
-        Membership (which flows cross which links) is maintained
-        incrementally by :meth:`_register`/:meth:`_unregister`; only the
-        water-filling arithmetic runs here, bit-identical to
-        :func:`max_min_allocation` (see the property tests).
+        Every constraint sits in one min-heap of ``(share, key)`` entries:
+        each live link column (``key = col``, share = remaining capacity
+        over live members) and each rate cap, a virtual single-member link
+        (``key = ~position`` in the flow list). A round takes the smallest
+        valid share as the bottleneck, pops every valid entry within
+        ``bottleneck * (1 + _SHARE_EPSILON)``, freezes their active members
+        at the bottleneck rate, subtracts that rate from the columns those
+        flows cross and pushes only those columns' new shares. Entries a
+        later change made stale are discarded when they surface: a column
+        entry is valid while the column has live members and its share is
+        the current one, a cap entry while its flow is active.
+
+        The arithmetic is that of brute-force progressive filling: the same
+        ``rem / live`` shares, threshold product and clamped subtraction
+        ``max(0, rem - rate)`` on the same values. Every flow frozen in a
+        round gets the same rate (no active cap lies below the bottleneck),
+        so the order of the subtractions within a round cannot change a
+        result, and the rates are bit-identical to the reference (see the
+        property tests).
         """
         flows = self._flows
         self._rates_dirty = False
         if not flows:
             return
         now = self.engine.time
-
         if self._alloc_dirty:
             self._rebuild_alloc_caches()
-        if self._alloc_vector:
-            self._recompute_rates_vector(now)
-            return
-        uses = self._alloc_uses_cache
-        n_links = len(uses)
-        rem_cap = [use.link.capacity_at(now) for use in uses]
-        live = self._alloc_base_live.copy()
-        alloc_cols = self._alloc_cols_cache
-        sub_cols = self._sub_cols_cache
-        caps = self._alloc_caps_cache
-        pos_of = self._alloc_pos_cache
 
-        n = len(flows)
-        rates = [0.0] * n
-        is_active = [True] * n
-        n_active = n
+        col_members = self._col_members
+        live = self._col_live.copy()
+        rem = [0.0] * len(live)
+        share = rem.copy()
+        heap = self._alloc_cap_seeds.copy()
+        for use in self._alloc_uses:
+            col = use.col
+            capacity = use.link.capacity_at(now)
+            rem[col] = capacity
+            share[col] = capacity / live[col]
+            heap.append((share[col], col))
+        heapq.heapify(heap)
 
+        frozen_set: Set[Flow] = set()
+        n_active = len(flows)
         while n_active:
-            bottleneck = math.inf
-            for j in range(n_links):
-                count = live[j]
-                if count:
-                    share = rem_cap[j] / count
-                    if share < bottleneck:
-                        bottleneck = share
-            for i in range(n):
-                if is_active[i]:
-                    cap = caps[i]
-                    if cap is not None and cap < bottleneck:
-                        bottleneck = cap
-            if math.isinf(bottleneck):
+            # Drop stale entries so the heap top is the bottleneck.
+            while True:
+                bottleneck, key = heap[0]
+                if key < 0:
+                    if flows[~key] not in frozen_set:
+                        break
+                elif live[key] and bottleneck == share[key]:
+                    break
+                heapq.heappop(heap)
+            if bottleneck == math.inf:
                 # No constraining link at all (all-frozen corner): active
                 # flows stay at rate zero.
                 break
 
             threshold = bottleneck * (1 + _SHARE_EPSILON)
-            frozen: List[int] = []
-            frozen_mark = [False] * n
-            for i in range(n):
-                if is_active[i]:
-                    cap = caps[i]
-                    if cap is not None and cap <= threshold:
-                        frozen_mark[i] = True
-            for j in range(n_links):
-                count = live[j]
-                if not count:
+            rate = max(bottleneck, 0.0)
+            frozen: List[Flow] = []
+            while heap and heap[0][0] <= threshold:
+                entry_share, key = heapq.heappop(heap)
+                if key < 0:
+                    members = [flows[~key]]
+                elif live[key] and entry_share == share[key]:
+                    members = col_members[key]
+                else:
                     continue
-                share = rem_cap[j] / count
-                if share <= threshold or (
-                    share == 0.0 and bottleneck == 0.0
-                ):
-                    for member in uses[j].members:
-                        pos = pos_of[id(member)]
-                        if is_active[pos]:
-                            frozen_mark[pos] = True
-            frozen = [i for i in range(n) if frozen_mark[i] and is_active[i]]
-            if not frozen:
-                # Numerical corner: freeze everything at the share to
-                # guarantee termination.
-                frozen = [i for i in range(n) if is_active[i]]
-
-            for i in frozen:
-                rate = bottleneck
-                cap = caps[i]
-                if cap is not None and cap < rate:
-                    rate = cap
-                rate = max(rate, 0.0)
-                rates[i] = rate
-                for j in alloc_cols[i]:
-                    live[j] -= 1
-                for j in sub_cols[i]:
-                    reduced = rem_cap[j] - rate
-                    rem_cap[j] = reduced if reduced > 0.0 else 0.0
-                is_active[i] = False
+                for flow in members:
+                    if flow not in frozen_set:
+                        frozen_set.add(flow)
+                        frozen.append(flow)
+                        flow.current_rate_bps = rate
             n_active -= len(frozen)
+            if not n_active:
+                break  # nothing left for the freed capacity to feed
+
+            touched: Set[int] = set()
+            for flow in frozen:
+                for col in flow._alloc_cols:
+                    live[col] -= 1
+                for col in flow._sub_cols:
+                    reduced = rem[col] - rate
+                    rem[col] = reduced if reduced > 0.0 else 0.0
+                    touched.add(col)
+            for col in touched:
+                count = live[col]
+                if count:
+                    new_share = rem[col] / count
+                    if new_share != share[col]:
+                        share[col] = new_share
+                        heapq.heappush(heap, (new_share, col))
 
         arr_rate = self._arr_rate
-        for i, flow in enumerate(flows):
-            rate = rates[i]
-            flow.current_rate_bps = rate
-            arr_rate[flow._slot] = rate
+        for flow in flows:
+            if flow not in frozen_set:
+                flow.current_rate_bps = 0.0
+            arr_rate[flow._slot] = flow.current_rate_bps
 
     def _rebuild_alloc_caches(self) -> None:
-        """Rebuild the allocator setup after a membership change.
-
-        Builds either the scalar caches (list-of-columns per flow) or the
-        vector caches (flattened membership pairs), chosen by flow count.
-        Any membership change re-dirties the setup, so the chosen mode is
-        always consistent with the current flow count.
-        """
-        flows = self._flows
-        uses = list(self._uses.values())
-        self._alloc_uses_cache = uses
-        self._alloc_vector = len(flows) >= VECTOR_MIN_ALLOC_FLOWS
-        if self._alloc_vector:
-            # Per-flow column arrays were cached at registration against
-            # persistent column ids, so the flattened pair arrays are a
-            # concatenate + repeat, not a Python loop over every pair.
-            n = len(flows)
-            positions = np.arange(n, dtype=np.intp)
-            lens_a = np.fromiter(
-                (len(f._a_cols_arr) for f in flows), np.intp, count=n
-            )
-            lens_s = np.fromiter(
-                (len(f._s_cols_arr) for f in flows), np.intp, count=n
-            )
-            self._valloc_a_cols = np.concatenate(
-                [f._a_cols_arr for f in flows]
-            )
-            self._valloc_a_pos = np.repeat(positions, lens_a)
-            self._valloc_s_cols = np.concatenate(
-                [f._s_cols_arr for f in flows]
-            )
-            self._valloc_s_pos = np.repeat(positions, lens_s)
-            self._valloc_caps = np.fromiter(
-                (
-                    math.inf if f.rate_cap_bps is None else f.rate_cap_bps
-                    for f in flows
-                ),
-                np.float64,
-                count=n,
-            )
-            self._valloc_slots = np.fromiter(
-                (f._slot for f in flows), np.intp, count=n
-            )
-            self._valloc_use_cols = np.fromiter(
-                (use.col for use in uses), np.intp, count=len(uses)
-            )
-            self._valloc_links = [use.link for use in uses]
-        else:
-            for j, use in enumerate(uses):
-                use.scratch = j
-            self._alloc_base_live = [len(use.members) for use in uses]
-            # Per-flow link columns: deduplicated for live counts, full
-            # chain (duplicates kept) for capacity subtraction — exactly
-            # mirroring the reference's set-membership vs chain-iteration
-            # split.
-            self._alloc_cols_cache = [
-                [use.scratch for use in f._alloc_uses] for f in flows
-            ]
-            self._sub_cols_cache = [
-                [use.scratch for use in f._sub_uses] for f in flows
-            ]
-            self._alloc_caps_cache = [f.rate_cap_bps for f in flows]
-            self._alloc_pos_cache = {
-                id(flow): i for i, flow in enumerate(flows)
-            }
+        """Rebuild the allocator setup after a membership change."""
+        self._alloc_uses = list(self._uses.values())
+        self._alloc_cap_seeds = [
+            (flow.rate_cap_bps, ~i)
+            for i, flow in enumerate(self._flows)
+            if flow.rate_cap_bps is not None
+        ]
         self._alloc_dirty = False
-
-    def _recompute_rates_vector(self, now: float) -> None:
-        """Vectorized water-filling rounds, bit-identical to the scalar path.
-
-        Key fact making whole-round vectorization exact: every flow frozen
-        in one round receives rate == the bottleneck share. A frozen flow's
-        cap cannot be *below* the bottleneck (the bottleneck is the min
-        over active caps), so ``min(bottleneck, cap)`` is the bottleneck
-        for all of them, and ``max(·, 0)`` is the identity (capacities and
-        caps are validated non-negative). Equal per-flow rates also mean
-        the clamped capacity subtractions on a link are "subtract r, k
-        times" regardless of flow order — replayed sequentially per link
-        below, because ``(x-r)-r`` differs from ``x-2r`` in ulps. When a
-        round freezes every surviving flow the subtractions feed no later
-        round and are skipped entirely.
-        """
-        flows = self._flows
-        live = self._col_live.copy()
-        ncols = len(live)
-        links = self._valloc_links
-        rem_cap = np.zeros(ncols)
-        rem_cap[self._valloc_use_cols] = np.fromiter(
-            (link.capacity_at(now) for link in links),
-            np.float64,
-            count=len(links),
-        )
-        caps = self._valloc_caps
-        a_cols = self._valloc_a_cols
-        a_pos = self._valloc_a_pos
-        s_cols = self._valloc_s_cols
-        s_pos = self._valloc_s_pos
-
-        n = len(flows)
-        rates = np.zeros(n)
-        active = np.ones(n, dtype=bool)
-        n_active = n
-        shares = np.empty(ncols)
-
-        while n_active:
-            shares.fill(math.inf)
-            live_mask = live > 0
-            np.divide(rem_cap, live, out=shares, where=live_mask)
-            bottleneck = float(shares.min())
-            cap_min = float(caps[active].min())
-            if cap_min < bottleneck:
-                bottleneck = cap_min
-            if math.isinf(bottleneck):
-                # No constraining link at all (all-frozen corner): active
-                # flows stay at rate zero.
-                break
-
-            threshold = bottleneck * (1 + _SHARE_EPSILON)
-            frozen = active & (caps <= threshold)
-            link_frozen = live_mask & (shares <= threshold)
-            if link_frozen.any():
-                hit = np.zeros(n, dtype=bool)
-                hit[a_pos[link_frozen[a_cols]]] = True
-                frozen |= hit
-                frozen &= active
-            if not frozen.any():
-                # Numerical corner: freeze everything at the share to
-                # guarantee termination.
-                frozen = active.copy()
-
-            rate = bottleneck if bottleneck > 0.0 else 0.0
-            rates[frozen] = rate
-            k = int(frozen.sum())
-            if k < n_active:
-                np.subtract.at(live, a_cols[frozen[a_pos]], 1)
-                frozen_sub_cols = s_cols[frozen[s_pos]]
-                per_col = np.bincount(frozen_sub_cols)
-                for j in np.nonzero(per_col)[0].tolist():
-                    value = rem_cap[j]
-                    for _ in range(int(per_col[j])):
-                        reduced = value - rate
-                        value = reduced if reduced > 0.0 else 0.0
-                    rem_cap[j] = value
-            active &= ~frozen
-            n_active -= k
-
-        self._arr_rate[self._valloc_slots] = rates
-        rate_list = rates.tolist()
-        for i, flow in enumerate(flows):
-            flow.current_rate_bps = rate_list[i]
 
     # ------------------------------------------------------------------
     # Boundaries and stepping

@@ -3,15 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.netsim.fluid import (
-    Flow,
-    FluidNetwork,
-    completion_epsilon,
-    max_min_allocation,
-)
+from repro.netsim.fluid import Flow, FluidNetwork, completion_epsilon
 from repro.netsim.link import Link, PiecewiseLink
 from repro.util.units import MB, mbps
+from tests.maxmin_reference import max_min_allocation
 
 
 def make_flow(size, links, **kwargs):
@@ -156,6 +154,40 @@ class TestFluidNetworkBasics:
         with pytest.raises(ValueError):
             net.add_flow(flow)
 
+    def test_cannot_add_active_flow_twice(self):
+        # Regression: a second add registered the flow twice and run()
+        # ended in "exceeded max_steps".
+        net = FluidNetwork()
+        done = []
+        flow = make_flow(
+            1 * MB, [Link("l", mbps(8))],
+            on_complete=lambda f, t: done.append(t),
+        )
+        net.add_flow(flow)
+        with pytest.raises(ValueError, match="already added"):
+            net.add_flow(flow)
+        with pytest.raises(ValueError, match="already added"):
+            net.add_flow(flow, delay=1.0)
+        net.run()
+        assert done == [pytest.approx(1.0)]
+
+    def test_cannot_add_pending_flow_twice(self):
+        # Regression: two delayed starts activated the flow twice when it
+        # was still running at the second one.
+        net = FluidNetwork()
+        done = []
+        flow = make_flow(
+            1 * MB, [Link("l", mbps(8))],
+            on_complete=lambda f, t: done.append(t),
+        )
+        net.add_flow(flow, delay=0.5)
+        with pytest.raises(ValueError, match="already added"):
+            net.add_flow(flow, delay=0.7)
+        with pytest.raises(ValueError, match="already added"):
+            net.add_flow(flow)
+        net.run()
+        assert done == [pytest.approx(1.5)]
+
     def test_link_bytes_accounting(self):
         net = FluidNetwork()
         a, b = Link("a", mbps(8)), Link("b", mbps(8))
@@ -276,8 +308,83 @@ class TestStepDrainedReturn:
         assert net.advance_to(7.0) == 7.0
 
 
+class _UnboundedLink(Link):
+    """A link of infinite capacity (no constructor accepts ``inf``)."""
+
+    def __init__(self, name):
+        super().__init__(name, 0.0)
+
+    def capacity_at(self, time):
+        return math.inf
+
+
+def assert_matches_reference(net, context=""):
+    """The stepper's rates equal the brute-force reference bit for bit."""
+    net._recompute_rates()
+    reference = max_min_allocation(list(net.active_flows), net.time)
+    for flow in net.active_flows:
+        assert flow.current_rate_bps == reference[flow], (
+            f"{context}: {flow} allocator {flow.current_rate_bps!r} != "
+            f"reference {reference[flow]!r}"
+        )
+        assert net._arr_rate[flow._slot] == reference[flow]
+
+
+@st.composite
+def allocation_topologies(draw):
+    """Links (zero, infinite, tied or arbitrary capacity), flows over
+    chains that may repeat a link, caps that may equal a link's fair
+    share or sit within the share tolerance of it, and an abort order."""
+    capacities = draw(
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.just(math.inf),
+                st.sampled_from([1e6, 2e6, 3e6]),
+                st.floats(min_value=1e3, max_value=1e8),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    links = [
+        _UnboundedLink(f"l{j}") if math.isinf(c) else Link(f"l{j}", c)
+        for j, c in enumerate(capacities)
+    ]
+    link_index = st.integers(min_value=0, max_value=len(links) - 1)
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.lists(link_index, min_size=1, max_size=4),
+                st.one_of(
+                    st.none(),
+                    st.floats(min_value=1e3, max_value=1e8),
+                    st.tuples(
+                        link_index,
+                        st.integers(1, 4),
+                        st.sampled_from([0.0, 5e-13, -5e-13]),
+                    ),
+                ),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    flows = []
+    for chain, cap in specs:
+        if isinstance(cap, tuple):
+            # A cap at (or within the tolerance of) a link's fair share
+            # among k flows.
+            j, k, nudge = cap
+            share = capacities[j] / k
+            cap = None if math.isinf(share) else share * (1.0 + nudge)
+        flows.append(make_flow(1e6, [links[j] for j in chain], rate_cap_bps=cap))
+    aborts = draw(st.lists(st.integers(min_value=0, max_value=11), max_size=6))
+    return flows, aborts
+
+
 class TestIncrementalAllocatorEquivalence:
-    """The stepper's incremental/vectorized allocator vs the reference."""
+    """The stepper's event-driven allocator vs the brute-force reference."""
 
     def _topology(self, rng, n_flows):
         from repro.util.units import kbps
@@ -296,51 +403,67 @@ class TestIncrementalAllocatorEquivalence:
 
     @pytest.mark.parametrize("vector_min", [2, 10**9])
     def test_matches_reference_exactly(self, vector_min, monkeypatch):
+        # The allocation must match the reference whether the stepper
+        # moves bytes and retires flows on its vectorized or scalar path.
         import random
 
         import repro.netsim.fluid as fluid_mod
 
-        monkeypatch.setattr(fluid_mod, "VECTOR_MIN_ALLOC_FLOWS", vector_min)
+        monkeypatch.setattr(fluid_mod, "VECTOR_MIN_FLOWS", vector_min)
         rng = random.Random(20260807)
-        for trial in range(25):
+        for trial in range(50):
             net = FluidNetwork()
-            flows = self._topology(rng, rng.randint(1, 12))
-            for flow in flows:
+            for flow in self._topology(rng, rng.randint(1, 60)):
                 net.add_flow(flow)
-            net._recompute_rates()
-            reference = max_min_allocation(list(net.active_flows), net.time)
-            for flow in net.active_flows:
-                assert flow.current_rate_bps == reference[flow], (
-                    f"trial {trial}: {flow} incremental "
-                    f"{flow.current_rate_bps!r} != reference "
-                    f"{reference[flow]!r}"
-                )
+            assert_matches_reference(net, f"trial {trial}")
+            for until in (2.0, 8.0, 30.0):
+                net.advance_to(until)
+                assert_matches_reference(net, f"trial {trial} at {until}s")
 
-    @pytest.mark.parametrize("vector_min", [2, 10**9])
-    def test_equivalence_holds_across_membership_churn(
-        self, vector_min, monkeypatch
-    ):
+    def test_equivalence_holds_across_membership_churn(self):
         import random
 
-        import repro.netsim.fluid as fluid_mod
-
-        monkeypatch.setattr(fluid_mod, "VECTOR_MIN_ALLOC_FLOWS", vector_min)
         rng = random.Random(97)
         net = FluidNetwork()
-        flows = self._topology(rng, 10)
+        flows = self._topology(rng, 40)
         for flow in flows:
             net.add_flow(flow)
-        for victim in (flows[3], flows[7]):
+        for victim in flows[3::4]:
             net.abort_flow(victim)
-            net._recompute_rates()
-            reference = max_min_allocation(list(net.active_flows), net.time)
-            for flow in net.active_flows:
-                assert flow.current_rate_bps == reference[flow]
+            assert_matches_reference(net, f"after aborting {victim}")
+
+    @given(topology=allocation_topologies())
+    @settings(max_examples=200, deadline=None)
+    def test_random_topologies_with_churn(self, topology):
+        flows, aborts = topology
+        net = FluidNetwork()
+        for flow in flows:
+            net.add_flow(flow)
+        assert_matches_reference(net, "initial")
+        for index in aborts:
+            active = net.active_flows
+            if not active:
+                break
+            net.abort_flow(active[index % len(active)])
+            assert_matches_reference(net, f"after abort {index}")
+
+    def test_one_saturated_link_freezes_everyone(self):
+        # One round: every flow is frozen by the shared link at once.
+        shared = Link("shared", mbps(10.0))
+        net = FluidNetwork()
+        for i in range(50):
+            net.add_flow(make_flow(1e6, [Link(f"acc-{i}", mbps(2.0)), shared]))
+        assert_matches_reference(net, "one round")
+        assert {f.current_rate_bps for f in net.active_flows} == {mbps(10.0) / 50}
 
 
 class TestVectorScalarBitEquality:
+    #: sha256 of the trajectory below, as produced by the allocator and
+    #: stepper before the event-driven allocator replaced them.
+    DIGEST = "d0b5f2c35236fd5289a41fc522775749187c0fb3e010b74d86fe7d55d7a4f269"
+
     def test_full_simulation_digest_matches(self, monkeypatch):
-        """Vector and scalar paths produce bit-identical trajectories."""
+        """Vector and scalar advance paths reproduce the pinned trajectory."""
         import hashlib
         import struct
 
@@ -349,12 +472,9 @@ class TestVectorScalarBitEquality:
         from repro.netsim.stochastic import LognormalProcess
         from repro.util.units import kbps
 
-        def digest(vector_min_flows, vector_min_alloc):
+        def digest(vector_min_flows):
             monkeypatch.setattr(
                 fluid_mod, "VECTOR_MIN_FLOWS", vector_min_flows
-            )
-            monkeypatch.setattr(
-                fluid_mod, "VECTOR_MIN_ALLOC_FLOWS", vector_min_alloc
             )
             net = FluidNetwork()
             bottleneck = StochasticLink(
@@ -392,4 +512,5 @@ class TestVectorScalarBitEquality:
                 hasher.update(struct.pack("d", net.link_bytes[name]))
             return hasher.hexdigest()
 
-        assert digest(2, 2) == digest(10**9, 10**9)
+        assert digest(2) == self.DIGEST
+        assert digest(10**9) == self.DIGEST

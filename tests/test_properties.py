@@ -11,12 +11,13 @@ from repro.analysis.stats import Ecdf
 from repro.core.allowance import AllowanceEstimator
 from repro.core.items import Transaction, items_from_sizes
 from repro.core.scheduler import TransactionRunner, make_policy
-from repro.netsim.fluid import Flow, FluidNetwork, max_min_allocation
+from repro.netsim.fluid import Flow, FluidNetwork
 from repro.netsim.latency import RttModel
 from repro.netsim.link import Link
 from repro.netsim.path import NetworkPath
 from repro.util.stats import RunningStats
 from repro.util.units import bits_to_bytes, bytes_to_bits
+from tests.maxmin_reference import max_min_allocation
 
 rates = st.floats(min_value=1e4, max_value=1e8)
 sizes = st.floats(min_value=1e3, max_value=5e7)
