@@ -141,14 +141,10 @@ def _leg_offer(
     pop: ShardPopulation,
     state: ShardState,
     round_index: int,
-    adoption: float,
     onload_enabled: bool,
     est_factor: NDArray[np.float64],
 ) -> Tuple[Offers, ShardState]:
-    return (
-        offer(pop, state, round_index, adoption, onload_enabled, est_factor),
-        state,
-    )
+    return offer(pop, state, round_index, onload_enabled, est_factor), state
 
 
 def _leg_settle(
@@ -318,6 +314,8 @@ def run_policy(
         )
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not 0.0 <= adoption <= 1.0:
         raise ValueError(f"adoption must be in [0, 1], got {adoption}")
     population = cached_population(params)
@@ -327,7 +325,7 @@ def run_policy(
 
     exchange = _Exchange(params, n_shards, jobs)
     try:
-        states = [initial_state(pop) for pop in exchange.pops]
+        states = [initial_state(pop, adoption) for pop in exchange.pops]
 
         n_rounds = params.n_rounds
         n_sectors = params.n_sectors
@@ -355,7 +353,6 @@ def run_policy(
                     (
                         states[shard],
                         round_index,
-                        adoption,
                         onload_enabled,
                         est_factor,
                     )

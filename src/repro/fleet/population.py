@@ -27,6 +27,7 @@ from repro.netsim.diurnal import WIRED_PROFILE
 from repro.traces import dslam
 from repro.util.rng import RngFactory
 from repro.util.units import MB, mbps, transfer_volume
+from repro.util.validate import check_fraction, check_non_negative
 
 __all__ = ["FleetParameters", "Population", "sample_population"]
 
@@ -89,6 +90,16 @@ class FleetParameters:
             raise ValueError(
                 f"round_s must divide the 86400 s day, got {self.round_s}"
             )
+        for name in (
+            "adsl_down_bps",
+            "dslam_backhaul_bps",
+            "hsdpa_cell_bps",
+            "home_3g_bps",
+            "daily_cap_bytes",
+            "permit_capacity_per_round",
+        ):
+            check_non_negative(name, getattr(self, name))
+        check_fraction("acceptance_threshold", self.acceptance_threshold)
 
     @property
     def n_rounds(self) -> int:

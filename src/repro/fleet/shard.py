@@ -26,6 +26,11 @@ exchange):
    proportionally from the global totals, drain backlogs, and account
    waste: onloaded bytes whose ADSL line share went unused (the §6
    critique — cap bytes burned while the fixed line had headroom).
+
+Each leg works on the rows its formulas can change: a mean third of
+households have a backlog in a round, and about one in a hundred
+offers 3G spill. Every skipped row would compute 0 and keep its state,
+so skipping it is exact (``docs/FLEET.md``, "Active rows").
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ __all__ = [
     "finish_round",
     "initial_state",
     "offer",
-    "sector_sums",
     "settle_onload",
     "shard_final",
     "shard_population",
@@ -66,15 +70,21 @@ __all__ = [
 #: (network-integrated permit backend) architectures.
 POLICIES = ("adsl-only", "multi-provider", "network-integrated")
 
+#: Empty compact arrays: no rows, no bytes. Read-only, so sharing them
+#: between states is safe.
+_NO_ROWS: NDArray[np.intp] = np.zeros(0, dtype=np.intp)
+_NO_BYTES: NDArray[np.int64] = np.zeros(0, dtype=np.int64)
+_NO_ROWS.flags.writeable = False
+_NO_BYTES.flags.writeable = False
+
 
 @dataclass(frozen=True, eq=False)
 class ShardPopulation:
     """One shard's slice of the city, laid out for the round legs.
 
     Rows are households stably ordered by (sector, DSLAM), so each
-    sector is one contiguous block of rows and each (sector, DSLAM)
-    group one contiguous *run*: group sums are ``np.add.reduceat`` over
-    the block or run starts (:func:`sector_sums`, :func:`dslam_sums`).
+    (sector, DSLAM) group is one contiguous *run*: per-DSLAM sums are
+    ``np.add.reduceat`` over the run starts (:func:`dslam_sums`).
     Demand is round-major: row ``r`` holds round ``r``'s arrivals
     contiguously.
 
@@ -95,16 +105,9 @@ class ShardPopulation:
     demand: NDArray[np.int64] = field(repr=False)
     #: Per-round total of ``demand``.
     round_arrivals: NDArray[np.int64] = field(repr=False)
-    #: First row of each sector's block, and the block's sector.
-    sector_starts: NDArray[np.intp] = field(repr=False)
-    sector_keys: NDArray[np.int64] = field(repr=False)
     #: First row of each (sector, DSLAM) run, and the run's DSLAM.
     run_starts: NDArray[np.intp] = field(repr=False)
     run_dslam: NDArray[np.int64] = field(repr=False)
-    #: Per-row 3G ceiling by adoption fraction, filled on first use.
-    _ceilings: Dict[float, NDArray[np.int64]] = field(
-        default_factory=dict, init=False, repr=False
-    )
 
     @property
     def params(self) -> FleetParameters:
@@ -116,40 +119,39 @@ class ShardPopulation:
         """Households in this shard."""
         return int(self.household_ids.shape[0])
 
-    def onload_ceiling(self, adoption: float) -> NDArray[np.int64]:
-        """Per-row 3G bytes a round may onload: the home ceiling for
-        adopters at ``adoption``, zero for everyone else.
-
-        Cached on this slice by the adoption value, so a day computes it
-        once, not once per round.
-        """
-        ceiling = self._ceilings.get(adoption)
-        if ceiling is None:
-            adopters = self.population.adopters(adoption)[self.household_ids]
-            ceiling = np.where(adopters, self.params.home_round_bytes, 0)
-            self._ceilings[adoption] = ceiling
-        return ceiling
-
     def __reduce__(self) -> Tuple[Any, Tuple[FleetParameters, int, int]]:
         return shard_population, (self.params, self.n_shards, self.shard)
 
 
 @dataclass
 class ShardState:
-    """Per-household dynamic state that travels between worker calls."""
+    """Per-household dynamic state that travels between worker calls.
+
+    Dense arrays hold one entry per row. The pending onload arrays are
+    compact: entry ``k`` belongs to row ``pending_requesters[k]``.
+    """
 
     #: Bytes requested but not yet delivered.
     backlog: NDArray[np.int64]
     #: Daily onload cap already consumed.
     cap_used: NDArray[np.int64]
+    #: Rows that may still onload, ascending: adopters (3G ceiling
+    #: above 0) whose daily cap has not run dry.
+    eligible: NDArray[np.intp]
     #: Pending round: ADSL bytes the household wants this round.
     pending_want: NDArray[np.int64]
-    #: Pending round: 3G bytes offered for onload this round.
+    #: Pending round: per-DSLAM ``pending_want`` sums as offered,
+    #: before onload relief.
+    pending_dslam_want: NDArray[np.int64]
+    #: Pending round: rows offering spill this round, ascending.
+    pending_requesters: NDArray[np.intp]
+    #: Pending round: 3G bytes each requester offered for onload.
     pending_spill: NDArray[np.int64]
-    #: Pending round: 3G bytes actually granted this round.
+    #: Pending round: 3G bytes each requester was granted.
     pending_serve3g: NDArray[np.int64]
-    #: Day accumulators (integer bytes / byte-rounds).
-    served_adsl: NDArray[np.int64]
+    #: Day accumulators (integer bytes / byte-rounds). ADSL service is
+    #: not accumulated: :func:`shard_final` derives it from the
+    #: conservation identity.
     served_3g: NDArray[np.int64]
     waste: NDArray[np.int64]
     backlog_integral: NDArray[np.int64]
@@ -279,8 +281,7 @@ def _slice(
     group = group[order]
     sector_of = population.sector_of[ids]
     dslam_of = population.dslam_of[ids]
-    # A block starts wherever its key changes, and at row 0.
-    sector_starts = np.flatnonzero(np.diff(sector_of, prepend=-1))
+    # A run starts wherever its key changes, and at row 0.
     run_starts = np.flatnonzero(np.diff(group, prepend=-1))
     demand = np.ascontiguousarray(population.demand[ids].T)
     return ShardPopulation(
@@ -292,29 +293,9 @@ def _slice(
         sector_of=sector_of,
         demand=demand,
         round_arrivals=demand.sum(axis=1),
-        sector_starts=sector_starts,
-        sector_keys=sector_of[sector_starts],
         run_starts=run_starts,
         run_dslam=dslam_of[run_starts],
     )
-
-
-def sector_sums(
-    pop: ShardPopulation, values: NDArray[Any]
-) -> NDArray[np.int64]:
-    """Exact int64 sums of per-row ``values`` by cell sector.
-
-    Rows are sector-major, so each sector is one contiguous block.
-    Integer arithmetic throughout (``np.bincount`` with weights would
-    sum in float64): exact sums are what keep merged totals identical
-    at any partitioning.
-    """
-    out = np.zeros(pop.params.n_sectors, dtype=np.int64)
-    if pop.size:  # an empty shard has nothing to sum
-        out[pop.sector_keys] = np.add.reduceat(
-            values, pop.sector_starts, dtype=np.int64
-        )
-    return out
 
 
 def dslam_sums(
@@ -329,9 +310,33 @@ def dslam_sums(
     return out
 
 
-def initial_state(pop: ShardPopulation) -> ShardState:
-    """Fresh day-start state for ``pop``."""
+def _group_sums(
+    groups: NDArray[np.int64], values: Any, size: int
+) -> NDArray[np.int64]:
+    """Exact int64 sums of compact ``values`` by their ``groups``.
+
+    For the few rows that onload in a round (under 1% of a city on
+    average): a scatter-add over those rows costs less than a pass over
+    the shard.
+    """
+    out = np.zeros(size, dtype=np.int64)
+    if groups.size:
+        np.add.at(out, groups, values)
+    return out
+
+
+def initial_state(pop: ShardPopulation, adoption: float) -> ShardState:
+    """Fresh day-start state for ``pop`` at ``adoption``.
+
+    Every adopter starts onload-eligible, unless a zero 3G ceiling or a
+    zero daily cap leaves no room to onload at all.
+    """
+    params = pop.params
     n = pop.size
+    eligible = _NO_ROWS
+    if params.home_round_bytes > 0 and params.daily_cap_bytes > 0:
+        adopters = pop.population.adopters(adoption)[pop.household_ids]
+        eligible = adopters.nonzero()[0]
 
     def zeros() -> NDArray[np.int64]:
         return np.zeros(n, dtype=np.int64)
@@ -339,10 +344,12 @@ def initial_state(pop: ShardPopulation) -> ShardState:
     return ShardState(
         backlog=zeros(),
         cap_used=zeros(),
+        eligible=eligible,
         pending_want=zeros(),
-        pending_spill=zeros(),
-        pending_serve3g=zeros(),
-        served_adsl=zeros(),
+        pending_dslam_want=np.zeros(params.n_dslams, dtype=np.int64),
+        pending_requesters=_NO_ROWS,
+        pending_spill=_NO_BYTES,
+        pending_serve3g=_NO_BYTES,
         served_3g=zeros(),
         waste=zeros(),
         backlog_integral=zeros(),
@@ -354,7 +361,6 @@ def offer(
     pop: ShardPopulation,
     state: ShardState,
     round_index: int,
-    adoption: float,
     onload_enabled: bool,
     est_factor: NDArray[np.float64],
 ) -> Offers:
@@ -371,28 +377,34 @@ def offer(
     backlog = state.backlog
     backlog += pop.demand[round_index]
     np.minimum(backlog, line, out=state.pending_want)
+    state.pending_dslam_want = dslam_sums(pop, state.pending_want)
 
-    spill = state.pending_spill
-    if onload_enabled:
-        est_adsl = (line * est_factor).astype(np.int64)[pop.dslam_of]
-        # spill = min(backlog - est_adsl, ceiling, cap left), floored at
-        # 0; the ceiling is 0 for non-adopters.
-        np.subtract(params.daily_cap_bytes, state.cap_used, out=spill)
-        np.minimum(spill, pop.onload_ceiling(adoption), out=spill)
-        np.subtract(backlog, est_adsl, out=est_adsl)
-        np.minimum(spill, est_adsl, out=spill)
-        np.maximum(spill, 0, out=spill)
-        sector_spill = sector_sums(pop, spill)
-        sector_requests = sector_sums(pop, spill > 0)
+    # spill = min(backlog - est_adsl, 3G ceiling, cap left), kept where
+    # positive. Only eligible rows can have any: every other row has a
+    # zero ceiling or no cap left.
+    rows = state.eligible
+    spill = _NO_BYTES
+    if onload_enabled and rows.size:
+        est_adsl = (line * est_factor).astype(np.int64)
+        spill = backlog[rows]
+        spill -= est_adsl[pop.dslam_of[rows]]
+        asking = (spill > 0).nonzero()[0]
+        rows = rows[asking]
+        spill = np.minimum(spill[asking], params.home_round_bytes)
+        np.minimum(
+            spill, params.daily_cap_bytes - state.cap_used[rows], out=spill
+        )
     else:
-        spill.fill(0)
-        sector_spill = np.zeros(params.n_sectors, dtype=np.int64)
-        sector_requests = np.zeros(params.n_sectors, dtype=np.int64)
+        rows = _NO_ROWS
+    state.pending_requesters = rows
+    state.pending_spill = spill
+    sectors = pop.sector_of[rows]
+    n_sectors = params.n_sectors
     return Offers(
         shard=pop.shard,
-        dslam_want=dslam_sums(pop, state.pending_want),
-        sector_spill=sector_spill,
-        sector_requests=sector_requests,
+        dslam_want=state.pending_dslam_want,
+        sector_spill=_group_sums(sectors, spill, n_sectors),
+        sector_requests=_group_sums(sectors, 1, n_sectors),
     )
 
 
@@ -401,11 +413,17 @@ def settle_onload(
     state: ShardState,
     verdict: OnloadVerdict,
 ) -> OnloadResult:
-    """Leg 2: apply the onload verdict, meter caps, relieve DSLAM demand."""
+    """Leg 2: apply the onload verdict, meter caps, relieve DSLAM demand.
+
+    Only requesters take part: a row that offered no spill is served
+    nothing, so its cap, its want and its DSLAM's demand stay put.
+    """
     params = pop.params
-    serve3g = state.pending_serve3g
+    rows = state.pending_requesters
+    serve3g = np.zeros(rows.size, dtype=np.int64)
+    dslam_want = state.pending_dslam_want
     cap_exhaustions = 0
-    if verdict.enabled and pop.size > 0:
+    if verdict.enabled and rows.size:
         # Per sector: nothing unless granted; all of the spill when the
         # sector's total fits its free pool; else the floor-rounded
         # proportional share spill * pool // total. Integer arithmetic,
@@ -418,28 +436,42 @@ def settle_onload(
             verdict.sector_granted, np.where(fits, 1, pool), 0
         )
         denominator = np.where(fits, 1, np.maximum(total, 1))
-        np.multiply(
-            state.pending_spill, numerator[pop.sector_of], out=serve3g
-        )
-        serve3g //= denominator[pop.sector_of]
+        sectors = pop.sector_of[rows]
+        np.multiply(state.pending_spill, numerator[sectors], out=serve3g)
+        serve3g //= denominator[sectors]
 
+        # A requester had cap left (its spill fits in it), so it runs
+        # dry this round iff it reaches the cap now, and then leaves
+        # the eligible set.
         cap = params.daily_cap_bytes
-        had_left = state.cap_used < cap
-        state.cap_used += serve3g
-        newly_dry = had_left & (state.cap_used >= cap)
-        cap_exhaustions = int(np.count_nonzero(newly_dry))
-        state.cap_exhausted |= newly_dry
-    else:
-        serve3g.fill(0)
+        cap_used = state.cap_used[rows] + serve3g
+        state.cap_used[rows] = cap_used
+        dry = rows[cap_used >= cap]
+        if dry.size:
+            cap_exhaustions = int(dry.size)
+            state.cap_exhausted[dry] = True
+            eligible = state.eligible
+            state.eligible = eligible[state.cap_used[eligible] < cap]
 
-    # The DSLAM only carries what the 3G leg did not: relieved demand.
-    relieved = state.backlog - serve3g
-    np.maximum(relieved, 0, out=relieved)
-    np.minimum(state.pending_want, relieved, out=state.pending_want)
+        # The DSLAM only carries what the 3G leg did not: relieved
+        # demand (serve3g <= spill <= backlog, so it is not negative).
+        # Totals are the offered ones minus the exact relief.
+        want = state.pending_want[rows]
+        relieved = state.backlog[rows] - serve3g
+        np.minimum(want, relieved, out=relieved)
+        state.pending_want[rows] = relieved
+        want -= relieved
+        dslam_want = np.subtract(
+            dslam_want, _group_sums(pop.dslam_of[rows], want, params.n_dslams)
+        )
+        sector_served = _group_sums(sectors, serve3g, params.n_sectors)
+    else:
+        sector_served = np.zeros(params.n_sectors, dtype=np.int64)
+    state.pending_serve3g = serve3g
     return OnloadResult(
         shard=pop.shard,
-        dslam_want=dslam_sums(pop, state.pending_want),
-        sector_served=sector_sums(pop, serve3g),
+        dslam_want=dslam_want,
+        sector_served=sector_served,
         cap_exhaustions=cap_exhaustions,
     )
 
@@ -450,51 +482,53 @@ def finish_round(
     round_index: int,
     verdict: AdslVerdict,
 ) -> RoundAggregates:
-    """Leg 3: allocate the DSLAM backhaul, drain backlogs, count waste."""
+    """Leg 3: allocate the DSLAM backhaul, drain backlogs, count waste.
+
+    The allocation runs over the active rows (ADSL want above 0) only:
+    any other row is allocated nothing. Waste runs over the requesters,
+    the only rows served over 3G.
+    """
     params = pop.params
-    arrivals = int(pop.round_arrivals[round_index])
-    if pop.size == 0:
-        return RoundAggregates(
-            shard=pop.shard,
-            arrivals_bytes=arrivals,
-            adsl_bytes=0,
-            onload_bytes=0,
-            waste_bytes=0,
-            backlog_bytes=0,
-        )
-    want = state.pending_want
     backlog = state.backlog
-    serve3g = state.pending_serve3g
     capacity = params.dslam_round_bytes
-    total = verdict.dslam_want_total[pop.dslam_of]
-    uncongested = total <= capacity
+    dslam_total = verdict.dslam_want_total
+    active = (state.pending_want > 0).nonzero()[0]
+    want = state.pending_want[active]
+    # An uncongested DSLAM grants the whole want, a congested one the
+    # proportional share. An active row's total includes its own want,
+    # so it is at least 1.
+    total = dslam_total[pop.dslam_of[active]]
     adsl = want * capacity
-    adsl //= np.maximum(total, 1, out=total)
-    np.copyto(adsl, want, where=uncongested)
+    adsl //= total
+    np.copyto(adsl, want, where=total <= capacity)
 
     # Waste: onloaded bytes whose ADSL line share went unused. The line
     # share actually available was min(line, what the DSLAM factor
     # would have granted the full want) — conservatively approximated
     # by the granted adsl plus the headroom up to the line rate when
-    # the DSLAM was uncongested (a congested DSLAM leaves none).
-    unused = np.minimum(backlog, params.line_round_bytes)
-    unused -= adsl
-    np.maximum(unused, 0, out=unused)
-    unused *= uncongested
-    waste = np.minimum(serve3g, unused, out=unused)
+    # the DSLAM was uncongested (a congested DSLAM leaves none). An
+    # uncongested DSLAM grants a row its whole want.
+    rows = state.pending_requesters
+    serve3g = state.pending_serve3g
+    waste = _NO_BYTES
+    if rows.size:
+        waste = np.minimum(backlog[rows], params.line_round_bytes)
+        waste -= state.pending_want[rows]
+        np.maximum(waste, 0, out=waste)
+        waste *= dslam_total[pop.dslam_of[rows]] <= capacity
+        np.minimum(waste, serve3g, out=waste)
+        backlog[rows] -= serve3g
+        state.served_3g[rows] += serve3g
+        state.waste[rows] += waste
 
-    delivered = adsl + serve3g
-    np.minimum(backlog, delivered, out=delivered)
-    backlog -= delivered
-
-    state.served_adsl += adsl
-    state.served_3g += serve3g
-    state.waste += waste
+    # Delivery never exceeds the backlog: adsl <= want, and settle left
+    # want <= backlog - serve3g.
+    backlog[active] -= adsl
     state.backlog_integral += backlog
 
     return RoundAggregates(
         shard=pop.shard,
-        arrivals_bytes=arrivals,
+        arrivals_bytes=int(pop.round_arrivals[round_index]),
         adsl_bytes=int(adsl.sum()),
         onload_bytes=int(serve3g.sum()),
         waste_bytes=int(waste.sum()),
@@ -503,11 +537,18 @@ def finish_round(
 
 
 def shard_final(pop: ShardPopulation, state: ShardState) -> ShardFinal:
-    """End-of-day accumulators, keyed by global household id."""
+    """End-of-day accumulators, keyed by global household id.
+
+    Every byte a household requested was served over ADSL, served over
+    3G, or is still queued, so its ADSL total is the exact remainder.
+    """
+    served_adsl = pop.demand.sum(axis=0)
+    served_adsl -= state.served_3g
+    served_adsl -= state.backlog
     return ShardFinal(
         shard=pop.shard,
         household_ids=pop.household_ids,
-        served_adsl=state.served_adsl,
+        served_adsl=served_adsl,
         served_3g=state.served_3g,
         waste=state.waste,
         backlog_integral=state.backlog_integral,

@@ -6,6 +6,7 @@ shard count and any ``--jobs``, pinned golden-digest style the way the
 trace goldens pin the engine.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -16,11 +17,25 @@ from hypothesis import strategies as st
 from repro.experiments import ext_fleet
 from repro.fleet import shard as fleet_shard
 from repro.fleet.cli import main as fleet_main
-from repro.fleet.dispatcher import PolicyRun, run_city, run_policy
+from repro.fleet.dispatcher import (
+    DENY_CAPACITY,
+    DENY_THRESHOLD,
+    PolicyRun,
+    _background_bytes,
+    _onload_verdict,
+    run_city,
+    run_policy,
+)
 from repro.fleet.population import FleetParameters, sample_population
 from repro.fleet.report import FleetReport
-from repro.fleet.shard import dslam_sums, sector_sums, shard_population
+from repro.fleet.shard import (
+    AdslVerdict,
+    OnloadVerdict,
+    dslam_sums,
+    shard_population,
+)
 from repro.util.units import mbps
+from tests import fleet_reference as dense
 
 #: Small-but-contended city: 16 Mbps backhaul over 128-household
 #: DSLAMs (24x oversubscription, the paper's §2.1 regime) so onload,
@@ -117,7 +132,7 @@ def _reference_sums(index, values, size):
 
 
 def _assert_group_sums_match(params, n_shards, value_seed):
-    """Every shard's group sums equal the ``np.add.at`` oracle."""
+    """Every shard's per-DSLAM sums equal the ``np.add.at`` oracle."""
     rng = np.random.default_rng(value_seed)
     covered = 0
     for shard in range(n_shards):
@@ -125,15 +140,12 @@ def _assert_group_sums_match(params, n_shards, value_seed):
         covered += pop.size
         values = rng.integers(-(2**40), 2**40, size=pop.size)
         flags = values > 0
-        for got, index, size in (
-            (sector_sums, pop.sector_of, params.n_sectors),
-            (dslam_sums, pop.dslam_of, params.n_dslams),
-        ):
-            for vals in (values, flags):
-                assert np.array_equal(
-                    got(pop, vals), _reference_sums(index, vals, size)
-                )
-                assert got(pop, vals).dtype == np.int64
+        for vals in (values, flags):
+            got = dslam_sums(pop, vals)
+            assert np.array_equal(
+                got, _reference_sums(pop.dslam_of, vals, params.n_dslams)
+            )
+            assert got.dtype == np.int64
     assert covered == params.n_households
 
 
@@ -259,6 +271,206 @@ class TestCachesKeyedByValue:
         assert warm[0].round_arrivals != warm[4].round_arrivals
 
 
+def _assert_same(got, want):
+    """Two leg outputs agree field by field, array dtypes included."""
+    assert type(got) is type(want)
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, f.name
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+def _lockstep_day(params, policy, adoption, n_shards):
+    """One city day with the production and the dense reference legs
+    side by side, compared after every leg of every round.
+
+    The verdicts come from the dispatcher's own functions, fed with the
+    (checked equal) shard aggregates. Returns the permit ledger.
+    """
+    population = fleet_shard.cached_population(params)
+    n_shards = min(n_shards, params.n_sectors)
+    pops = [
+        shard_population(params, n_shards, shard)
+        for shard in range(n_shards)
+    ]
+    fast = [fleet_shard.initial_state(pop, adoption) for pop in pops]
+    slow = [dense.initial_state(pop, adoption) for pop in pops]
+    onload = policy != "adsl-only"
+    n_sectors = params.n_sectors
+    est_factor = np.ones(params.n_dslams, dtype=np.float64)
+    ledger = {"requests": 0, "grants": 0, DENY_CAPACITY: 0, DENY_THRESHOLD: 0}
+    for r in range(params.n_rounds):
+        spill = np.zeros(n_sectors, dtype=np.int64)
+        requests = np.zeros(n_sectors, dtype=np.int64)
+        for pop, f, d in zip(pops, fast, slow):
+            offers = fleet_shard.offer(pop, f, r, onload, est_factor)
+            _assert_same(offers, dense.offer(pop, d, r, onload, est_factor))
+            spill += offers.sector_spill
+            requests += offers.sector_requests
+        if onload:
+            background = _background_bytes(
+                params, population.sector_peak_util, r
+            )
+            verdict = _onload_verdict(
+                params, policy, r, background, spill, requests, ledger
+            )
+        else:
+            empty = np.zeros(n_sectors, dtype=np.int64)
+            verdict = OnloadVerdict(
+                enabled=False,
+                sector_granted=np.zeros(n_sectors, dtype=np.bool_),
+                sector_pool=empty,
+                sector_spill_total=empty,
+            )
+        dslam_want = np.zeros(params.n_dslams, dtype=np.int64)
+        for pop, f, d in zip(pops, fast, slow):
+            result = fleet_shard.settle_onload(pop, f, verdict)
+            _assert_same(result, dense.settle_onload(pop, d, verdict))
+            dslam_want += result.dslam_want
+            # The eligible set: rows with a 3G ceiling and cap left.
+            expected = (d.ceiling > 0) & (d.cap_used < params.daily_cap_bytes)
+            assert np.array_equal(f.eligible, expected.nonzero()[0])
+        adsl_verdict = AdslVerdict(dslam_want_total=dslam_want)
+        for pop, f, d in zip(pops, fast, slow):
+            _assert_same(
+                fleet_shard.finish_round(pop, f, r, adsl_verdict),
+                dense.finish_round(pop, d, r, adsl_verdict),
+            )
+        est_factor = np.minimum(
+            params.dslam_round_bytes
+            / np.maximum(dslam_want, 1).astype(np.float64),
+            1.0,
+        )
+    for pop, f, d in zip(pops, fast, slow):
+        _assert_same(
+            fleet_shard.shard_final(pop, f), dense.shard_final(pop, d)
+        )
+    return ledger
+
+
+class TestLegsMatchDenseReference:
+    """The row-skipping legs equal the dense ones, leg by leg."""
+
+    @given(
+        n_households=st.integers(min_value=1, max_value=60),
+        per_sector=st.integers(min_value=1, max_value=30),
+        per_dslam=st.integers(min_value=1, max_value=30),
+        n_shards=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        policy=st.sampled_from(fleet_shard.POLICIES),
+        adoption=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        cap=st.sampled_from([0, 3_000_000, 40_000_000]),
+        home_mbps=st.sampled_from([0.0, 3.6]),
+        backhaul_mbps=st.sampled_from([0.0, 1.0, 16.0]),
+        permit_capacity=st.integers(min_value=0, max_value=4),
+        threshold=st.sampled_from([0.0, 0.5, 0.7, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_small_cities(
+        self,
+        n_households,
+        per_sector,
+        per_dslam,
+        n_shards,
+        seed,
+        policy,
+        adoption,
+        cap,
+        home_mbps,
+        backhaul_mbps,
+        permit_capacity,
+        threshold,
+    ):
+        params = FleetParameters(
+            n_households=n_households,
+            seed=seed,
+            households_per_sector=per_sector,
+            households_per_dslam=per_dslam,
+            round_s=3600.0,
+            daily_cap_bytes=cap,
+            home_3g_bps=mbps(home_mbps),
+            dslam_backhaul_bps=mbps(backhaul_mbps),
+            permit_capacity_per_round=permit_capacity,
+            acceptance_threshold=threshold,
+        )
+        _lockstep_day(params, policy, adoption, n_shards)
+
+    @pytest.mark.parametrize("policy", fleet_shard.POLICIES)
+    @pytest.mark.parametrize("adoption", [0.0, 1.0])
+    def test_adoption_extremes(self, policy, adoption):
+        """The empty and the full eligible set, in a contended city."""
+        _lockstep_day(_params(daily_cap_bytes=5_000_000), policy, adoption, 4)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"daily_cap_bytes": 0},
+            {"home_3g_bps": 0.0},
+            {"dslam_backhaul_bps": 0.0},
+        ],
+        ids=["zero-cap", "zero-3g-ceiling", "zero-backhaul"],
+    )
+    def test_zero_capacities(self, override):
+        _lockstep_day(_params(**override), "multi-provider", 1.0, 4)
+
+    def test_empty_shard(self):
+        kw = dict(n_households=6, households_per_sector=1)
+        params = _first_seed(kw, 6, lambda sizes: 0 in sizes)
+        _lockstep_day(params, "multi-provider", 1.0, params.n_sectors)
+
+    def test_single_household_shard(self):
+        kw = dict(
+            n_households=9, households_per_sector=3, households_per_dslam=2
+        )
+        params = _first_seed(kw, 3, lambda sizes: 1 in sizes)
+        _lockstep_day(params, "multi-provider", 1.0, 3)
+
+    def test_network_integrated_denials(self):
+        """A tight permit server denies on capacity, a low threshold on
+        headroom; granted and denied sectors share the round."""
+        params = _params(
+            permit_capacity_per_round=2, acceptance_threshold=0.2
+        )
+        ledger = _lockstep_day(params, "network-integrated", 1.0, 4)
+        assert ledger["grants"] > 0
+        assert ledger[DENY_CAPACITY] > 0
+        assert ledger[DENY_THRESHOLD] > 0
+
+
+class TestParameterValidation:
+    """Bad city parameters fail at construction, naming the field."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "adsl_down_bps",
+            "dslam_backhaul_bps",
+            "hsdpa_cell_bps",
+            "home_3g_bps",
+        ],
+    )
+    def test_negative_rate_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            _params(**{name: -1.0})
+        _params(**{name: 0.0})  # zero is a valid (dead) link
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="daily_cap_bytes"):
+            _params(daily_cap_bytes=-5)
+
+    @pytest.mark.parametrize("threshold", [1.7, -0.1, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match="acceptance_threshold"):
+            _params(acceptance_threshold=threshold)
+
+    def test_negative_permit_capacity_rejected(self):
+        with pytest.raises(ValueError, match="permit_capacity_per_round"):
+            _params(permit_capacity_per_round=-1)
+
+
 class TestCityDay:
     @pytest.fixture(scope="class")
     def outcome(self):
@@ -312,6 +524,13 @@ class TestCityDay:
         with pytest.raises(ValueError, match="adoption"):
             run_city(_params(), adoption=adoption)
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_policy(_params(), "multi-provider", 0.5, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            run_city(_params(), jobs=jobs)
+
 
 class TestRegistry:
     def test_ext_fleet_registered(self):
@@ -348,6 +567,10 @@ class TestCli:
     def test_run_rejects_bad_adoption(self, capsys):
         assert self._run("run", "--adoption", "1.5") == 2
         assert "adoption" in capsys.readouterr().err
+
+    def test_run_rejects_negative_backhaul(self, capsys):
+        assert self._run("run", "--backhaul-mbps", "-3") == 2
+        assert "dslam_backhaul_bps" in capsys.readouterr().err
 
     def test_summary_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
