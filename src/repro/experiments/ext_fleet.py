@@ -21,8 +21,7 @@ adoption and measures, per policy,
 The adsl-only baseline is adoption-independent, so it runs once and is
 shared across the whole ramp. Everything derives from one seed through
 the deterministic-merge contract (``docs/FLEET.md``): the rendered
-report and its digest are byte-identical at any ``--jobs`` and any
-shard count.
+report and its digest are byte-identical at any shard count.
 """
 
 from __future__ import annotations
@@ -158,7 +157,6 @@ def run(
     households_per_dslam: int = 512,
     households_per_sector: int = 500,
     backhaul_mbps: float = DEFAULT_BACKHAUL_MBPS,
-    jobs: int = 1,
     n_shards: int = DEFAULT_SHARDS,
 ) -> FleetSweepResult:
     """Run the adoption ramp; the baseline is shared across the grid."""
@@ -169,17 +167,13 @@ def run(
         households_per_sector=households_per_sector,
         dslam_backhaul_bps=mbps(backhaul_mbps),
     )
-    baseline = run_policy(
-        params, "adsl-only", 0.0, jobs=jobs, n_shards=n_shards
-    )
+    baseline = run_policy(params, "adsl-only", 0.0, n_shards)
     reports = []
     findings = []
     for adoption in adoptions:
         runs: Dict[str, PolicyRun] = {"adsl-only": baseline}
         for policy in ("multi-provider", "network-integrated"):
-            runs[policy] = run_policy(
-                params, policy, adoption, jobs=jobs, n_shards=n_shards
-            )
+            runs[policy] = run_policy(params, policy, adoption, n_shards)
         outcome = FleetOutcome(
             params=params, adoption=adoption, runs=runs
         )

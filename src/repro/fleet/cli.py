@@ -3,16 +3,16 @@
 Usage::
 
     repro-fleet run --households 1000 --adoption 0.5   # city day
-    repro-fleet run --jobs 4 --shards 8 --format json  # sharded, CI
+    repro-fleet run --shards 8 --format json           # sharded, CI
     repro-fleet run -o day.json --format json          # save payload
     repro-fleet summary day.json                       # re-read a run
 
 ``run`` simulates one city day under all three policies (adsl-only
 baseline, multi-provider, network-integrated), prints the merged
 report, and checks the byte-conservation invariant — the same seed and
-parameters produce a byte-identical report at any ``--jobs`` and any
-``--shards``. ``summary`` re-renders a saved ``--format json`` payload
-without re-simulating.
+parameters produce a byte-identical report at any ``--shards``.
+``summary`` re-renders a saved ``--format json`` payload without
+re-simulating.
 
 Exit codes mirror the other repro tools: 0 clean, 1 when an invariant
 finding surfaced (conservation breach in ``run``, findings recorded in
@@ -61,8 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Fleet-scale city simulation: sharded households, "
             "deterministic merge. Simulates one day of a whole city "
             "under the adsl-only / multi-provider / network-integrated "
-            "policies; reports are byte-identical at any --jobs and "
-            "any --shards."
+            "policies; reports are byte-identical at any --shards."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,12 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.25,
         help="onload adoption fraction in [0, 1] (default: 0.25)",
-    )
-    run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the shard legs (default: 1)",
     )
     run.add_argument(
         "--shards",
@@ -141,13 +134,11 @@ def _params_from_args(args: argparse.Namespace) -> FleetParameters:
 def _payload(
     report: FleetReport,
     findings: List[str],
-    jobs: int,
     shards: int,
 ) -> Dict[str, Any]:
     return {
         "digest": report.digest(),
         "findings": findings,
-        "jobs": jobs,
         "shards": shards,
         "report": report.to_dict(),
     }
@@ -199,8 +190,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return cli_error(
             PROG, f"adoption must be in [0, 1], got {args.adoption}"
         )
-    if args.jobs < 1:
-        return cli_error(PROG, f"jobs must be >= 1, got {args.jobs}")
     if args.shards < 1:
         return cli_error(PROG, f"shards must be >= 1, got {args.shards}")
     try:
@@ -208,12 +197,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return cli_error(PROG, str(exc))
 
-    outcome = run_city(
-        params, args.adoption, jobs=args.jobs, n_shards=args.shards
-    )
+    outcome = run_city(params, args.adoption, n_shards=args.shards)
     report = FleetReport.from_outcome(outcome)
     findings = report.check_conservation(outcome)
-    payload = _payload(report, findings, args.jobs, args.shards)
+    payload = _payload(report, findings, args.shards)
 
     if args.output:
         Path(args.output).write_text(

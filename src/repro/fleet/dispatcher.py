@@ -6,21 +6,16 @@ drives the three-leg exchange with the shard workers
 (:mod:`repro.fleet.shard`), computes the global verdicts in between —
 the onload verdict (sector pools, permit-server admission) and the ADSL
 verdict (relieved per-DSLAM demand totals) — and folds every shard's
-integer aggregates into the run's round ledger. With ``jobs > 1`` the
-shard legs fan out over a fork-context :class:`ProcessPoolExecutor`;
-with ``jobs = 1`` the same pure functions run in-process. Either way the
-merge consumes only integer aggregates and id-indexed arrays, so the
-outcome is byte-identical at any ``--jobs`` and any shard count
-(``docs/FLEET.md``).
+integer aggregates into the run's round ledger. The legs run
+in-process, shard after shard, and the merge consumes only integer
+aggregates and id-indexed arrays, so the outcome is byte-identical at
+any shard count (``docs/FLEET.md``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.context
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -29,12 +24,7 @@ from repro.fleet.population import FleetParameters
 from repro.fleet.shard import (
     POLICIES,
     AdslVerdict,
-    Offers,
-    OnloadResult,
     OnloadVerdict,
-    RoundAggregates,
-    ShardPopulation,
-    ShardState,
     cached_population,
     finish_round,
     initial_state,
@@ -55,9 +45,10 @@ __all__ = [
     "run_policy",
 ]
 
-#: Default shard count: enough to exercise the partition machinery
-#: without drowning small cities in per-shard overhead.
-DEFAULT_SHARDS = 4
+#: Default shard count. Every leg pays numpy call overhead once per
+#: shard, so one shard is fastest; other counts prove the partition
+#: invariance of the merge.
+DEFAULT_SHARDS = 1
 
 #: Permit-denial reasons (labels on ``fleet.permit_denials``).
 DENY_CAPACITY = "capacity"
@@ -129,87 +120,22 @@ class FleetOutcome:
         return self.runs["adsl-only"]
 
 
-# ----------------------------------------------------------------------
-# Worker-side leg wrappers (module-level, picklable). Each takes the
-# shard's population slice — which a pool worker rebuilds from the seed
-# via its per-process cache — and returns the mutated state alongside
-# the leg's aggregates: state travels explicitly, never through globals.
-# ----------------------------------------------------------------------
-
-
-def _leg_offer(
-    pop: ShardPopulation,
-    state: ShardState,
-    round_index: int,
-    onload_enabled: bool,
-    est_factor: NDArray[np.float64],
-) -> Tuple[Offers, ShardState]:
-    return offer(pop, state, round_index, onload_enabled, est_factor), state
-
-
-def _leg_settle(
-    pop: ShardPopulation, state: ShardState, verdict: OnloadVerdict
-) -> Tuple[OnloadResult, ShardState]:
-    return settle_onload(pop, state, verdict), state
-
-
-def _leg_finish(
-    pop: ShardPopulation,
-    state: ShardState,
-    round_index: int,
-    verdict: AdslVerdict,
-) -> Tuple[RoundAggregates, ShardState]:
-    return finish_round(pop, state, round_index, verdict), state
-
-
-def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
-    """Fork when available so worker caches inherit imported modules."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover — non-POSIX platforms
-        return None
-
-
 class _Exchange:
-    """Runs a leg across every shard, in-process or over a pool."""
+    """Runs a leg across every shard, in shard order."""
 
-    def __init__(
-        self, params: FleetParameters, n_shards: int, jobs: int
-    ) -> None:
-        # Resolved once per run; a pool worker receives each slice as
-        # its key and resolves it from its own cache.
+    def __init__(self, params: FleetParameters, n_shards: int) -> None:
         self.pops = [
             shard_population(params, n_shards, shard)
             for shard in range(n_shards)
         ]
-        self.pool: Optional[ProcessPoolExecutor] = None
-        if jobs > 1 and n_shards > 1:
-            self.pool = ProcessPoolExecutor(
-                max_workers=min(jobs, n_shards),
-                mp_context=_pool_context(),
-            )
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown()
-            self.pool = None
 
     def map(
         self, fn: Callable[..., Any], per_shard_args: Sequence[Tuple[Any, ...]]
     ) -> List[Any]:
-        """Apply ``fn(pop, *args)`` per shard population slice.
-
-        Results come back in shard order regardless of completion
-        order — the merge is over exact integers so this is belt and
-        braces, not a correctness requirement.
-        """
-        calls = [
-            (pop, *args) for pop, args in zip(self.pops, per_shard_args)
+        """``fn(pop, *args)`` per shard population slice, in shard order."""
+        return [
+            fn(pop, *args) for pop, args in zip(self.pops, per_shard_args)
         ]
-        if self.pool is None:
-            return [fn(*call) for call in calls]
-        futures = [self.pool.submit(fn, *call) for call in calls]
-        return [future.result() for future in futures]
 
 
 def _background_bytes(
@@ -299,7 +225,6 @@ def run_policy(
     params: FleetParameters,
     policy: str,
     adoption: float,
-    jobs: int = 1,
     n_shards: int = DEFAULT_SHARDS,
 ) -> PolicyRun:
     """Simulate one policy's city day and merge the shards.
@@ -314,8 +239,6 @@ def run_policy(
         )
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not 0.0 <= adoption <= 1.0:
         raise ValueError(f"adoption must be in [0, 1], got {adoption}")
     population = cached_population(params)
@@ -323,156 +246,137 @@ def run_policy(
     onload_enabled = policy != "adsl-only"
     obs = obs_current()
 
-    exchange = _Exchange(params, n_shards, jobs)
-    try:
-        states = [initial_state(pop, adoption) for pop in exchange.pops]
+    exchange = _Exchange(params, n_shards)
+    states = [initial_state(pop, adoption) for pop in exchange.pops]
 
-        n_rounds = params.n_rounds
-        n_sectors = params.n_sectors
-        est_factor = np.ones(params.n_dslams, dtype=np.float64)
-        round_arrivals: List[int] = []
-        round_adsl: List[int] = []
-        round_onload: List[int] = []
-        round_waste: List[int] = []
-        round_backlog: List[int] = []
-        sector_util = np.zeros((n_rounds, n_sectors), dtype=np.float64)
-        permit_ledger: Dict[str, int] = {
-            "requests": 0,
-            "grants": 0,
-            DENY_CAPACITY: 0,
-            DENY_THRESHOLD: 0,
-        }
-        cap_exhaustions = 0
+    n_rounds = params.n_rounds
+    n_sectors = params.n_sectors
+    est_factor = np.ones(params.n_dslams, dtype=np.float64)
+    round_arrivals: List[int] = []
+    round_adsl: List[int] = []
+    round_onload: List[int] = []
+    round_waste: List[int] = []
+    round_backlog: List[int] = []
+    sector_util = np.zeros((n_rounds, n_sectors), dtype=np.float64)
+    permit_ledger: Dict[str, int] = {
+        "requests": 0,
+        "grants": 0,
+        DENY_CAPACITY: 0,
+        DENY_THRESHOLD: 0,
+    }
+    cap_exhaustions = 0
 
-        def run_round(round_index: int, now: float) -> None:
-            nonlocal states, cap_exhaustions
-            # Leg A: arrivals + offers.
-            offer_results = exchange.map(
-                _leg_offer,
-                [
-                    (
-                        states[shard],
-                        round_index,
-                        onload_enabled,
-                        est_factor,
-                    )
-                    for shard in range(n_shards)
-                ],
+    def run_round(round_index: int, now: float) -> None:
+        nonlocal cap_exhaustions
+        # Leg A: arrivals + offers.
+        offers = exchange.map(
+            offer,
+            [
+                (state, round_index, onload_enabled, est_factor)
+                for state in states
+            ],
+        )
+        sector_spill = np.zeros(n_sectors, dtype=np.int64)
+        sector_requests = np.zeros(n_sectors, dtype=np.int64)
+        for shard_offers in offers:
+            sector_spill += shard_offers.sector_spill
+            sector_requests += shard_offers.sector_requests
+
+        # Dispatcher verdict: onload pools + permit admission.
+        background = _background_bytes(
+            params, population.sector_peak_util, round_index
+        )
+        if onload_enabled:
+            verdict = _onload_verdict(
+                params,
+                policy,
+                round_index,
+                background,
+                sector_spill,
+                sector_requests,
+                permit_ledger,
             )
-            offers = [pair[0] for pair in offer_results]
-            states = [pair[1] for pair in offer_results]
-            sector_spill = np.zeros(n_sectors, dtype=np.int64)
-            sector_requests = np.zeros(n_sectors, dtype=np.int64)
-            for shard_offers in offers:
-                sector_spill += shard_offers.sector_spill
-                sector_requests += shard_offers.sector_requests
-
-            # Dispatcher verdict: onload pools + permit admission.
-            background = _background_bytes(
-                params, population.sector_peak_util, round_index
+        else:
+            empty = np.zeros(n_sectors, dtype=np.int64)
+            verdict = OnloadVerdict(
+                enabled=False,
+                sector_granted=np.zeros(n_sectors, dtype=np.bool_),
+                sector_pool=empty,
+                sector_spill_total=empty,
             )
-            if onload_enabled:
-                verdict = _onload_verdict(
-                    params,
-                    policy,
-                    round_index,
-                    background,
-                    sector_spill,
-                    sector_requests,
-                    permit_ledger,
-                )
-            else:
-                empty = np.zeros(n_sectors, dtype=np.int64)
-                verdict = OnloadVerdict(
-                    enabled=False,
-                    sector_granted=np.zeros(n_sectors, dtype=np.bool_),
-                    sector_pool=empty,
-                    sector_spill_total=empty,
-                )
 
-            # Leg B: settle onload grants, meter caps, relieve DSLAMs.
-            settle_results = exchange.map(
-                _leg_settle,
-                [(states[shard], verdict) for shard in range(n_shards)],
+        # Leg B: settle onload grants, meter caps, relieve DSLAMs.
+        settled = exchange.map(
+            settle_onload, [(state, verdict) for state in states]
+        )
+        dslam_want = np.zeros(params.n_dslams, dtype=np.int64)
+        sector_served = np.zeros(n_sectors, dtype=np.int64)
+        for result in settled:
+            dslam_want += result.dslam_want
+            sector_served += result.sector_served
+            cap_exhaustions += result.cap_exhaustions
+
+        # Leg C: allocate the DSLAM backhaul from global totals.
+        adsl_verdict = AdslVerdict(dslam_want_total=dslam_want)
+        finished = exchange.map(
+            finish_round,
+            [(state, round_index, adsl_verdict) for state in states],
+        )
+        arrivals = adsl = onload = waste = backlog = 0
+        for aggregates in finished:
+            arrivals += aggregates.arrivals_bytes
+            adsl += aggregates.adsl_bytes
+            onload += aggregates.onload_bytes
+            waste += aggregates.waste_bytes
+            backlog += aggregates.backlog_bytes
+        round_arrivals.append(arrivals)
+        round_adsl.append(adsl)
+        round_onload.append(onload)
+        round_waste.append(waste)
+        round_backlog.append(backlog)
+
+        # Next round's contention estimate: realized allocation
+        # factor per DSLAM, derived from global integer totals.
+        est_factor[:] = np.minimum(
+            params.dslam_round_bytes
+            / np.maximum(dslam_want, 1).astype(np.float64),
+            1.0,
+        )
+        sector_util[round_index] = (background + sector_served) / float(
+            params.cell_round_bytes
+        )
+
+        if obs is not None:
+            obs.event(
+                "fleet.round",
+                time=now,
+                policy=policy,
+                round=round_index,
+                adsl_bytes=adsl,
+                onload_bytes=onload,
+                backlog_bytes=backlog,
             )
-            states = [pair[1] for pair in settle_results]
-            dslam_want = np.zeros(params.n_dslams, dtype=np.int64)
-            sector_served = np.zeros(n_sectors, dtype=np.int64)
-            for result, _state in settle_results:
-                dslam_want += result.dslam_want
-                sector_served += result.sector_served
-                cap_exhaustions += result.cap_exhaustions
+            obs.count("fleet.demand_bytes", arrivals, policy=policy)
+            obs.count("fleet.adsl_bytes", adsl, policy=policy)
+            obs.count("fleet.onload_bytes", onload, policy=policy)
+            obs.count("fleet.waste_bytes", waste, policy=policy)
+            obs.gauge("fleet.backlog_bytes", backlog, policy=policy)
 
-            # Leg C: allocate the DSLAM backhaul from global totals.
-            adsl_verdict = AdslVerdict(dslam_want_total=dslam_want)
-            finish_results = exchange.map(
-                _leg_finish,
-                [
-                    (states[shard], round_index, adsl_verdict)
-                    for shard in range(n_shards)
-                ],
-            )
-            states = [pair[1] for pair in finish_results]
-            arrivals = adsl = onload = waste = backlog = 0
-            for aggregates, _state in finish_results:
-                arrivals += aggregates.arrivals_bytes
-                adsl += aggregates.adsl_bytes
-                onload += aggregates.onload_bytes
-                waste += aggregates.waste_bytes
-                backlog += aggregates.backlog_bytes
-            round_arrivals.append(arrivals)
-            round_adsl.append(adsl)
-            round_onload.append(onload)
-            round_waste.append(waste)
-            round_backlog.append(backlog)
+    engine = SimulationEngine()
+    for round_index in range(n_rounds):
+        when = round_index * params.round_s
 
-            # Next round's contention estimate: realized allocation
-            # factor per DSLAM, derived from global integer totals.
-            est_factor[:] = np.minimum(
-                params.dslam_round_bytes
-                / np.maximum(dslam_want, 1).astype(np.float64),
-                1.0,
-            )
-            sector_util[round_index] = (
-                background + sector_served
-            ) / float(params.cell_round_bytes)
+        def callback(index: int = round_index, at: float = when) -> None:
+            run_round(index, at)
 
-            if obs is not None:
-                obs.event(
-                    "fleet.round",
-                    time=now,
-                    policy=policy,
-                    round=round_index,
-                    adsl_bytes=adsl,
-                    onload_bytes=onload,
-                    backlog_bytes=backlog,
-                )
-                obs.count("fleet.demand_bytes", arrivals, policy=policy)
-                obs.count("fleet.adsl_bytes", adsl, policy=policy)
-                obs.count("fleet.onload_bytes", onload, policy=policy)
-                obs.count("fleet.waste_bytes", waste, policy=policy)
-                obs.gauge("fleet.backlog_bytes", backlog, policy=policy)
+        engine.schedule_at(when, callback, label=f"fleet-round-{round_index}")
+    while engine.has_timers():
+        engine.advance_clock(engine.next_boundary())
+        engine.run_due_timers()
 
-        engine = SimulationEngine()
-        for round_index in range(n_rounds):
-            when = round_index * params.round_s
-
-            def callback(index: int = round_index, at: float = when) -> None:
-                run_round(index, at)
-
-            engine.schedule_at(
-                when, callback, label=f"fleet-round-{round_index}"
-            )
-        while engine.has_timers():
-            engine.advance_clock(engine.next_boundary())
-            engine.run_due_timers()
-
-        finals = [
-            shard_final(pop, state)
-            for pop, state in zip(exchange.pops, states)
-        ]
-    finally:
-        exchange.close()
+    finals = [
+        shard_final(pop, state) for pop, state in zip(exchange.pops, states)
+    ]
 
     n = params.n_households
     served_adsl = np.zeros(n, dtype=np.int64)
@@ -543,13 +447,10 @@ def run_policy(
 def run_city(
     params: FleetParameters,
     adoption: float = 0.25,
-    jobs: int = 1,
     n_shards: int = DEFAULT_SHARDS,
 ) -> FleetOutcome:
     """The full comparison: baseline plus both onload policies."""
     runs: Dict[str, PolicyRun] = {}
     for policy in POLICIES:
-        runs[policy] = run_policy(
-            params, policy, adoption, jobs=jobs, n_shards=n_shards
-        )
+        runs[policy] = run_policy(params, policy, adoption, n_shards)
     return FleetOutcome(params=params, adoption=adoption, runs=runs)

@@ -100,6 +100,12 @@ class FleetParameters:
         ):
             check_non_negative(name, getattr(self, name))
         check_fraction("acceptance_threshold", self.acceptance_threshold)
+        # Sector utilization divides by the cell's round capacity.
+        if self.cell_round_bytes < 1:
+            raise ValueError(
+                "hsdpa_cell_bps must carry at least 1 byte per round, got "
+                f"{self.hsdpa_cell_bps} bps over {self.round_s} s rounds"
+            )
 
     @property
     def n_rounds(self) -> int:
@@ -156,7 +162,8 @@ class Population:
     #: Adoption permutation: household adopts at fraction ``f`` iff
     #: ``rank < round(n * f)`` — adopter sets are nested along the ramp.
     adoption_rank: NDArray[np.int64] = field(repr=False)
-    #: (n_households, n_rounds) integer bytes requested per round.
+    #: (n_rounds, n_households) integer bytes requested per round:
+    #: round-major, the layout the shard legs read.
     demand: NDArray[np.int64] = field(repr=False)
     #: Per-sector background peak utilization fraction.
     sector_peak_util: NDArray[np.float64] = field(repr=False)
@@ -215,8 +222,10 @@ def sample_population(params: FleetParameters) -> Population:
     round_of = np.minimum(
         (times / params.round_s).astype(np.int64), params.n_rounds - 1
     )
-    demand = np.zeros((n, params.n_rounds), dtype=np.int64)
-    np.add.at(demand, (owner, round_of), np.rint(sizes).astype(np.int64))
+    # One flat scatter-add, reshaped round-major.
+    demand = np.zeros(params.n_rounds * n, dtype=np.int64)
+    np.add.at(demand, round_of * n + owner, np.rint(sizes).astype(np.int64))
+    demand = demand.reshape(params.n_rounds, n)
 
     spread = _SECTOR_PEAK_UTIL_HIGH - _SECTOR_PEAK_UTIL_LOW
     sector_peak_util = _SECTOR_PEAK_UTIL_LOW + spread * rng.random(

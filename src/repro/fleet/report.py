@@ -4,8 +4,8 @@ A :class:`FleetReport` reduces a :class:`~repro.fleet.dispatcher.FleetOutcome`
 to jsonable integers and histogram counts. Everything here derives from
 the merged per-household arrays (already id-indexed, already integer),
 so the rendered report and the digest over :meth:`FleetReport.lines`
-are byte-identical at any ``--jobs`` and any shard count — that digest
-is exactly what the shard-invariance tests pin.
+are byte-identical at any shard count — that digest is exactly what the
+shard-invariance tests pin.
 
 Speedup per household follows the paper's comparisons: the ratio of
 backlog integrals (baseline over policy), smoothed by one line-round so

@@ -6,11 +6,10 @@ sector capacity is always shard-local; DSLAM backhauls and the permit
 server span shards and are resolved by the dispatcher's per-round
 exchange (``docs/FLEET.md``).
 
-Every function here is **pure over its inputs**: shard state travels in
-and out of worker processes explicitly, the shard's population slice is
-recomputed from the seed (and cached per process), and all
-cross-household sums are integer bytes — which is what makes the merged
-report byte-identical at any ``--jobs`` and any shard count.
+Every leg reads only its shard's population slice (derived from the
+seed and cached per process) and mutates only its shard's state, and
+all cross-household sums are integer bytes — which is what makes the
+merged report byte-identical at any shard count.
 
 Each round runs three legs per shard (the bounded fixed-point
 exchange):
@@ -87,11 +86,6 @@ class ShardPopulation:
     ``np.add.reduceat`` over the run starts (:func:`dslam_sums`).
     Demand is round-major: row ``r`` holds round ``r``'s arrivals
     contiguously.
-
-    A slice pickles as its key (parameters, shard count, shard) and is
-    rebuilt from the receiving process's cache
-    (:func:`shard_population`), so a pool worker is never sent the
-    arrays.
     """
 
     population: Population = field(repr=False)
@@ -119,13 +113,10 @@ class ShardPopulation:
         """Households in this shard."""
         return int(self.household_ids.shape[0])
 
-    def __reduce__(self) -> Tuple[Any, Tuple[FleetParameters, int, int]]:
-        return shard_population, (self.params, self.n_shards, self.shard)
-
 
 @dataclass
 class ShardState:
-    """Per-household dynamic state that travels between worker calls.
+    """Per-household dynamic state, mutated in place by the legs.
 
     Dense arrays hold one entry per row. The pending onload arrays are
     compact: entry ``k`` belongs to row ``pending_requesters[k]``.
@@ -236,8 +227,7 @@ class ShardFinal:
 
 #: Per-process caches, keyed by value: the city per parameter set, and
 #: its slices per (parameter set, partition, shard). Only one city is
-#: kept, and its slices go with it. With a fork-context pool, workers
-#: inherit whatever the dispatcher process had cached.
+#: kept, and its slices go with it.
 _POPULATION_CACHE: Dict[FleetParameters, Population] = {}
 _SHARD_CACHE: Dict[Tuple[FleetParameters, int, int], ShardPopulation] = {}
 
@@ -283,7 +273,7 @@ def _slice(
     dslam_of = population.dslam_of[ids]
     # A run starts wherever its key changes, and at row 0.
     run_starts = np.flatnonzero(np.diff(group, prepend=-1))
-    demand = np.ascontiguousarray(population.demand[ids].T)
+    demand = np.take(population.demand, ids, axis=1)
     return ShardPopulation(
         population=population,
         n_shards=n_shards,
@@ -323,6 +313,26 @@ def _group_sums(
     if groups.size:
         np.add.at(out, groups, values)
     return out
+
+
+def _floor_share(
+    want: NDArray[np.int64], capacity: Any, total: NDArray[np.int64]
+) -> NDArray[np.int64]:
+    """Exact ``want * capacity // total`` for ``0 <= want <= total``.
+
+    ``capacity`` is a non-negative int or int64 array. The product can
+    pass 2**63 (1-hour rounds on a fast backhaul), so it is never
+    formed as a quotient's numerator. A float estimate lands within 1
+    of the quotient; the remainder ``want * capacity - q * total`` is
+    then exact modulo 2**64 and lies in [-total, 2 * total), so one
+    step either way corrects the estimate.
+    """
+    share = (want * (capacity / total)).astype(np.int64)
+    rest = want * capacity
+    rest -= share * total
+    share -= rest < 0
+    share += rest >= total
+    return share
 
 
 def initial_state(pop: ShardPopulation, adoption: float) -> ShardState:
@@ -420,7 +430,6 @@ def settle_onload(
     """
     params = pop.params
     rows = state.pending_requesters
-    serve3g = np.zeros(rows.size, dtype=np.int64)
     dslam_want = state.pending_dslam_want
     cap_exhaustions = 0
     if verdict.enabled and rows.size:
@@ -428,17 +437,18 @@ def settle_onload(
         # sector's total fits its free pool; else the floor-rounded
         # proportional share spill * pool // total. Integer arithmetic,
         # so the share depends only on (own spill, global totals) —
-        # partition invariant by construction.
+        # partition invariant by construction. Capping the pool at the
+        # total makes the fitting share spill * total // total. A
+        # requester's sector total includes its own spill, so it is at
+        # least 1.
         total = verdict.sector_spill_total
-        pool = verdict.sector_pool
-        fits = total <= pool
-        numerator = np.where(
-            verdict.sector_granted, np.where(fits, 1, pool), 0
+        pool = np.where(
+            verdict.sector_granted, np.minimum(verdict.sector_pool, total), 0
         )
-        denominator = np.where(fits, 1, np.maximum(total, 1))
         sectors = pop.sector_of[rows]
-        np.multiply(state.pending_spill, numerator[sectors], out=serve3g)
-        serve3g //= denominator[sectors]
+        serve3g = _floor_share(
+            state.pending_spill, pool[sectors], total[sectors]
+        )
 
         # A requester had cap left (its spill fits in it), so it runs
         # dry this round iff it reaches the cap now, and then leaves
@@ -466,6 +476,7 @@ def settle_onload(
         )
         sector_served = _group_sums(sectors, serve3g, params.n_sectors)
     else:
+        serve3g = np.zeros(rows.size, dtype=np.int64)
         sector_served = np.zeros(params.n_sectors, dtype=np.int64)
     state.pending_serve3g = serve3g
     return OnloadResult(
@@ -498,8 +509,7 @@ def finish_round(
     # proportional share. An active row's total includes its own want,
     # so it is at least 1.
     total = dslam_total[pop.dslam_of[active]]
-    adsl = want * capacity
-    adsl //= total
+    adsl = _floor_share(want, capacity, total)
     np.copyto(adsl, want, where=total <= capacity)
 
     # Waste: onloaded bytes whose ADSL line share went unused. The line

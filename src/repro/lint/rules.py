@@ -80,7 +80,7 @@ _DETERMINISM_PACKAGES = (
     # hunt promises seed-reproducible scenario generation, mutation and
     # minimization — the corpus is only replayable if that holds.
     "hunt",
-    # fleet promises byte-identical merges at any --jobs/shard count;
+    # fleet promises byte-identical merges at any shard count;
     # its only entropy is the seed-derived population stream.
     "fleet",
 )

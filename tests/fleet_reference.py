@@ -124,10 +124,12 @@ def settle_onload(
             verdict.sector_granted, np.where(fits, 1, pool), 0
         )
         denominator = np.where(fits, 1, np.maximum(total, 1))
-        np.multiply(
-            state.pending_spill, numerator[pop.sector_of], out=serve3g
+        # Python ints: the product can pass 2**63.
+        serve3g[:] = (
+            state.pending_spill.astype(object)
+            * numerator[pop.sector_of]
+            // denominator[pop.sector_of]
         )
-        serve3g //= denominator[pop.sector_of]
 
         cap = params.daily_cap_bytes
         had_left = state.cap_used < cap
@@ -163,8 +165,9 @@ def finish_round(
     capacity = params.dslam_round_bytes
     total = verdict.dslam_want_total[pop.dslam_of]
     uncongested = total <= capacity
-    adsl = want * capacity
-    adsl //= np.maximum(total, 1)
+    # Python ints: the product can pass 2**63.
+    adsl = want.astype(object) * capacity // np.maximum(total, 1)
+    adsl = adsl.astype(np.int64)
     np.copyto(adsl, want, where=uncongested)
 
     unused = np.minimum(backlog, params.line_round_bytes)

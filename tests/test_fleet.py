@@ -2,8 +2,8 @@
 
 The headline contract under test is the deterministic merge
 (docs/FLEET.md): the merged city-day result is byte-identical at any
-shard count and any ``--jobs``, pinned golden-digest style the way the
-trace goldens pin the engine.
+shard count, pinned golden-digest style the way the trace goldens pin
+the engine.
 """
 
 import dataclasses
@@ -76,7 +76,7 @@ class TestPopulation:
         pop = sample_population(params)
         assert pop.demand.dtype == np.int64
         assert pop.demand.min() >= 0
-        assert pop.demand.shape == (params.n_households, params.n_rounds)
+        assert pop.demand.shape == (params.n_rounds, params.n_households)
         assert pop.dslam_of.min() >= 0
         assert pop.dslam_of.max() < params.n_dslams
         assert pop.sector_of.min() >= 0
@@ -112,10 +112,6 @@ class TestDeterministicMerge:
     def test_reference_matches_golden(self, reference):
         assert reference.digest() == self.GOLDEN
         assert reference.findings == ()
-
-    def test_jobs_invariant(self, reference):
-        fanned = ext_fleet.run(backhaul_mbps=16.0, jobs=4, **TEST_KW)
-        assert fanned.digest() == reference.digest()
 
     def test_shard_count_invariant(self, reference):
         one = ext_fleet.run(backhaul_mbps=16.0, n_shards=1, **TEST_KW)
@@ -205,15 +201,22 @@ class TestGroupSums:
 
     def test_rows_are_sector_then_dslam_ordered(self):
         params = _params()
-        for shard in range(4):
-            pop = shard_population(params, 4, shard)
-            key = pop.sector_of * params.n_dslams + pop.dslam_of
-            assert (np.diff(key) >= 0).all()
-            # Stable: ids ascend within each (sector, DSLAM) run.
-            same = np.diff(key) == 0
-            assert (np.diff(pop.household_ids)[same] > 0).all()
-            assert pop.demand.shape == (params.n_rounds, pop.size)
-            assert pop.demand.flags.c_contiguous
+        population = fleet_shard.cached_population(params)
+        for n_shards in (1, 3, 8):
+            arrivals = np.zeros(params.n_rounds, dtype=np.int64)
+            for shard in range(n_shards):
+                pop = shard_population(params, n_shards, shard)
+                key = pop.sector_of * params.n_dslams + pop.dslam_of
+                assert (np.diff(key) >= 0).all()
+                # Stable: ids ascend within each (sector, DSLAM) run.
+                same = np.diff(key) == 0
+                assert (np.diff(pop.household_ids)[same] > 0).all()
+                assert pop.demand.flags.c_contiguous
+                assert np.array_equal(
+                    pop.demand, population.demand[:, pop.household_ids]
+                )
+                arrivals += pop.round_arrivals
+            assert np.array_equal(arrivals, population.demand.sum(axis=1))
 
 
 def _assert_runs_identical(a: PolicyRun, b: PolicyRun):
@@ -240,6 +243,78 @@ def _assert_runs_identical(a: PolicyRun, b: PolicyRun):
         "sector_util",
     ):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestFloorShare:
+    """``want * capacity // total`` without forming the int64 product."""
+
+    @given(
+        capacity=st.integers(min_value=0, max_value=2**40),
+        rows=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=2**40),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_python_ints(self, capacity, rows):
+        total = [t for t, _ in rows]
+        want = [int(t * f) for t, f in rows]
+        got = fleet_shard._floor_share(
+            np.array(want, dtype=np.int64),
+            capacity,
+            np.array(total, dtype=np.int64),
+        )
+        assert got.dtype == np.int64
+        assert got.tolist() == [
+            w * capacity // t for w, t in zip(want, total)
+        ]
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=2**40),
+                st.floats(min_value=0.0, max_value=1.0),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_per_row_capacity_matches_python_ints(self, rows):
+        """The onload settle's shape: each row its own pool, at most
+        its sector's total."""
+        total = [t for t, _, _ in rows]
+        want = [int(t * f) for t, f, _ in rows]
+        capacity = [int(t * g) for t, _, g in rows]
+        got = fleet_shard._floor_share(
+            np.array(want, dtype=np.int64),
+            np.array(capacity, dtype=np.int64),
+            np.array(total, dtype=np.int64),
+        )
+        assert got.tolist() == [
+            w * c // t for w, c, t in zip(want, capacity, total)
+        ]
+
+    def test_products_past_int64(self):
+        """Exact quotients and off-by-one float estimates, both sides
+        of 2**63."""
+        capacity = 7_200_000_000  # 16 Mbps over a 1-hour round
+        total = np.array(
+            [capacity + 1, 2**40, 3 * capacity, 2**40 - 1], dtype=np.int64
+        )
+        want = np.array(
+            [capacity + 1, 2**40 - 1, capacity, 2**39], dtype=np.int64
+        )
+        assert max(int(w) * capacity for w in want) > 2**63
+        got = fleet_shard._floor_share(want, capacity, total)
+        assert got.tolist() == [
+            int(w) * capacity // int(t) for w, t in zip(want, total)
+        ]
 
 
 class TestCachesKeyedByValue:
@@ -281,6 +356,21 @@ def _assert_same(got, want):
             assert np.array_equal(a, b), f.name
         else:
             assert a == b, f.name
+
+
+def _long_round_city():
+    """6-hour rounds on a 16 Mbps backhaul with a 10 GB daily cap: both
+    ``line * backhaul`` and ``3G ceiling * cell`` bytes pass 2**63."""
+    params = FleetParameters(
+        n_households=2000,
+        seed=0,
+        round_s=21600.0,
+        dslam_backhaul_bps=mbps(16.0),
+        daily_cap_bytes=10**10,
+    )
+    assert params.line_round_bytes * params.dslam_round_bytes >= 2**63
+    assert params.home_round_bytes * params.cell_round_bytes >= 2**63
+    return params
 
 
 def _lockstep_day(params, policy, adoption, n_shards):
@@ -428,6 +518,11 @@ class TestLegsMatchDenseReference:
         params = _first_seed(kw, 3, lambda sizes: 1 in sizes)
         _lockstep_day(params, "multi-provider", 1.0, 3)
 
+    def test_products_past_int64(self):
+        """Both proportional shares against Python-int arithmetic, in a
+        city whose products pass 2**63."""
+        _lockstep_day(_long_round_city(), "multi-provider", 1.0, 2)
+
     def test_network_integrated_denials(self):
         """A tight permit server denies on capacity, a low threshold on
         headroom; granted and denied sectors share the round."""
@@ -455,7 +550,20 @@ class TestParameterValidation:
     def test_negative_rate_rejected(self, name):
         with pytest.raises(ValueError, match=name):
             _params(**{name: -1.0})
-        _params(**{name: 0.0})  # zero is a valid (dead) link
+
+    @pytest.mark.parametrize(
+        "name", ["adsl_down_bps", "dslam_backhaul_bps", "home_3g_bps"]
+    )
+    def test_zero_rate_is_a_dead_link(self, name):
+        _params(**{name: 0.0})
+
+    @pytest.mark.parametrize("rate", [0.0, 1e-4])
+    def test_cell_without_round_capacity_rejected(self, rate):
+        """Sector utilization divides by the cell's bytes per round, so
+        a cell must carry at least one byte per round."""
+        with pytest.raises(ValueError, match="hsdpa_cell_bps"):
+            _params(hsdpa_cell_bps=rate)
+        assert _params(hsdpa_cell_bps=8.0 / 900.0).cell_round_bytes == 1
 
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError, match="daily_cap_bytes"):
@@ -524,12 +632,39 @@ class TestCityDay:
         with pytest.raises(ValueError, match="adoption"):
             run_city(_params(), adoption=adoption)
 
-    @pytest.mark.parametrize("jobs", [0, -2])
-    def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(ValueError, match="jobs"):
-            run_policy(_params(), "multi-provider", 0.5, jobs=jobs)
-        with pytest.raises(ValueError, match="jobs"):
-            run_city(_params(), jobs=jobs)
+    def test_hour_rounds_on_fast_backhaul_conserve(self):
+        """1-hour rounds make line * backhaul bytes pass 2**63; the
+        proportional backhaul share must still be exact."""
+        params = FleetParameters(
+            n_households=4000,
+            seed=0,
+            round_s=3600.0,
+            dslam_backhaul_bps=mbps(16.0),
+        )
+        assert params.line_round_bytes * params.dslam_round_bytes >= 2**63
+        run = run_policy(params, "adsl-only", 0.0)
+        assert int(run.served_adsl.min()) >= 0
+        ledger = np.cumsum(
+            np.subtract(run.round_arrivals, run.round_adsl), dtype=np.int64
+        )
+        assert np.array_equal(ledger, run.round_backlog)
+        assert int(run.served_adsl.sum()) == run.total_adsl_bytes
+        assert 0 <= min(run.round_adsl)
+
+    def test_long_rounds_with_big_cap_conserve(self):
+        """6-hour rounds and a 10 GB cap make spill * sector pool pass
+        2**63 too; the onload share must stay exact."""
+        params = _long_round_city()
+        run = run_policy(params, "multi-provider", 1.0)
+        assert int(run.served_3g.min()) >= 0
+        assert int(run.served_adsl.min()) >= 0
+        assert int(run.cap_used.max()) <= params.daily_cap_bytes
+        ledger = np.cumsum(
+            np.subtract(run.round_arrivals, run.round_adsl)
+            - np.asarray(run.round_onload),
+            dtype=np.int64,
+        )
+        assert np.array_equal(ledger, run.round_backlog)
 
 
 class TestRegistry:
@@ -567,6 +702,12 @@ class TestCli:
     def test_run_rejects_bad_adoption(self, capsys):
         assert self._run("run", "--adoption", "1.5") == 2
         assert "adoption" in capsys.readouterr().err
+
+    def test_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            self._run("run", "--jobs", "2")
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_run_rejects_negative_backhaul(self, capsys):
         assert self._run("run", "--backhaul-mbps", "-3") == 2
