@@ -1,8 +1,10 @@
 """Seeded, deterministic fuzzing for the 3GOL wire parsers.
 
-Every byte of the prototype's data path flows through four parsers: the
-HTTP head/body machinery in :mod:`repro.proto.httpwire`, the m3u8
-playlist parser in :mod:`repro.web.hls`, and the multipart decoder in
+Every byte of the prototype's data path flows through four fuzz
+targets: ``http-head`` (header-block parsing) and ``wire-stream`` (whole
+HTTP responses read off a byte stream), both over
+:mod:`repro.proto.httpwire`; ``m3u8``, the playlist parser in
+:mod:`repro.web.hls`; and ``multipart``, the upload body decoder in
 :mod:`repro.web.upload`. This package hammers them the way FuzzBench
 hammers real-world parsers — structured mutations that know the grammar
 plus blind byte-level mutations — under one hard contract: a parser
@@ -17,9 +19,9 @@ given arbitrary bytes either succeeds or raises a typed
   :class:`~repro.fuzz.targets.FakeSocket` that feeds wire parsers
   without real I/O;
 * :mod:`repro.fuzz.session` — the :class:`~repro.fuzz.session.FuzzSession`
-  driver: seeded scheduling, crash triage, dedup by
-  (exception type, raise site), payload minimisation;
-* :mod:`repro.fuzz.corpus` — the checked-in regression corpus under
+  target of the shared search core (:mod:`repro.util.search`): seeded
+  scheduling, crash triage by (exception type, raise site), payload
+  minimisation; and the checked-in regression corpus under
   ``tests/corpus/``, each case pinned to the bug it caught;
 * :mod:`repro.fuzz.cli` — the ``repro-fuzz`` console entry point,
   mirroring ``repro-lint``.
@@ -29,14 +31,13 @@ budget and target list reproduce byte-identical mutation streams and
 therefore identical crash sets.
 """
 
-from repro.fuzz.corpus import CorpusCase, load_corpus, replay_case, save_case
 from repro.fuzz.mutators import MUTATORS, mutate_bytes
-from repro.fuzz.session import CrashRecord, FuzzReport, FuzzSession
+from repro.fuzz.session import CorpusCase, load_corpus, replay_case, save_case
+from repro.fuzz.session import FuzzReport, FuzzSession
 from repro.fuzz.targets import FakeSocket, FuzzTarget, all_targets, get_target
 
 __all__ = [
     "CorpusCase",
-    "CrashRecord",
     "FakeSocket",
     "FuzzReport",
     "FuzzSession",

@@ -32,9 +32,6 @@ from repro.util.clitools import (
 
 __all__ = ["main"]
 
-#: Back-compat alias: a crash is this tool's "finding".
-EXIT_CRASHES = EXIT_FINDINGS
-
 DEFAULT_ITERATIONS = 2000
 
 
@@ -82,19 +79,21 @@ def render_text(reports: Sequence[FuzzReport]) -> str:
             f"{len(report.crashes)} distinct crash(es)"
         )
         lines.append(
-            f"{report.target}: {report.iterations} iterations, "
+            f"{report.target}: {report.budget} iterations, "
             f"{report.ok} ok, {report.handled} rejected cleanly — {verdict}"
         )
         for crash in report.crashes:
             total_crashes += 1
+            exception_type, site = crash.keys[0]
+            message = str(crash.detail)[:200]
             lines.append(
-                f"  CRASH {crash.exception_type} at {crash.site} "
+                f"  CRASH {exception_type} at {site} "
                 f"(iteration {crash.iteration}, "
-                f"{crash.duplicates} duplicate(s)): {crash.message}"
+                f"{crash.duplicates} duplicate(s)): {message}"
             )
             lines.append(
-                f"    payload ({len(crash.payload)} bytes): "
-                f"{crash.payload[:64]!r}"
+                f"    payload ({len(crash.case)} bytes): "
+                f"{crash.case[:64]!r}"
             )
     lines.append(
         "all clean: every malformed payload was rejected with a typed "
@@ -139,7 +138,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         print(render_text(reports))
     clean = all(report.clean for report in reports)
-    return EXIT_CLEAN if clean else EXIT_CRASHES
+    return EXIT_CLEAN if clean else EXIT_FINDINGS
 
 
 if __name__ == "__main__":  # pragma: no cover — exercised via tests

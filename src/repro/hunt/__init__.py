@@ -9,12 +9,12 @@ scenarios deterministically, executes each through the full stack
 (:func:`~repro.hunt.run.run_scenario`), and checks the registry of
 invariant oracles (:mod:`repro.hunt.oracles`). Violations are
 deduplicated, greedily minimised, and pinned as human-readable specs in
-the replayable corpus under ``tests/corpus/scenarios/``
-(:mod:`repro.hunt.corpus`). The ``repro-hunt`` CLI fronts the whole
+the replayable corpus under ``tests/corpus/scenarios/``. The campaign
+loop, finding record and corpus codec are the ones the wire fuzzer uses
+too (:mod:`repro.util.search`). The ``repro-hunt`` CLI fronts the whole
 loop.
 """
 
-from repro.hunt.corpus import ScenarioCase, load_corpus, replay_case, save_case
 from repro.hunt.oracles import (
     ORACLES,
     Oracle,
@@ -30,11 +30,11 @@ from repro.hunt.scenario import (
     generous_cutoff_s,
     mutate_scenario,
 )
-from repro.hunt.session import Finding, HuntReport, HuntSession
+from repro.hunt.session import HuntReport, HuntSession
+from repro.hunt.session import ScenarioCase, load_corpus, replay_case, save_case
 
 __all__ = [
     "FaultSpec",
-    "Finding",
     "HUNT_LOCATION",
     "HuntReport",
     "HuntSession",

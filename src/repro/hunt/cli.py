@@ -27,11 +27,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.hunt.corpus import load_corpus, replay_case
-from repro.hunt.oracles import ORACLES, check_outcome
-from repro.hunt.run import run_scenario
+from repro.hunt.oracles import ORACLES
 from repro.hunt.scenario import Scenario
 from repro.hunt.session import HuntReport, HuntSession
+from repro.hunt.session import ScenarioCase, load_corpus, replay_case
 from repro.util.clitools import (
     EXIT_CLEAN,
     EXIT_FINDINGS,
@@ -119,13 +118,13 @@ def render_text(report: HuntReport) -> str:
         lines.append(
             f"  FINDING {keys} (iteration {finding.iteration}, "
             f"{finding.duplicates} duplicate(s), minimised in "
-            f"{finding.minimize_runs} run(s))"
+            f"{finding.shrink_runs} run(s))"
         )
-        for violation in finding.violations:
+        for violation in finding.detail:
             lines.append(f"    {violation.oracle}: {violation.detail}")
         lines.append(
             "    scenario: "
-            + " ".join(finding.scenario.to_json().split())
+            + " ".join(finding.case.to_json().split())
         )
     lines.append(
         "all clean: no scenario violated an invariant"
@@ -166,37 +165,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     """``repro-hunt replay``: regression-gate pinned scenarios."""
     path = Path(args.path)
-    failures: List[str] = []
     if path.is_dir():
         cases = load_corpus(path)
         if not cases:
             return cli_error(
                 "repro-hunt", f"no corpus manifest under {path}"
             )
-        for case in cases:
-            failure = replay_case(case)
-            print(
-                f"{case.case_id}: "
-                + ("clean" if failure is None else "VIOLATED")
-            )
-            if failure is not None:
-                failures.append(failure)
     else:
         try:
             scenario = _load_scenario(path)
         except (OSError, ValueError) as exc:
             return cli_error("repro-hunt", str(exc))
-        violations = check_outcome(run_scenario(scenario))
+        cases = (ScenarioCase("", scenario.name, str(path), scenario),)
+    failures = [replay_case(case) for case in cases]
+    for case, failure in zip(cases, failures):
         print(
-            f"{scenario.name}: "
-            + ("clean" if not violations else "VIOLATED")
-        )
-        failures.extend(
-            f"{v.oracle}: {v.detail}" for v in violations
+            f"{case.case_id}: "
+            + ("clean" if failure is None else "VIOLATED")
         )
     for failure in failures:
-        print(failure)
-    return EXIT_CLEAN if not failures else EXIT_FINDINGS
+        if failure is not None:
+            print(failure)
+    return EXIT_CLEAN if not any(failures) else EXIT_FINDINGS
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
@@ -206,16 +196,15 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
         scenario = _load_scenario(path)
     except (OSError, ValueError) as exc:
         return cli_error("repro-hunt", str(exc))
-    session = HuntSession(seed=0)
-    violations = check_outcome(run_scenario(scenario))
-    if not violations:
+    session = HuntSession()
+    keys, violations = session.check(scenario)
+    if not keys:
         print(
             f"{scenario.name}: already clean — nothing to minimise",
             file=sys.stderr,
         )
         return EXIT_CLEAN
-    targets = {violation.oracle for violation in violations}
-    minimized, kept, runs = session.minimize(scenario, targets)
+    minimized, kept, runs = session.shrink(scenario, keys, violations)
     text = minimized.to_json()
     if args.output:
         Path(args.output).write_text(text + "\n", encoding="utf-8")

@@ -36,7 +36,7 @@ from repro.netsim.topology import (
     LocationProfile,
 )
 from repro.obs.export import TraceParseError, parse_lines
-from repro.util.triage import failure_site
+from repro.util.search import failure_site
 from repro.util.units import mbps
 
 __all__ = ["HUNT_LOCATION", "ScenarioOutcome", "run_scenario"]

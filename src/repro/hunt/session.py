@@ -11,15 +11,30 @@ candidates (drop a fault, null the permit layer, halve the workload,
 lose a phone, …) replace the scenario whenever they still reproduce
 one of the finding's oracles.
 
-The executor is injectable, so inverse-control tests can plant a
+The campaign loop is the shared :func:`repro.util.search.search`; the
+session supplies the draw, the check, the pool and the shrink. The
+executor is injectable, so inverse-control tests can plant a
 violation behind a stub stack and assert the driver finds, dedups and
 minimises it deterministically.
+
+Every scenario that ever violated an invariant oracle is pinned, after
+minimisation, in the scenario corpus — one human-readable ``.json``
+spec per case plus a ``MANIFEST.json`` mapping case ids to the bug each
+caught::
+
+    tests/corpus/scenarios/MANIFEST.json
+    tests/corpus/scenarios/<case_id>.json
+
+The tier-1 suite replays every case: it "replays clean" when the full
+oracle suite comes back empty, so a fixed bug that resurfaces fails the
+build with its original witness scenario.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import replace
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,8 +46,26 @@ from repro.hunt.scenario import (
     generous_cutoff_s,
     mutate_scenario,
 )
+from repro.util.search import (
+    Case,
+    Codec,
+    Key,
+    Report,
+    Verdict,
+    load_cases,
+    replay,
+    save_case as _save_case,
+    search,
+)
 
-__all__ = ["Finding", "HuntReport", "HuntSession"]
+__all__ = [
+    "HuntReport",
+    "HuntSession",
+    "ScenarioCase",
+    "load_corpus",
+    "replay_case",
+    "save_case",
+]
 
 #: How many recent scenarios the session keeps as mutation bases.
 MAX_POOL = 32
@@ -43,57 +76,16 @@ MINIMIZE_BUDGET = 40
 #: An executor maps a scenario to its outcome (injectable for tests).
 Executor = Callable[[Scenario], ScenarioOutcome]
 
-
-@dataclass(frozen=True)
-class Finding:
-    """One deduplicated invariant breach with its minimised witness."""
-
-    #: Signatures this finding covers, sorted: ``(oracle, extra)``.
-    keys: Tuple[Tuple[str, str], ...]
-    #: The minimised scenario that still reproduces the breach.
-    scenario: Scenario
-    #: The scenario as first generated (pre-minimisation).
-    original: Scenario
-    #: Violations the minimised scenario produced.
-    violations: Tuple[Violation, ...]
-    #: 0-based campaign iteration that first hit the signature.
-    iteration: int
-    #: Executor calls the minimiser spent.
-    minimize_runs: int
-    #: Later campaign iterations that re-hit the same signature.
-    duplicates: int = 0
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form (drives the byte-deterministic report)."""
-        return {
-            "keys": [list(key) for key in self.keys],
-            "scenario": self.scenario.to_dict(),
-            "original": self.original.to_dict(),
-            "violations": [v.to_dict() for v in self.violations],
-            "iteration": self.iteration,
-            "minimize_runs": self.minimize_runs,
-            "duplicates": self.duplicates,
-        }
+#: A check's detail: the violations the oracle suite reported.
+Violations = Tuple[Violation, ...]
 
 
-@dataclass
-class HuntReport:
-    """Outcome of one :meth:`HuntSession.run` campaign."""
+class HuntReport(Report[Scenario]):
+    """Outcome of one :meth:`HuntSession.run` campaign.
 
-    seed: int
-    budget: int
-    #: Scenarios executed by the campaign loop (minimiser excluded).
-    runs: int = 0
-    #: Scenarios whose oracle suite came back clean.
-    clean_runs: int = 0
-    #: Total executor calls including minimisation.
-    executor_runs: int = 0
-    findings: List[Finding] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        """True when the whole campaign violated no invariant."""
-        return not self.findings
+    Each finding's keys are ``(oracle, extra)`` signatures, its case the
+    minimised scenario and its detail that scenario's violations.
+    """
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form — byte-identical for identical campaigns."""
@@ -104,7 +96,18 @@ class HuntReport:
             "clean_runs": self.clean_runs,
             "executor_runs": self.executor_runs,
             "oracles": oracle_ids(),
-            "findings": [finding.to_dict() for finding in self.findings],
+            "findings": [
+                {
+                    "keys": [list(key) for key in finding.keys],
+                    "scenario": finding.case.to_dict(),
+                    "original": finding.original.to_dict(),
+                    "violations": [v.to_dict() for v in finding.detail],
+                    "iteration": finding.iteration,
+                    "minimize_runs": finding.shrink_runs,
+                    "duplicates": finding.duplicates,
+                }
+                for finding in self.findings
+            ],
         }
 
 
@@ -192,10 +195,8 @@ class HuntSession:
         self._rng = np.random.default_rng(self.seed & 0xFFFFFFFF)
         self._pool: List[Scenario] = []
 
-    # ------------------------------------------------------------------
-    # One iteration
-    # ------------------------------------------------------------------
-    def _next_scenario(self, iteration: int) -> Scenario:
+    def draw(self, iteration: int) -> Scenario:
+        """A fresh scenario, or (half the time) a mutated pool member."""
         name = f"hunt-{self.seed}-{iteration:04d}"
         if self._pool and self._rng.random() < 0.5:
             base = self._pool[
@@ -204,103 +205,96 @@ class HuntSession:
             return mutate_scenario(self._rng, base, name)
         return generate_scenario(self._rng, name)
 
-    def check(self, scenario: Scenario) -> List[Violation]:
+    def check(self, scenario: Scenario) -> Verdict:
         """Execute one scenario and run the oracle suite over it."""
-        return check_outcome(self.executor(scenario), only=self.only)
+        violations = tuple(
+            check_outcome(self.executor(scenario), only=self.only)
+        )
+        keys = tuple(sorted({(v.oracle, v.extra) for v in violations}))
+        return keys, violations
 
-    # ------------------------------------------------------------------
-    # Minimisation
-    # ------------------------------------------------------------------
-    def minimize(
-        self,
-        scenario: Scenario,
-        target_oracles: Set[str],
-        budget: int = MINIMIZE_BUDGET,
-    ) -> Tuple[Scenario, Tuple[Violation, ...], int]:
-        """Greedy structural shrink keeping a target oracle firing.
+    def keep(
+        self, scenario: Scenario, violations: Violations, new: bool
+    ) -> None:
+        """Pool clean scenarios and new violators, first in first out.
+
+        A violating scenario is prime mutation material; a duplicate
+        adds nothing the pool does not already hold.
+        """
+        if new or not violations:
+            self._pool.append(scenario)
+            if len(self._pool) > MAX_POOL:
+                del self._pool[0]
+
+    def shrink(
+        self, scenario: Scenario, keys: Tuple[Key, ...], violations: Violations
+    ) -> Tuple[Scenario, Violations, int]:
+        """Greedy structural shrink keeping one of ``keys``' oracles firing.
 
         Returns ``(minimised scenario, its violations, executor runs)``.
         A candidate is accepted when it is strictly simpler under
-        :func:`_complexity` and at least one of ``target_oracles``
-        still fires on it.
+        :func:`_complexity` and at least one oracle of ``keys`` still
+        fires on it. The witness is re-executed first; should it come
+        back clean, the campaign's ``violations`` are kept.
         """
+        target_oracles = {oracle for oracle, _ in keys}
         current = scenario
-        current_violations = tuple(
-            v
-            for v in check_outcome(
-                self.executor(current), only=self.only
-            )
-        )
+        _, current_violations = self.check(current)
         runs = 1
         improved = True
-        while improved and runs < budget:
+        while improved and runs < MINIMIZE_BUDGET:
             improved = False
             for candidate in _shrink_candidates(current):
                 if _complexity(candidate) >= _complexity(current):
                     continue
-                if runs >= budget:
+                if runs >= MINIMIZE_BUDGET:
                     break
-                violations = check_outcome(
-                    self.executor(candidate), only=self.only
-                )
+                _, candidate_violations = self.check(candidate)
                 runs += 1
-                if target_oracles & {v.oracle for v in violations}:
+                if target_oracles & {v.oracle for v in candidate_violations}:
                     current = candidate
-                    current_violations = tuple(violations)
+                    current_violations = candidate_violations
                     improved = True
                     break
         minimized = replace(current, name=f"{scenario.name}-min")
-        return minimized, current_violations, runs
+        return minimized, current_violations or violations, runs
 
-    # ------------------------------------------------------------------
-    # The campaign
-    # ------------------------------------------------------------------
     def run(self, budget: int) -> HuntReport:
         """Hunt for ``budget`` scenarios; returns the triaged report."""
-        report = HuntReport(seed=self.seed, budget=budget)
-        seen: Dict[Tuple[Tuple[str, str], ...], Finding] = {}
-        covered: Set[Tuple[str, str]] = set()
-        for iteration in range(budget):
-            scenario = self._next_scenario(iteration)
-            violations = self.check(scenario)
-            report.runs += 1
-            report.executor_runs += 1
-            if not violations:
-                report.clean_runs += 1
-                self._pool.append(scenario)
-                if len(self._pool) > MAX_POOL:
-                    del self._pool[0]
-                continue
-            keys = tuple(
-                sorted({(v.oracle, v.extra) for v in violations})
-            )
-            if set(keys) <= covered:
-                for known_keys, finding in seen.items():
-                    if set(keys) & set(known_keys):
-                        seen[known_keys] = replace(
-                            finding, duplicates=finding.duplicates + 1
-                        )
-                        break
-                continue
-            covered.update(keys)
-            # A violating scenario is prime mutation material: keep it.
-            self._pool.append(scenario)
-            if len(self._pool) > MAX_POOL:
-                del self._pool[0]
-            target_ids = {oracle for oracle, _ in keys}
-            minimized, min_violations, runs = self.minimize(
-                scenario, target_ids
-            )
-            report.executor_runs += runs
-            seen[keys] = Finding(
-                keys=keys,
-                scenario=minimized,
-                original=scenario,
-                violations=min_violations or tuple(violations),
-                iteration=iteration,
-                minimize_runs=runs,
-            )
-        report.findings = sorted(
-            seen.values(), key=lambda finding: finding.keys
-        )
-        return report
+        return HuntReport(**vars(search(self, self.seed, budget)))
+
+
+# ---------------------------------------------------------------------------
+# The checked-in scenario corpus
+# ---------------------------------------------------------------------------
+
+#: One pinned regression scenario (its manifest names no target).
+ScenarioCase = Case[Scenario]
+
+#: Specs are stored as their canonical JSON.
+SCENARIOS: Codec[Scenario] = Codec(
+    ".json",
+    lambda scenario: (scenario.to_json() + "\n").encode("utf-8"),
+    lambda raw: Scenario.from_json(raw.decode("utf-8")),
+)
+
+
+def save_case(case: ScenarioCase, root: Path) -> Path:
+    """Pin one case in the corpus directory ``root``; returns its path."""
+    return _save_case(case, root, SCENARIOS)
+
+
+def load_corpus(root: Path) -> Tuple[ScenarioCase, ...]:
+    """Every case pinned in ``root``, sorted by case id."""
+    return load_cases(root, SCENARIOS)
+
+
+def replay_case(
+    case: ScenarioCase, executor: Optional[Executor] = None
+) -> Optional[str]:
+    """Replay one pinned scenario through the full oracle suite.
+
+    ``None`` when no oracle fires; otherwise a failure naming every
+    ``(oracle, extra)`` that fired — the old bug resurfacing.
+    """
+    return replay(HuntSession(executor=executor).check, case)

@@ -5,8 +5,9 @@ on: unit conversions between bits, bytes and rates (:mod:`repro.util.units`),
 seeded random-number helpers (:mod:`repro.util.rng`), light-weight argument
 validation (:mod:`repro.util.validate`), streaming statistics
 (:mod:`repro.util.stats`), the shared console-script exit-code contract
-(:mod:`repro.util.clitools`) and exception triage for the fuzz/hunt
-drivers (:mod:`repro.util.triage`).
+(:mod:`repro.util.clitools`) and the seeded search core that ``repro-fuzz``
+and ``repro-hunt`` share — one campaign loop, finding record, corpus
+codec and exception triage (:mod:`repro.util.search`).
 """
 
 from repro.util.clitools import (
@@ -16,7 +17,7 @@ from repro.util.clitools import (
     cli_error,
     render_json_payload,
 )
-from repro.util.triage import failure_site
+from repro.util.search import failure_site
 
 from repro.util.units import (
     KB,

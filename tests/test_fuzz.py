@@ -7,6 +7,7 @@ escaped the ProtocolError taxonomy, so a replay failure is a fixed bug
 resurfacing.
 """
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -30,6 +31,7 @@ from repro.fuzz.cli import main as fuzz_main
 from repro.fuzz.mutators import MAX_MUTANT_BYTES
 from repro.fuzz.session import crash_site
 from repro.proto.errors import ProtocolError
+from repro.util.search import replay
 
 CORPUS_ROOT = Path(__file__).resolve().parent / "corpus"
 
@@ -141,6 +143,42 @@ def _buggy_target():
     )
 
 
+#: Two planted escapes, compiled under a fixed ``.../repro/planted.py``
+#: path so triage names ``planted.py:<line>:parse`` whatever the
+#: checkout path. Sorted by raise site the KeyError (line 4) comes
+#: first; sorted by exception type it would not.
+_TWO_BUG_PARSER = """
+def parse(data):
+    if data[:1] == b"\\x00":
+        raise KeyError("planted key")
+    if b"\\r\\n" in data:
+        raise IndexError("planted index")
+    if not data:
+        raise ProtocolError("empty")
+"""
+
+#: sha256 of ``FuzzSession(_two_bug_target(), seed=0).run(300)``'s
+#: ``to_dict()`` rendered with sorted keys.
+PLANTED_CAMPAIGN_SHA256 = (
+    "42156b08ade9419a6e779a26205dc899dd441f67ffce261809092833f8fc4621"
+)
+
+
+def _two_bug_target():
+    """A target with two distinct escapes at stable raise sites."""
+    namespace = {"ProtocolError": ProtocolError}
+    code = compile(_TWO_BUG_PARSER, "/planted/repro/planted.py", "exec")
+    exec(code, namespace)  # noqa: S102 - a fixed, test-owned source
+    return FuzzTarget(
+        name="planted-two",
+        description="two planted escapes",
+        execute=namespace["parse"],
+        seeds=(
+            b"\x00seed", b"GET / HTTP/1.1\r\nHost: x\r\n\r\n", b"benign",
+        ),
+    )
+
+
 class TestFuzzSession:
     def test_same_seed_same_report(self):
         target = get_target("m3u8")
@@ -158,7 +196,7 @@ class TestFuzzSession:
         assert not report.clean
         assert len(report.crashes) == 1
         crash = report.crashes[0]
-        assert crash.exception_type == "IndexError"
+        assert crash.keys[0][0] == "IndexError"
         assert crash.duplicates > 0
         assert report.ok + report.handled + crash.duplicates + 1 == 200
 
@@ -171,7 +209,7 @@ class TestFuzzSession:
     def test_minimised_payload_still_crashes(self):
         target = _buggy_target()
         report = FuzzSession(target, seed=2).run(200)
-        payload = report.crashes[0].payload
+        payload = report.crashes[0].case
         with pytest.raises(IndexError):
             target.execute(payload)
 
@@ -182,6 +220,19 @@ class TestFuzzSession:
             site = crash_site(exc)
         assert site.startswith("web/hls.py:")
         assert "fuzz" not in site
+
+    def test_planted_campaign_matches_golden_digest(self):
+        # Pinned across commits, not just across two runs: a changed
+        # mutation stream, dedup rule or crash order moves the digest.
+        report = FuzzSession(_two_bug_target(), seed=0).run(300)
+        assert [crash.keys[0][0] for crash in report.crashes] == [
+            "KeyError", "IndexError",
+        ]
+        rendered = json.dumps(report.to_dict(), sort_keys=True)
+        assert (
+            hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+            == PLANTED_CAMPAIGN_SHA256
+        )
 
     def test_report_json_round_trips(self):
         report = FuzzSession(_buggy_target(), seed=4).run(50)
@@ -201,7 +252,7 @@ class TestCampaignClean:
     )
     def test_short_campaign_has_no_taxonomy_escapes(self, target):
         report = FuzzSession(target, seed=0).run(250)
-        assert report.clean, [c.to_dict() for c in report.crashes]
+        assert report.clean, report.to_dict()["crashes"]
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +287,35 @@ class TestCorpus:
         assert loaded == (case,)
 
     def test_replay_reports_a_taxonomy_escape(self, tmp_path):
-        # Inverse control: replay_case must fail loudly on a payload
-        # that escapes, so green corpus runs are evidence.
-        bad = CorpusCase(
-            "http-head", "inverse", "control", b"GET / HTTP/1.1\r\n\r\n"
-        )
-        # This payload parses clean; patch a crashing stand-in instead.
-        case = CorpusCase("planted-escape", "x", "control", b"\x00")
+        # Inverse control: replay must fail loudly on a payload that
+        # escapes, so green corpus runs are evidence.
+        target = _buggy_target()
+        case = CorpusCase(target.name, "x", "control", b"\x00")
+        failure = replay(FuzzSession(target).check, case)
+        with pytest.raises(IndexError) as raised:
+            target.execute(b"\x00")
+        assert failure is not None
+        assert f"IndexError at {crash_site(raised.value)}" in failure
+        assert "planted/x (control)" in failure
         with pytest.raises(KeyError):
             replay_case(case)  # unknown target fails loudly, not silently
-        assert replay_case(bad) is None
+        clean = CorpusCase(
+            "http-head", "inverse", "control", b"GET / HTTP/1.1\r\n\r\n"
+        )
+        assert replay_case(clean) is None
+
+    def test_unregistered_target_directory_is_not_skipped(self, tmp_path):
+        # Only the scenario hunter's directory may be passed over: a
+        # wire-corpus directory naming an unknown target must fail loudly.
+        save_case(CorpusCase("no-such-target", "c1", "d", b"x"), tmp_path)
+        (tmp_path / "scenarios").mkdir()
+        (tmp_path / "scenarios" / "MANIFEST.json").write_text(
+            '{"cases": {"s1": "a scenario"}}', encoding="utf-8"
+        )
+        cases = load_corpus(tmp_path)
+        assert [case.target for case in cases] == ["no-such-target"]
+        with pytest.raises(KeyError):
+            replay_case(cases[0])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ clean outcome must fire none. The checked-in corpus under
 violated an invariant, so a replay failure is a fixed bug resurfacing.
 """
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -29,12 +30,12 @@ from repro.hunt import (
     load_corpus,
     mutate_scenario,
     oracle_ids,
+    ScenarioCase,
     replay_case,
     run_scenario,
     save_case,
 )
 from repro.hunt.cli import main as hunt_main
-from repro.hunt.corpus import ScenarioCase
 from tests.test_trace_golden import _traced_lines
 
 CORPUS_ROOT = Path(__file__).resolve().parent / "corpus" / "scenarios"
@@ -429,6 +430,14 @@ class TestOracleCleanControls:
 # ---------------------------------------------------------------------------
 
 
+#: sha256 of the planted campaign in
+#: ``test_planted_campaign_matches_golden_digest``, ``to_dict()``
+#: rendered with sorted keys.
+PLANTED_CAMPAIGN_SHA256 = (
+    "ee6057d80c1a459e4a55da326c84897de2096eb1a64a4bdfddb23d57069d9533"
+)
+
+
 def planted_executor(outcome_for):
     """An executor stub: ``outcome_for(scenario)`` decides the defect."""
 
@@ -448,8 +457,8 @@ class TestHuntSession:
         assert render(first) == render(second)
 
     def test_different_seeds_differ(self):
-        a = HuntSession(seed=0)._next_scenario(0)
-        b = HuntSession(seed=1)._next_scenario(0)
+        a = HuntSession(seed=0).draw(0)
+        b = HuntSession(seed=1).draw(0)
         assert a != b
 
     def test_planted_violation_found_deduped_minimized(self):
@@ -472,11 +481,11 @@ class TestHuntSession:
         assert finding.keys == (("crash", "core/fake.py:1:boom"),)
         assert finding.duplicates > 0
         # Greedy shrink drove the witness to the smallest reproducer.
-        assert finding.scenario.n_items in (4, 5, 6, 7)
-        assert finding.scenario.faults == ()
-        assert finding.scenario.cap_budget_bytes is None
-        assert finding.scenario.permit_revoke_at_s is None
-        assert finding.violations[0].oracle == "crash"
+        assert finding.case.n_items in (4, 5, 6, 7)
+        assert finding.case.faults == ()
+        assert finding.case.cap_budget_bytes is None
+        assert finding.case.permit_revoke_at_s is None
+        assert finding.detail[0].oracle == "crash"
 
     def test_minimize_is_deterministic(self):
         def outcome_for(scenario):
@@ -494,7 +503,7 @@ class TestHuntSession:
         results = [
             HuntSession(
                 seed=0, executor=planted_executor(outcome_for)
-            ).minimize(base, {"crash"})
+            ).shrink(base, (("crash", "s"),), ())
             for _ in range(2)
         ]
         assert results[0] == results[1]
@@ -502,6 +511,40 @@ class TestHuntSession:
         assert minimized.faults == ()
         assert minimized.cap_budget_bytes is None
         assert violations[0].oracle == "crash"
+
+    def test_planted_campaign_matches_golden_digest(self):
+        # Pinned across commits, not just across two runs: a changed
+        # scenario stream, dedup rule or shrink walk moves the digest.
+        # The plant yields clean runs, partially overlapping multi-key
+        # findings and shrinks that exhaust their budget.
+        def outcome_for(scenario):
+            outcome = ScenarioOutcome(scenario=scenario, completed=True)
+            if scenario.n_items >= 12 and scenario.faults:
+                outcome.completed = False
+                outcome.error = "RuntimeError('planted')"
+                outcome.error_site = (
+                    f"core/fake.py:{len(scenario.faults)}:boom"
+                )
+            elif scenario.n_items >= 8:
+                outcome.completed = False
+                outcome.trace_lines = trace(
+                    ("copy.start", 2.0, {"path": "p"}),
+                    ("copy.start", 1.0, {"path": "p"}),
+                )
+            return outcome
+
+        report = HuntSession(
+            seed=2, executor=planted_executor(outcome_for)
+        ).run(30)
+        assert 0 < report.clean_runs < report.runs
+        assert (
+            ("clock-monotonic", "copy.start"), ("completion", "")
+        ) in [finding.keys for finding in report.findings]
+        rendered = json.dumps(report.to_dict(), sort_keys=True)
+        assert (
+            hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+            == PLANTED_CAMPAIGN_SHA256
+        )
 
     def test_clean_campaign_reports_clean(self):
         def outcome_for(scenario):
@@ -528,7 +571,7 @@ class TestCorpus:
     def test_every_case_is_pinned_to_a_bug(self):
         for case in load_corpus(CORPUS_ROOT):
             assert case.description, case.case_id
-            assert case.scenario.name == case.case_id
+            assert case.witness.name == case.case_id
 
     @pytest.mark.parametrize(
         "case",
@@ -540,9 +583,10 @@ class TestCorpus:
 
     def test_save_and_load_round_trip(self, tmp_path):
         case = ScenarioCase(
+            target="",
             case_id="roundtrip",
             description="a bug description",
-            scenario=spec(name="roundtrip"),
+            witness=spec(name="roundtrip"),
         )
         save_case(case, tmp_path)
         loaded = load_corpus(tmp_path)
@@ -550,9 +594,10 @@ class TestCorpus:
 
     def test_replay_reports_a_resurfaced_bug(self, tmp_path):
         case = ScenarioCase(
+            target="",
             case_id="resurfaced",
             description="planted",
-            scenario=spec(name="resurfaced"),
+            witness=spec(name="resurfaced"),
         )
 
         def executor(scenario):
