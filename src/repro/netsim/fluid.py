@@ -23,16 +23,20 @@ golden digests. Concretely:
 
 * the step **boundary sequence is pinned**: rates depend on the exact
   query time (diurnal modulation is continuous in ``t``), so rate
-  allocation is re-run at every step, exactly like the original — the
-  refactor makes each recompute cheap (cached stochastic factors,
-  incremental membership), it does not skip recomputes;
+  allocation is asked for at every step, exactly like the original. The
+  allocator re-runs the water-fill unless the flow membership is the
+  last call's and every live link capacity ``==`` its value then: the
+  rates are a pure function of membership, rate caps and capacities,
+  so the rates it keeps are the ones it would recompute;
 * flow ETAs are re-derived whenever a flow's rate changed or bytes moved
   (an unchanged ETA would differ by ulps from a re-derived one, shifting
   completion times), and the derivation arithmetic is unchanged;
 * the vectorized advance/ETA paths use the same IEEE-754 double
   operations in the same order as the scalar loops they replace
-  (elementwise multiply/divide/min, and ``np.add.at`` for in-order link
-  byte accumulation), so both paths are bit-equal;
+  (elementwise multiply/divide/min over the whole slot arrays, where
+  free slots carry rate zero, and ``np.add.at`` over (slot, row) pairs
+  kept in flow order for in-order link byte accumulation), so both
+  paths are bit-equal;
 * the event-driven water-filling allocator performs the same operations
   on the same values as brute-force progressive filling, in an order
   the result does not depend on — property-tested against a reference
@@ -84,6 +88,13 @@ VECTOR_MIN_FLOWS = 8
 
 #: Initial slot-array capacity; arrays double when full.
 _INITIAL_SLOTS = 16
+
+#: Byte-accounting row owned by no link name: retired pairs add there.
+_DUMP_ROW = 0
+
+#: Retired (slot, row) pairs below which the pair arrays are never
+#: compacted, so a small network does not compact on every other exit.
+_COMPACT_MIN_PAIRS = 64
 
 
 class Flow:
@@ -144,16 +155,23 @@ class Flow:
         self._slot = -1
         #: True while a delayed start is scheduled but has not run yet.
         self._pending = False
-        #: Byte-accounting rows (per chain occurrence, duplicates kept).
+        #: Own rate bound when no link binds it (``inf`` when uncapped).
+        self._cap_bound = math.inf if rate_cap_bps is None else rate_cap_bps
+        #: Byte-accounting rows (per chain occurrence, duplicates kept)
+        #: and the index of the first of them in the network's pair
+        #: arrays while registered.
         self._link_rows: List[int] = []
-        #: Allocator columns while registered: deduplicated for fair-share
-        #: membership, full chain (duplicates kept) for capacity
-        #: subtraction.
-        self._alloc_cols: List[int] = []
-        self._sub_cols: List[int] = []
-        #: Numpy view of the byte-accounting rows, built once per
-        #: registration so :meth:`FluidNetwork._flat` concatenates.
-        self._rows_arr: NDArray[np.intp] = np.zeros(0, dtype=np.intp)
+        self._pair_start = -1
+        #: Allocator columns while registered, split by how many live
+        #: flows cross them: private (this flow alone) and shared (two or
+        #: more), each once; ``_repeat_cols`` holds the extra occurrences
+        #: of links the chain crosses more than once.
+        self._private_cols: List[int] = []
+        self._shared_cols: List[int] = []
+        self._repeat_cols: List[int] = []
+        #: Position in the network's flow list at the last allocator
+        #: cache rebuild.
+        self._pos = -1
 
     @property
     def remaining_bytes(self) -> float:
@@ -225,34 +243,46 @@ class FluidNetwork:
         self._free_slots: List[int] = list(range(_INITIAL_SLOTS - 1, -1, -1))
 
         # Byte accounting, keyed by link *name* (two link objects sharing
-        # a name share a row, as the original dict accounting did).
+        # a name share a row, as the original dict accounting did). Row
+        # ``_DUMP_ROW`` belongs to no name: retired pairs point at it.
         self._link_row: Dict[str, int] = {}
-        self._link_names: List[str] = []
         self._link_totals: NDArray[np.float64] = np.zeros(_INITIAL_SLOTS)
+
+        # (slot, row) pairs for the vectorized advance, one per chain
+        # occurrence, appended in registration order (which is flow-list
+        # order). A leaving flow's pairs are retired to the dump row and
+        # squeezed out once they make up half of the pairs (and at least
+        # ``_COMPACT_MIN_PAIRS``).
+        self._pair_slots: NDArray[np.intp] = np.zeros(
+            _INITIAL_SLOTS, dtype=np.intp
+        )
+        self._pair_rows: NDArray[np.intp] = np.zeros(
+            _INITIAL_SLOTS, dtype=np.intp
+        )
+        self._n_pairs = 0
+        self._retired_pairs = 0
 
         # Incremental allocator membership, keyed by link object. Each
         # use owns a persistent column: ``_col_members`` holds its member
         # list and ``_col_live`` its member count, both maintained on
         # register/unregister; columns are recycled through ``_free_cols``
-        # when a use dies.
+        # when a use dies. ``_shared`` holds the columns with two or more
+        # members, in the order they became shared.
         self._uses: Dict[int, _LinkUse] = {}
         self._col_members: List[List[Flow]] = []
         self._col_live: List[int] = []
         self._free_cols: List[int] = []
+        self._shared: Dict[int, None] = {}
 
-        # Flow-major flattened index caches for the vectorized paths;
-        # rebuilt lazily whenever membership changes.
-        self._flat_dirty = True
-        self._flat_slots: NDArray[np.intp] = np.zeros(0, dtype=np.intp)
-        self._flat_rows: NDArray[np.intp] = np.zeros(0, dtype=np.intp)
-        self._flat_flow_pos: NDArray[np.intp] = np.zeros(0, dtype=np.intp)
-
-        # Allocator setup (live uses, rate-cap heap seeds): a pure
-        # function of membership, rebuilt only when a flow starts or
-        # finishes, not on every rate recompute.
+        # Allocator setup (flow positions, live uses, shared columns): a
+        # pure function of membership, rebuilt only when a
+        # flow starts or finishes. ``_alloc_capacities`` holds the
+        # capacities the last water-fill ran on (``None``: none since
+        # the rebuild).
         self._alloc_dirty = True
         self._alloc_uses: List[_LinkUse] = []
-        self._alloc_cap_seeds: List[Tuple[float, int]] = []
+        self._alloc_shared: List[int] = []
+        self._alloc_capacities: Optional[List[float]] = None
 
         self.engine.set_eta_source(self._earliest_eta)
 
@@ -333,14 +363,52 @@ class FluidNetwork:
     def _row_for(self, name: str) -> int:
         row = self._link_row.get(name)
         if row is None:
-            row = len(self._link_names)
+            row = len(self._link_row) + 1  # after the dump row
             if row >= len(self._link_totals):
                 grown = np.zeros(len(self._link_totals) * 2)
                 grown[: len(self._link_totals)] = self._link_totals
                 self._link_totals = grown
             self._link_row[name] = row
-            self._link_names.append(name)
         return row
+
+    def _append_pairs(self, slot: int, rows: List[int]) -> int:
+        """Append ``(slot, row)`` pairs; returns the first one's index."""
+        start = self._n_pairs
+        end = start + len(rows)
+        if end > len(self._pair_slots):
+            size = max(end, 2 * len(self._pair_slots))
+            for name in ("_pair_slots", "_pair_rows"):
+                arr = np.zeros(size, dtype=np.intp)
+                arr[:start] = getattr(self, name)[:start]
+                setattr(self, name, arr)
+        self._pair_slots[start:end] = slot
+        self._pair_rows[start:end] = rows
+        self._n_pairs = end
+        return start
+
+    def _retire_pairs(self, flow: Flow) -> None:
+        """Point a leaving flow's pairs at the dump row; compact at half."""
+        start = flow._pair_start
+        count = len(flow._link_rows)
+        self._pair_rows[start : start + count] = _DUMP_ROW
+        self._retired_pairs += count
+        if (
+            self._retired_pairs < _COMPACT_MIN_PAIRS
+            or 2 * self._retired_pairs < self._n_pairs
+        ):
+            return
+        n = self._n_pairs
+        keep = self._pair_rows[:n] != _DUMP_ROW
+        live = int(np.count_nonzero(keep))
+        self._pair_slots[:live] = self._pair_slots[:n][keep]
+        self._pair_rows[:live] = self._pair_rows[:n][keep]
+        # Live pairs stay in flow-list order, so the starts follow it.
+        start = 0
+        for other in self._flows:
+            other._pair_start = start
+            start += len(other._link_rows)
+        self._n_pairs = live
+        self._retired_pairs = 0
 
     def _register(self, flow: Flow) -> None:
         """Move the flow's state into the slot arrays and index its links."""
@@ -351,36 +419,71 @@ class FluidNetwork:
         flow._slot = slot
         flow._net = self
         flow._link_rows = [self._row_for(link.name) for link in flow.links]
+        flow._pair_start = self._append_pairs(slot, flow._link_rows)
         now = self.engine.time
-        for link in flow._alloc_links:
-            use = self._uses.get(id(link)) or self._new_use(link)
-            use.members.append(flow)
-            self._col_live[use.col] += 1
-            self.engine.links.acquire(link, now)
         uses = self._uses
-        flow._alloc_cols = [uses[id(link)].col for link in flow._alloc_links]
-        flow._sub_cols = [uses[id(link)].col for link in flow.links]
-        flow._rows_arr = np.array(flow._link_rows, dtype=np.intp)
+        col_live = self._col_live
+        for link in flow._alloc_links:
+            use = uses.get(id(link))
+            if use is None:
+                use = self._new_use(link)
+                flow._private_cols.append(use.col)
+            else:
+                col = use.col
+                if col_live[col] == 1:
+                    # The sole member stops having the link to itself.
+                    owner = use.members[0]
+                    owner._private_cols.remove(col)
+                    owner._shared_cols.append(col)
+                    self._shared[col] = None
+                flow._shared_cols.append(col)
+            use.members.append(flow)
+            col_live[use.col] += 1
+            self.engine.links.acquire(link, now)
+        if len(flow._alloc_links) < len(flow.links):
+            seen: Set[int] = set()
+            for link in flow.links:
+                col = uses[id(link)].col
+                if col in seen:
+                    flow._repeat_cols.append(col)
+                seen.add(col)
+        self._flows.append(flow)
+        self._rates_dirty = True
+        self._alloc_dirty = True
 
     def _unregister(self, flow: Flow) -> None:
-        """Copy slot state back into the flow and release its links."""
-        net = flow._net
-        if net is not self:
-            return
-        flow._remaining = float(self._arr_remaining[flow._slot])
+        """Drop the flow from the network, its slot and its links."""
+        self._flows.remove(flow)
+        slot = flow._slot
+        flow._remaining = float(self._arr_remaining[slot])
         flow._net = None
-        self._free_slots.append(flow._slot)
+        # A free slot moves no bytes: the advance and ETA paths read the
+        # whole slot arrays.
+        self._arr_rate[slot] = 0.0
+        self._free_slots.append(slot)
         flow._slot = -1
-        flow._alloc_cols = []
-        flow._sub_cols = []
+        self._retire_pairs(flow)
+        col_live = self._col_live
         for link in flow._alloc_links:
             use = self._uses[id(link)]
+            col = use.col
             use.members.remove(flow)
-            self._col_live[use.col] -= 1
-            if not use.members:
+            col_live[col] -= 1
+            if col_live[col] == 1:
+                # The last member left has the link to itself again.
+                owner = use.members[0]
+                owner._shared_cols.remove(col)
+                owner._private_cols.append(col)
+                del self._shared[col]
+            elif not col_live[col]:
                 del self._uses[id(link)]
-                self._free_cols.append(use.col)
+                self._free_cols.append(col)
             self.engine.links.release(link)
+        flow._private_cols = []
+        flow._shared_cols = []
+        flow._repeat_cols = []
+        self._rates_dirty = True
+        self._alloc_dirty = True
 
     def _activate(self, flow: Flow) -> None:
         flow._pending = False
@@ -393,10 +496,6 @@ class FluidNetwork:
             self._finish(flow)
             return
         self._register(flow)
-        self._flows.append(flow)
-        self._rates_dirty = True
-        self._flat_dirty = True
-        self._alloc_dirty = True
 
     def abort_flow(self, flow: Flow) -> None:
         """Cancel a flow; partial progress is kept in ``transferred_bytes``."""
@@ -404,12 +503,8 @@ class FluidNetwork:
             return
         flow.aborted_at = self.engine.time
         flow.current_rate_bps = 0.0
-        if flow in self._flows:
-            self._flows.remove(flow)
+        if flow._net is self:
             self._unregister(flow)
-        self._rates_dirty = True
-        self._flat_dirty = True
-        self._alloc_dirty = True
         if flow.on_abort is not None:
             flow.on_abort(flow, self.engine.time)
 
@@ -429,13 +524,9 @@ class FluidNetwork:
             return
         flow.completed_at = self.engine.time
         flow.current_rate_bps = 0.0
-        if flow in self._flows:
-            self._flows.remove(flow)
+        if flow._net is self:
             self._unregister(flow)
         flow._remaining = 0.0
-        self._rates_dirty = True
-        self._flat_dirty = True
-        self._alloc_dirty = True
         if flow.on_complete is not None:
             flow.on_complete(flow, self.engine.time)
 
@@ -445,17 +536,23 @@ class FluidNetwork:
     def _recompute_rates(self) -> None:
         """Max-min fair rates for the active flows by progressive filling.
 
-        Every constraint sits in one min-heap of ``(share, key)`` entries:
-        each live link column (``key = col``, share = remaining capacity
-        over live members) and each rate cap, a virtual single-member link
-        (``key = ~position`` in the flow list). A round takes the smallest
-        valid share as the bottleneck, pops every valid entry within
-        ``bottleneck * (1 + _SHARE_EPSILON)``, freezes their active members
-        at the bottleneck rate, subtracts that rate from the columns those
-        flows cross and pushes only those columns' new shares. Entries a
-        later change made stale are discarded when they surface: a column
-        entry is valid while the column has live members and its share is
-        the current one, a cap entry while its flow is active.
+        A link column one live flow crosses alone acts on that flow like
+        a rate cap (its share ``c / 1`` is ``c``, and only that flow's
+        freeze changes it), so each flow's rate cap and private columns
+        fold into one *private bound*, their minimum. The bounds never
+        change during a call: they are sorted once and walked with a
+        pointer. Only the *shared* columns (two or more live members) sit
+        in a min-heap of ``(share, col)`` entries.
+
+        A round takes the smaller of the first unfrozen bound and the
+        smallest valid shared share as the bottleneck, takes every bound
+        and pops every valid entry within ``bottleneck * (1 +
+        _SHARE_EPSILON)``, freezes their active flows at the bottleneck
+        rate, subtracts that rate from the shared columns those flows
+        cross and pushes only those columns' new shares. Entries a later
+        change made stale are discarded when they surface: an entry is
+        valid while its column has live members and its share is the
+        current one.
 
         The arithmetic is that of brute-force progressive filling: the same
         ``rem / live`` shares, threshold product and clamped subtraction
@@ -464,6 +561,10 @@ class FluidNetwork:
         so the order of the subtractions within a round cannot change a
         result, and the rates are bit-identical to the reference (see the
         property tests).
+
+        The rates are a pure function of membership, rate caps and link
+        capacities, so a call with the membership of the last one and
+        every capacity ``==`` to its value then keeps the last rates.
         """
         flows = self._flows
         self._rates_dirty = False
@@ -473,86 +574,119 @@ class FluidNetwork:
         if self._alloc_dirty:
             self._rebuild_alloc_caches()
 
+        capacity = [0.0] * len(self._col_live)
+        for use in self._alloc_uses:
+            capacity[use.col] = use.link.capacity_at(now)
+        if capacity == self._alloc_capacities:
+            return
+        self._alloc_capacities = capacity
+
+        bounds: List[float] = []
+        for flow in flows:
+            bound = flow._cap_bound
+            for col in flow._private_cols:
+                if capacity[col] < bound:
+                    bound = capacity[col]
+            bounds.append(bound)
+        n = len(flows)
+        order = sorted(range(n), key=bounds.__getitem__)
+
         col_members = self._col_members
         live = self._col_live.copy()
-        rem = [0.0] * len(live)
+        rem = capacity.copy()
         share = rem.copy()
-        heap = self._alloc_cap_seeds.copy()
-        for use in self._alloc_uses:
-            col = use.col
-            capacity = use.link.capacity_at(now)
-            rem[col] = capacity
-            share[col] = capacity / live[col]
+        heap: List[Tuple[float, int]] = []
+        for col in self._alloc_shared:
+            share[col] = rem[col] / live[col]
             heap.append((share[col], col))
         heapq.heapify(heap)
 
-        frozen_set: Set[Flow] = set()
-        n_active = len(flows)
+        heappop, heappush, heapreplace = (
+            heapq.heappop, heapq.heappush, heapq.heapreplace
+        )
+        inf = math.inf
+        rates = [0.0] * n
+        frozen = [False] * n
+        walk = 0
+        n_active = n
         while n_active:
-            # Drop stale entries so the heap top is the bottleneck.
-            while True:
-                bottleneck, key = heap[0]
-                if key < 0:
-                    if flows[~key] not in frozen_set:
-                        break
-                elif live[key] and bottleneck == share[key]:
+            # The first unfrozen bound and the smallest valid share.
+            while walk < n and frozen[order[walk]]:
+                walk += 1
+            bottleneck = bounds[order[walk]] if walk < n else inf
+            while heap:
+                entry_share, col = heap[0]
+                if live[col] and entry_share == share[col]:
+                    if entry_share < bottleneck:
+                        bottleneck = entry_share
                     break
-                heapq.heappop(heap)
-            if bottleneck == math.inf:
+                heappop(heap)
+            if bottleneck == inf:
                 # No constraining link at all (all-frozen corner): active
                 # flows stay at rate zero.
                 break
 
             threshold = bottleneck * (1 + _SHARE_EPSILON)
             rate = max(bottleneck, 0.0)
-            frozen: List[Flow] = []
+            newly: List[int] = []
+            while walk < n and bounds[order[walk]] <= threshold:
+                pos = order[walk]
+                walk += 1
+                if not frozen[pos]:
+                    frozen[pos] = True
+                    newly.append(pos)
             while heap and heap[0][0] <= threshold:
-                entry_share, key = heapq.heappop(heap)
-                if key < 0:
-                    members = [flows[~key]]
-                elif live[key] and entry_share == share[key]:
-                    members = col_members[key]
-                else:
-                    continue
-                for flow in members:
-                    if flow not in frozen_set:
-                        frozen_set.add(flow)
-                        frozen.append(flow)
-                        flow.current_rate_bps = rate
-            n_active -= len(frozen)
+                entry_share, col = heappop(heap)
+                if live[col] and entry_share == share[col]:
+                    for flow in col_members[col]:
+                        pos = flow._pos
+                        if not frozen[pos]:
+                            frozen[pos] = True
+                            newly.append(pos)
+            n_active -= len(newly)
+            for pos in newly:
+                rates[pos] = rate
             if not n_active:
                 break  # nothing left for the freed capacity to feed
 
             touched: Set[int] = set()
-            for flow in frozen:
-                for col in flow._alloc_cols:
+            for pos in newly:
+                flow = flows[pos]
+                for col in flow._shared_cols:
                     live[col] -= 1
-                for col in flow._sub_cols:
                     reduced = rem[col] - rate
                     rem[col] = reduced if reduced > 0.0 else 0.0
                     touched.add(col)
+                for col in flow._repeat_cols:
+                    if col in flow._shared_cols:
+                        reduced = rem[col] - rate
+                        rem[col] = reduced if reduced > 0.0 else 0.0
             for col in touched:
                 count = live[col]
                 if count:
                     new_share = rem[col] / count
                     if new_share != share[col]:
+                        # The column's valid entry at the top is replaced
+                        # in place instead of surfacing later as stale.
+                        if heap[0] == (share[col], col):
+                            heapreplace(heap, (new_share, col))
+                        else:
+                            heappush(heap, (new_share, col))
                         share[col] = new_share
-                        heapq.heappush(heap, (new_share, col))
 
         arr_rate = self._arr_rate
-        for flow in flows:
-            if flow not in frozen_set:
-                flow.current_rate_bps = 0.0
-            arr_rate[flow._slot] = flow.current_rate_bps
+        for flow, flow_rate in zip(flows, rates):
+            flow.current_rate_bps = flow_rate
+            arr_rate[flow._slot] = flow_rate
 
     def _rebuild_alloc_caches(self) -> None:
         """Rebuild the allocator setup after a membership change."""
+        flows = self._flows
+        for pos, flow in enumerate(flows):
+            flow._pos = pos
         self._alloc_uses = list(self._uses.values())
-        self._alloc_cap_seeds = [
-            (flow.rate_cap_bps, ~i)
-            for i, flow in enumerate(self._flows)
-            if flow.rate_cap_bps is not None
-        ]
+        self._alloc_shared = list(self._shared)
+        self._alloc_capacities = None
         self._alloc_dirty = False
 
     # ------------------------------------------------------------------
@@ -565,12 +699,12 @@ class FluidNetwork:
             return math.inf
         now = self.engine.time
         if len(flows) >= VECTOR_MIN_FLOWS:
-            slots = self._flat()[0]
-            rates = self._arr_rate[slots]
+            # Free slots carry rate zero, so the whole arrays will do.
+            rates = self._arr_rate
             moving = rates > 0.0
             if not moving.any():
                 return math.inf
-            remaining = self._arr_remaining[slots][moving]
+            remaining = self._arr_remaining[moving]
             etas = now + bytes_to_bits(remaining) / rates[moving]
             return float(etas.min())
         best = math.inf
@@ -587,34 +721,10 @@ class FluidNetwork:
                     best = eta
         return best
 
-    def _flat(
-        self,
-    ) -> Tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.intp]]:
-        """Flow-major flattened (slots, link rows, flow positions)."""
-        if self._flat_dirty:
-            flows = self._flows
-            n = len(flows)
-            self._flat_slots = np.fromiter(
-                (f._slot for f in flows), np.intp, count=n
-            )
-            if n:
-                # Per-flow row arrays are cached at registration; the
-                # flow-major, chain-order concatenation matches the old
-                # extend loop element for element.
-                lens = np.fromiter(
-                    (len(f._rows_arr) for f in flows), np.intp, count=n
-                )
-                self._flat_rows = np.concatenate(
-                    [f._rows_arr for f in flows]
-                )
-                self._flat_flow_pos = np.repeat(
-                    np.arange(n, dtype=np.intp), lens
-                )
-            else:
-                self._flat_rows = np.zeros(0, dtype=np.intp)
-                self._flat_flow_pos = np.zeros(0, dtype=np.intp)
-            self._flat_dirty = False
-        return self._flat_slots, self._flat_rows, self._flat_flow_pos
+    def _flat(self) -> Tuple[NDArray[np.intp], NDArray[np.intp]]:
+        """The (slot, link row) pairs, flow-major, chain order in a flow."""
+        n = self._n_pairs
+        return self._pair_slots[:n], self._pair_rows[:n]
 
     def _advance_transfer(self, until: float) -> None:
         now = self.engine.time
@@ -624,15 +734,19 @@ class FluidNetwork:
         flows = self._flows
         if dt > 0.0 and flows:
             if len(flows) >= VECTOR_MIN_FLOWS:
-                slots, rows, flow_pos = self._flat()
-                rates = self._arr_rate[slots]
-                remaining = self._arr_remaining[slots]
-                moved = np.minimum(remaining, bits_to_bytes(rates * dt))
-                self._arr_remaining[slots] = remaining - moved
+                # Whole slot arrays: a free slot has rate zero and moves
+                # nothing.
+                slots, rows = self._flat()
+                remaining = self._arr_remaining
+                moved = np.minimum(
+                    remaining, bits_to_bytes(self._arr_rate * dt)
+                )
+                remaining -= moved
                 # In-order accumulation (flow-major, chain order within a
                 # flow): np.add.at applies elementwise in index order, so
                 # the float sums match the scalar loop bit for bit.
-                np.add.at(self._link_totals, rows, moved[flow_pos])
+                # Retired pairs add into the dump row.
+                np.add.at(self._link_totals, rows, moved[slots])
             else:
                 arr_rate = self._arr_rate
                 arr_remaining = self._arr_remaining

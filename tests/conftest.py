@@ -1,9 +1,16 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and hypothesis profiles for the test suite."""
 
 import pytest
+from hypothesis import settings
 
 from repro.netsim.topology import Household, HouseholdConfig, LocationProfile
 from repro.util.units import mbps
+
+#: A long property run, selected with ``pytest --hypothesis-profile deep``.
+#: Property tests that size themselves from the loaded profile (the
+#: allocator property test in ``tests/test_netsim_fluid.py``) run ten
+#: times their tier-1 examples under it.
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

@@ -330,6 +330,12 @@ def assert_matches_reference(net, context=""):
         assert net._arr_rate[flow._slot] == reference[flow]
 
 
+#: Examples for the allocator property test: 200 in tier-1, or the
+#: loaded hypothesis profile's count when larger (``--hypothesis-profile
+#: deep``, registered in ``tests/conftest.py``).
+ALLOCATOR_EXAMPLES = max(200, settings().max_examples)
+
+
 @st.composite
 def allocation_topologies(draw):
     """Links (zero, infinite, tied or arbitrary capacity), flows over
@@ -433,7 +439,7 @@ class TestIncrementalAllocatorEquivalence:
             assert_matches_reference(net, f"after aborting {victim}")
 
     @given(topology=allocation_topologies())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=ALLOCATOR_EXAMPLES, deadline=None)
     def test_random_topologies_with_churn(self, topology):
         flows, aborts = topology
         net = FluidNetwork()
@@ -455,6 +461,100 @@ class TestIncrementalAllocatorEquivalence:
             net.add_flow(make_flow(1e6, [Link(f"acc-{i}", mbps(2.0)), shared]))
         assert_matches_reference(net, "one round")
         assert {f.current_rate_bps for f in net.active_flows} == {mbps(10.0) / 50}
+
+
+class TestPrivateBoundFold:
+    """Cases the fold of private columns into one bound per flow creates.
+
+    A link column crossed by one live flow acts on it like a rate cap, so
+    each flow's cap and private columns fold into one sorted bound; only
+    columns shared by two or more live flows are water-filled.
+    """
+
+    def test_column_drops_to_one_member_during_fill(self):
+        # A is bound privately at 1 and frozen first; the shared column
+        # then has B alone and gives it the 3 left.
+        shared = Link("s", 4.0)
+        a = make_flow(100.0, [Link("a", 1.0), shared])
+        b = make_flow(100.0, [Link("b", 5.0), shared])
+        net = FluidNetwork()
+        net.add_flow(a)
+        net.add_flow(b)
+        assert_matches_reference(net, "two then one")
+        assert (a.current_rate_bps, b.current_rate_bps) == (1.0, 3.0)
+
+    @pytest.mark.parametrize("nudge", [5e-13, -5e-13, 0.0])
+    def test_bound_tied_with_shared_share(self, nudge):
+        # A's cap lies within the share tolerance of the shared column's
+        # fair share among three: one round freezes all three.
+        shared = Link("s", 6e6)
+        cap = 2e6 * (1.0 + nudge)
+        flows = [make_flow(1e6, [shared], rate_cap_bps=cap)]
+        flows += [
+            make_flow(1e6, [Link(f"p{i}", 9e6), shared]) for i in range(2)
+        ]
+        net = FluidNetwork()
+        for flow in flows:
+            net.add_flow(flow)
+        assert_matches_reference(net, f"nudge {nudge}")
+        assert len({flow.current_rate_bps for flow in flows}) == 1
+
+    def test_flow_with_only_private_links(self):
+        # Every link of the first flow is its own: its rate is their
+        # minimum, next to a pair sharing a link of their own.
+        alone = make_flow(100.0, [Link("x", 7.0), Link("y", 3.0)])
+        shared = Link("s", 8.0)
+        pair = [make_flow(100.0, [shared]) for _ in range(2)]
+        net = FluidNetwork()
+        for flow in (alone, *pair):
+            net.add_flow(flow)
+        assert_matches_reference(net, "private only")
+        assert alone.current_rate_bps == 3.0
+        assert {flow.current_rate_bps for flow in pair} == {4.0}
+
+    def test_cap_equal_to_access_capacity(self):
+        shared = Link("s", 10.0)
+        capped = make_flow(100.0, [Link("a", 2.5), shared], rate_cap_bps=2.5)
+        other = make_flow(100.0, [Link("b", 9.0), shared])
+        net = FluidNetwork()
+        net.add_flow(capped)
+        net.add_flow(other)
+        assert_matches_reference(net, "cap at access")
+        assert (capped.current_rate_bps, other.current_rate_bps) == (2.5, 7.5)
+
+    def test_set_capacity_between_steps_changes_allocation(self):
+        # A repeat allocation is skipped only when every live capacity is
+        # unchanged; a fixed link's set_capacity is such a change.
+        shared = Link("s", mbps(8.0))
+        flows = [
+            make_flow(10 * MB, [Link(f"a{i}", mbps(6.0)), shared])
+            for i in range(2)
+        ]
+        net = FluidNetwork()
+        for flow in flows:
+            net.add_flow(flow)
+        for at in (1.0, 2.0, 3.0):
+            net.schedule(at, lambda: None)
+        net.step()
+        assert [f.current_rate_bps for f in flows] == [mbps(4.0)] * 2
+        net.step()  # a timer, nothing changed: the last rates stand
+        assert [f.current_rate_bps for f in flows] == [mbps(4.0)] * 2
+        shared.set_capacity(mbps(2.0))
+        net.step()
+        assert [f.current_rate_bps for f in flows] == [mbps(1.0)] * 2
+        assert_matches_reference(net, "after set_capacity")
+
+    def test_unstarted_flows_leave_allocation_clean(self):
+        # Aborting a pending flow or finishing a zero-byte one changes no
+        # membership, so the allocator setup stays valid.
+        net = FluidNetwork()
+        net.add_flow(make_flow(1 * MB, [Link("l", mbps(8))]))
+        net._recompute_rates()
+        pending = make_flow(1 * MB, [Link("m", mbps(8))])
+        net.add_flow(pending, delay=1.0)
+        net.abort_flow(pending)
+        net.add_flow(make_flow(0.0, [Link("z", mbps(8))]))
+        assert not net._alloc_dirty
 
 
 class TestVectorScalarBitEquality:
@@ -514,3 +614,94 @@ class TestVectorScalarBitEquality:
 
         assert digest(2) == self.DIGEST
         assert digest(10**9) == self.DIGEST
+
+    #: sha256 of the churn trajectory below, recorded with the allocator
+    #: and stepper as they were before private bounds were folded, repeat
+    #: allocations skipped and the pair arrays made incremental.
+    CHURN_DIGEST = "80052baec960dd98eb00ebfebf032d62c4ec6e6b13ad4cf638b0f56063478503"
+
+    def test_churn_trajectory_digest_matches(self, monkeypatch):
+        """Delayed starts, aborts and completions under heavy churn.
+
+        Pins the byte-accounting pair arrays across many retirements
+        (and so their compaction), the ``link_bytes`` summation order,
+        chains that repeat a link or share a link name, zero-byte flows
+        and aborts of flows that never started.
+        """
+        import hashlib
+        import random
+        import struct
+
+        import repro.netsim.fluid as fluid_mod
+        from repro.netsim.link import StochasticLink
+        from repro.netsim.stochastic import LognormalProcess
+        from repro.util.units import kbps
+
+        def digest(vector_min_flows):
+            monkeypatch.setattr(
+                fluid_mod, "VECTOR_MIN_FLOWS", vector_min_flows
+            )
+            rng = random.Random(1806)
+            net = FluidNetwork()
+            bottleneck = StochasticLink(
+                "b",
+                mbps(30.0),
+                LognormalProcess(seed=11, interval=0.5, sigma=0.4),
+            )
+            uplink = Link("u", mbps(12.0))
+            twin = Link("u", mbps(9.0))  # a second link named like uplink
+            flows = []
+            hasher = hashlib.sha256()
+
+            def on_complete(flow, t):
+                # Flow ids run on across networks; hash the index.
+                hasher.update(struct.pack("dd", t, float(flow.label)))
+                if rng.random() < 0.3 and len(flows) < 160:
+                    spawn(rng.uniform(0.0, 0.2))
+
+            def spawn(delay):
+                i = len(flows)
+                access = Link(f"a{i}", mbps(rng.uniform(0.5, 4.0)))
+                shape = i % 5
+                if shape == 0:
+                    chain = (access, bottleneck, uplink)
+                elif shape == 1:
+                    chain = (access, twin, access)  # a repeated link
+                elif shape == 2:
+                    chain = (access,)
+                else:
+                    chain = (access, bottleneck)
+                cap = kbps(rng.uniform(300.0, 2500.0)) if i % 3 == 0 else None
+                size = 0.0 if i % 17 == 0 else rng.uniform(2e4, 4e5)
+                flow = make_flow(
+                    size,
+                    chain,
+                    rate_cap_bps=cap,
+                    on_complete=on_complete,
+                    label=str(i),
+                )
+                flows.append(flow)
+                net.add_flow(flow, delay=delay)
+
+            def abort_some():
+                for flow in rng.sample(flows, min(4, len(flows))):
+                    net.abort_flow(flow)  # active, pending or done
+
+            for _ in range(90):
+                spawn(rng.uniform(0.0, 3.0))
+            for k in range(12):
+                net.schedule(0.15 + 0.3 * k, abort_some)
+            while net.step():
+                hasher.update(struct.pack("d", net.time))
+                for flow in flows:
+                    hasher.update(
+                        struct.pack(
+                            "dd", flow.current_rate_bps, flow.remaining_bytes
+                        )
+                    )
+            for name in sorted(net.link_bytes):
+                hasher.update(struct.pack("d", net.link_bytes[name]))
+            return hasher.hexdigest()
+
+        assert digest(2) == self.CHURN_DIGEST
+        assert digest(10**9) == self.CHURN_DIGEST
