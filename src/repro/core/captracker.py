@@ -60,9 +60,9 @@ class CapTracker:
     ) -> None:
         """Attach an instrumentation handle, labelled with ``device``.
 
-        The :class:`~repro.core.resilience.TransferGuard` binds each
-        attached phone's tracker so metered bytes and remaining quota
-        surface as ``cap.metered_bytes`` / ``cap.available_bytes``.
+        The :class:`~repro.core.resilience.FlowLedger` binds each
+        tracker it meters so metered bytes and remaining quota surface as
+        ``cap.metered_bytes`` / ``cap.available_bytes``.
         """
         self._obs = obs
         self._obs_device = device

@@ -33,7 +33,10 @@ class OperatingMode(enum.Enum):
 
 
 class MobileComponent:
-    """Advertisement + metering logic on one phone."""
+    """Advertisement policy on one phone.
+
+    Its bytes are metered by the :class:`~repro.core.resilience.FlowLedger`.
+    """
 
     def __init__(
         self,
@@ -58,7 +61,6 @@ class MobileComponent:
         self.permit_server = permit_server
         self.proxy_port = proxy_port
         self.advertisement_ttl = advertisement_ttl
-        self._advertised = False
 
     # ------------------------------------------------------------------
     # Authorisation
@@ -87,25 +89,6 @@ class MobileComponent:
                 port=self.proxy_port,
                 ttl=self.advertisement_ttl,
             )
-            self._advertised = True
-        else:
-            if self._advertised:
-                self.registry.withdraw(self.device.name)
-            self._advertised = False
-        return self._advertised
-
-    # ------------------------------------------------------------------
-    # Metering
-    # ------------------------------------------------------------------
-    def record_transfer(self, nbytes: float, now: float) -> None:
-        """Meter 3GOL bytes this phone carried; may withdraw the ad."""
-        if self.cap_tracker is not None:
-            self.cap_tracker.record_usage(nbytes, now)
-            if not self.cap_tracker.may_advertise(now) and self._advertised:
-                self.registry.withdraw(self.device.name)
-                self._advertised = False
-
-    @property
-    def is_advertised(self) -> bool:
-        """Whether the phone currently advertises its proxy."""
-        return self._advertised
+            return True
+        self.registry.withdraw(self.device.name)
+        return False

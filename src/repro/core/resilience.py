@@ -3,27 +3,23 @@
 The prototype's session layer must live with authority changing *while a
 transaction runs*: the operator revokes a permit when congestion is
 detected (§2.4), a phone's daily cap runs out mid-upload (§6), phones
-flap in and out of Wi-Fi range (§3). This module provides the two pieces
-that tie those signals to the scheduler machinery:
+flap in and out of Wi-Fi range (§3). This module owns every authority
+mutation and ties those signals to the scheduler machinery:
 
-* :class:`TransferGuard` — attached by the proxy / uploader to a
-  :class:`~repro.core.scheduler.runner.TransactionRunner`, it meters
-  cellular bytes incrementally as items complete, drains a path whose
-  cap tracker runs dry, and aborts a path whose permit is revoked,
-  degrading the transfer gracefully to the remaining (ultimately
-  ADSL-only) set while recording structured
-  :class:`~repro.core.scheduler.runner.DegradationEvent` entries;
+* :class:`FlowLedger` — the one authority ledger: meters cellular bytes
+  into the phones' cap trackers, trues up aborted bytes on settlement
+  and answers "may this device onload now". The service holds one for
+  days, the simulator one per transfer;
+* :class:`TransferGuard` — the simulator's adapter from one
+  :class:`~repro.core.scheduler.runner.TransactionRunner` to a ledger:
+  it drains, aborts and vetoes re-joins of paths that lose authority;
 * :func:`bind_fault_schedule` — arms a seeded
   :class:`~repro.netsim.faults.FaultSchedule` against a runner, mapping
   effective down/up transitions to ``remove_path`` / ``add_path``;
 * :class:`RetryBudget` — a *shared* token-bucket retry budget layered
   over the per-flow :class:`~repro.core.scheduler.runner.RetryPolicy`,
   so a fleet of concurrent flows cannot turn one outage into a retry
-  storm;
-* :class:`FlowLedger` — the long-running service's standing
-  counterpart to the single-use :class:`TransferGuard`: concurrent
-  per-flow cap metering with abort true-up, owned by this module so
-  authority mutation stays inside the guard layer.
+  storm.
 """
 
 from __future__ import annotations
@@ -41,8 +37,8 @@ from repro.core.scheduler.runner import (
     TransactionResult,
     TransactionRunner,
 )
+from repro.netsim.cellular import CellularDevice
 from repro.netsim.faults import FaultEvent, FaultSchedule
-from repro.netsim.fluid import FluidNetwork
 from repro.netsim.path import NetworkPath
 from repro.obs.capture import Instrumentation, current as obs_current
 from repro.obs.schema import canonical_degradation_kind
@@ -117,61 +113,153 @@ class DegradationLog:
             return len(self._events)
 
 
+class FlowLedger:
+    """The one authority ledger: cap metering, true-up and admission.
+
+    Every cellular byte is metered here and every "may this device
+    onload now" is answered here. The onload service holds one ledger
+    for days and relays many concurrent flows through it; the
+    simulator's :class:`TransferGuard` holds one per transfer, one flow
+    per guarded cellular path. A flow is metered incrementally and
+    trued up from its total byte count on settlement, so aborted and
+    partial transfers count too.
+    """
+
+    def __init__(
+        self,
+        trackers: Mapping[str, CapTracker],
+        permit_server: Optional[PermitServer] = None,
+        obs: Optional[Instrumentation] = None,
+    ) -> None:
+        self.trackers = dict(trackers)
+        self.permit_server = permit_server
+        self._obs = obs if obs is not None else obs_current()
+        if self._obs is not None:
+            # Authority wiring happens here, in the guard layer, so
+            # service code never touches tracker internals (RL010).
+            for device, tracker in self.trackers.items():
+                tracker.bind_obs(self._obs, device=device)
+        self._lock = threading.Lock()
+        #: flow id -> (device name, bytes metered so far).
+        self._flows: Dict[str, Tuple[str, float]] = {}
+
+    def subscribe_revocations(
+        self, callback: Callable[[str], None]
+    ) -> Callable[[], None]:
+        """Register for permit revocations through the guard layer.
+
+        Forwards to the wired :class:`PermitServer`; a ledger without a
+        permit backend returns a no-op unsubscribe. Exists so service
+        code subscribes via the authority boundary (RL010) instead of
+        reaching into the server.
+        """
+        if self.permit_server is None:
+            return lambda: None
+        return self.permit_server.subscribe_revocations(callback)
+
+    def open_flow(self, flow_id: str, device: str) -> None:
+        """Start accounting for ``flow_id`` on ``device``'s leg."""
+        with self._lock:
+            if flow_id in self._flows:
+                raise ValueError(f"flow {flow_id!r} already open")
+            self._flows[flow_id] = (device, 0.0)
+
+    def meter(self, flow_id: str, nbytes: float, now: float) -> None:
+        """Meter ``nbytes`` of relayed traffic for an open flow."""
+        with self._lock:
+            device, metered = self._flows[flow_id]
+            self._flows[flow_id] = (device, metered + nbytes)
+        tracker = self.trackers.get(device)
+        if tracker is not None and nbytes > 0.0:
+            tracker.record_usage(nbytes, now)
+
+    def settle(
+        self, flow_id: str, total_bytes: float, now: float
+    ) -> float:
+        """Close a flow, truing up unmetered bytes; returns the true-up.
+
+        ``total_bytes`` is everything the flow moved over the cellular
+        leg, including partial transfers cut off by an abort; the
+        difference against what :meth:`meter` already recorded is
+        metered now, so the tracker sees every cellular byte.
+        """
+        with self._lock:
+            device, metered = self._flows.pop(flow_id)
+        extra = total_bytes - metered
+        tracker = self.trackers.get(device)
+        if tracker is not None and extra > 1e-9:
+            tracker.record_usage(extra, now)
+            return extra
+        return 0.0
+
+    def may_onload(self, device: str, cell: str, now: float) -> bool:
+        """May a new flow take ``device``'s cellular leg right now?
+
+        Cap first (multi-provider rule: advertise iff A(t) > 0), then
+        the permit backend when one is wired (network-integrated rule:
+        hold or obtain a valid permit). Permit acquisition happens
+        here, not in the service, so the RL010 authority boundary
+        holds.
+        """
+        tracker = self.trackers.get(device)
+        if tracker is not None and not tracker.may_advertise(now):
+            return False
+        if self.permit_server is not None:
+            if self.permit_server.has_valid_permit(device, now):
+                return True
+            permit = self.permit_server.request_permit(
+                device, cell, now
+            )
+            return permit is not None
+        return True
+
+    def open_count(self) -> int:
+        """Flows currently open in the ledger."""
+        with self._lock:
+            return len(self._flows)
+
+
 class TransferGuard:
-    """Watches permits and caps for the duration of one transfer.
+    """Adapts one transfer's runner to a :class:`FlowLedger`.
 
-    Lifecycle: build one per transfer, :meth:`attach` it to the runner
-    before the transaction starts, :meth:`finalize` after it completes.
-    While attached it
+    Build one per transfer, :meth:`attach` it to the runner before the
+    transaction starts and :meth:`finalize` it after. Attach opens one
+    ledger flow per guarded cellular path (its device has a component;
+    the flow id is the path name). While attached the guard
 
-    * meters every completed item's bytes into the owning phone's
-      :class:`~repro.core.captracker.CapTracker` (incremental metering —
-      the pre-churn code metered only after the whole transaction);
-    * **drains** a cellular path the moment its tracker's quota runs dry
-      (the in-flight copy may finish, mirroring the prototype, which
-      "does not abort an in-flight transfer");
-    * **aborts** a cellular path the moment the
-      :class:`~repro.core.permits.PermitServer` revokes its device's
-      permit (an operator order: the radio must go quiet now);
-    * **vetoes re-joins** of paths that lost authority: while attached
-      it installs itself as the runner's
-      :attr:`~repro.core.scheduler.runner.TransactionRunner.rejoin_gate`
-      so a fault schedule's ``up`` transition cannot re-enable a path
-      whose cap is still dry or whose permit is still revoked.
+    * meters every completed item through the ledger;
+    * **drains** a path the moment its tracker's quota runs dry (the
+      in-flight copy may finish: the prototype "does not abort an
+      in-flight transfer");
+    * **aborts** a path the moment the permit backend revokes its
+      device's permit (an operator order: the radio must go quiet now);
+    * **vetoes re-joins** as the runner's
+      :attr:`~repro.core.scheduler.runner.TransactionRunner.rejoin_gate`:
+      a fault schedule's ``up`` transition re-enables a path only if
+      :meth:`FlowLedger.may_onload` agrees.
 
-    Either way the transfer degrades gracefully: remaining items flow
-    over the surviving paths, down to ADSL-only, and each reaction lands
-    in the runner's degradation log.
+    The transfer degrades gracefully down to ADSL-only, each reaction
+    lands in the runner's degradation log, and :meth:`finalize` settles
+    every flow so the trackers see every cellular byte.
     """
 
     def __init__(
         self,
         components: Mapping[str, MobileComponent],
         permit_server: Optional[PermitServer] = None,
-        network: Optional[FluidNetwork] = None,
-        obs: Optional[Instrumentation] = None,
     ) -> None:
         self.components = dict(components)
         self.permit_server = permit_server
-        self.network = network
-        #: Instrumentation handle (``None``: checkpoints are no-ops).
-        self._obs = obs if obs is not None else obs_current()
         self._runner: Optional[TransactionRunner] = None
-        self._paths: List[NetworkPath] = []
-        self._metered: Dict[str, float] = {}
-        self._unsubscribe: Optional[Callable[[], None]] = None
+        self._ledger: Optional[FlowLedger] = None
+        #: Guarded path name (the ledger's flow id) -> its device.
+        self._guarded: Dict[str, CellularDevice] = {}
+        self._obs: Optional[Instrumentation] = None
+        self._unsubscribe: Callable[[], None] = lambda: None
         self._chained: Optional[Callable[[ItemRecord], None]] = None
         self._chained_gate: Optional[
             Callable[[NetworkPath, float], bool]
         ] = None
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def _component_for(self, path: NetworkPath) -> Optional[MobileComponent]:
-        if path.device is None:
-            return None
-        return self.components.get(path.device.name)
 
     def attach(
         self, runner: TransactionRunner, paths: Sequence[NetworkPath]
@@ -180,48 +268,44 @@ class TransferGuard:
         if self._runner is not None:
             raise RuntimeError("TransferGuard instances are single-use")
         self._runner = runner
-        self._paths = list(paths)
-        self._metered = {path.name: 0.0 for path in self._paths}
-        if self.network is None:
-            self.network = runner.network
+        self._guarded = {
+            path.name: path.device
+            for path in paths
+            if path.device is not None
+            and path.device.name in self.components
+        }
+        trackers: Dict[str, CapTracker] = {}
+        for device in self._guarded.values():
+            tracker = self.components[device.name].cap_tracker
+            if tracker is not None:
+                trackers[device.name] = tracker
+        self._obs = obs_current()
+        self._ledger = FlowLedger(
+            trackers, permit_server=self.permit_server, obs=self._obs
+        )
+        for name, device in self._guarded.items():
+            self._ledger.open_flow(name, device.name)
         self._chained = runner.on_item_complete
         runner.on_item_complete = self._on_item_complete
         self._chained_gate = runner.rejoin_gate
         runner.rejoin_gate = self._may_rejoin
-        if self._obs is not None:
-            for path in self._paths:
-                component = self._component_for(path)
-                if (
-                    component is not None
-                    and component.cap_tracker is not None
-                    and path.device is not None
-                ):
-                    component.cap_tracker.bind_obs(
-                        self._obs, device=path.device.name
-                    )
-        if self.permit_server is not None:
-            self._unsubscribe = self.permit_server.subscribe_revocations(
-                self._on_permit_revoked
-            )
-
-    def _now(self) -> float:
-        assert self.network is not None
-        return self.network.time
+        self._unsubscribe = self._ledger.subscribe_revocations(
+            self._on_permit_revoked
+        )
 
     # ------------------------------------------------------------------
     # Reactions
     # ------------------------------------------------------------------
     def _on_permit_revoked(self, device_name: str) -> None:
         assert self._runner is not None
-        for path in self._paths:
-            if path.device is None or path.device.name != device_name:
-                continue
-            self._runner.remove_path(
-                path.name,
-                drain=False,
-                kind="permit-revoked",
-                detail=f"backend revoked {device_name}'s permit",
-            )
+        for name, device in self._guarded.items():
+            if device.name == device_name:
+                self._runner.remove_path(
+                    name,
+                    drain=False,
+                    kind="permit-revoked",
+                    detail=f"backend revoked {device_name}'s permit",
+                )
 
     def _may_rejoin(self, path: NetworkPath, now: float) -> bool:
         """Runner re-join gate: does ``path`` still have authority?
@@ -237,56 +321,30 @@ class TransferGuard:
             path, now
         ):
             return False
-        guarded = next(
-            (p for p in self._paths if p.name == path.name), None
+        device = self._guarded.get(path.name)
+        if device is None:
+            return True
+        assert self._ledger is not None
+        return self._ledger.may_onload(
+            device.name, device.sector.name, now
         )
-        if guarded is None:
-            return True
-        component = self._component_for(guarded)
-        if component is None:
-            return True
-        tracker = component.cap_tracker
-        if tracker is not None and not tracker.may_advertise(now):
-            return False
-        device = guarded.device
-        if self.permit_server is not None and device is not None:
-            if not self.permit_server.has_valid_permit(device.name, now):
-                permit = self.permit_server.request_permit(
-                    device.name, device.sector.name, now
-                )
-                if permit is None:
-                    return False
-        return True
 
     def _on_item_complete(self, record: ItemRecord) -> None:
-        assert self._runner is not None
-        path = next(
-            (p for p in self._paths if p.name == record.path_name), None
-        )
-        if path is not None:
-            component = self._component_for(path)
-            if component is not None:
-                now = self._now()
-                component.record_transfer(record.size_bytes, now)
-                self._metered[path.name] += record.size_bytes
-                tracker = component.cap_tracker
-                if tracker is not None and not tracker.may_advertise(now):
-                    removed = self._runner.remove_path(
-                        path.name,
-                        drain=True,
-                        kind="cap-exhausted",
-                        detail=(
-                            f"{path.device.name} exhausted today's quota"
-                        ),
-                    )
-                    if (
-                        removed
-                        and self._obs is not None
-                        and path.device is not None
-                    ):
-                        self._obs.count(
-                            "cap.exhaustions", device=path.device.name
-                        )
+        assert self._runner is not None and self._ledger is not None
+        device = self._guarded.get(record.path_name)
+        if device is not None:
+            now = self._runner.network.time
+            self._ledger.meter(record.path_name, record.size_bytes, now)
+            tracker = self._ledger.trackers.get(device.name)
+            if tracker is not None and not tracker.may_advertise(now):
+                removed = self._runner.remove_path(
+                    record.path_name,
+                    drain=True,
+                    kind="cap-exhausted",
+                    detail=f"{device.name} exhausted today's quota",
+                )
+                if removed and self._obs is not None:
+                    self._obs.count("cap.exhaustions", device=device.name)
         if self._chained is not None:
             self._chained(record)
 
@@ -294,29 +352,20 @@ class TransferGuard:
     # Settlement
     # ------------------------------------------------------------------
     def finalize(self, result: TransactionResult) -> None:
-        """True-up metering once the transaction is over.
+        """Settle every flow once the transaction is over.
 
         Incremental metering counts winning copies only; the bytes moved
         by aborted duplicates and fault-killed partial transfers are in
-        ``result.path_bytes`` — meter the difference so the cap trackers
-        see every cellular byte, exactly as the post-hoc metering did.
+        ``result.path_bytes``, and :meth:`FlowLedger.settle` meters the
+        difference so the cap trackers see every cellular byte.
         """
-        now = self._now()
-        for path in self._paths:
-            component = self._component_for(path)
-            if component is None:
-                continue
-            total = result.path_bytes.get(path.name, 0.0)
-            extra = total - self._metered.get(path.name, 0.0)
-            if extra > 1e-9:
-                component.record_transfer(extra, now)
-                self._metered[path.name] = total
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
-        if self._runner is not None:
-            self._runner.rejoin_gate = self._chained_gate
-            self._chained_gate = None
+        assert self._runner is not None and self._ledger is not None
+        now = self._runner.network.time
+        for name in self._guarded:
+            self._ledger.settle(name, result.path_bytes.get(name, 0.0), now)
+        self._unsubscribe()
+        self._runner.rejoin_gate = self._chained_gate
+        self._chained_gate = None
 
 
 class RetryBudget:
@@ -408,121 +457,10 @@ class RetryBudget:
             return delay
 
 
-class FlowLedger:
-    """Standing byte ledger for the long-running onload service.
-
-    :class:`TransferGuard` is single-use: attach, run one transaction,
-    finalize. A service relays many concurrent flows against the same
-    :class:`~repro.core.captracker.CapTracker` for days. The ledger is
-    the standing counterpart, owned by the guard layer so authority
-    mutation stays inside it: worker threads meter relayed cellular
-    bytes incrementally, an aborted flow is trued up from its total
-    byte count on settlement (the ``TransferGuard.finalize`` rule), and
-    admission asks the same authority questions the sim-side guard
-    asks — cap dry or permit missing means the flow must not take the
-    cellular leg.
-    """
-
-    def __init__(
-        self,
-        trackers: Mapping[str, CapTracker],
-        permit_server: Optional[PermitServer] = None,
-        obs: Optional[Instrumentation] = None,
-    ) -> None:
-        self.trackers = dict(trackers)
-        self.permit_server = permit_server
-        self._obs = obs if obs is not None else obs_current()
-        if self._obs is not None:
-            # Authority wiring happens here, in the guard layer, so
-            # service code never touches tracker internals (RL010).
-            for device, tracker in self.trackers.items():
-                tracker.bind_obs(self._obs, device=device)
-        self._lock = threading.Lock()
-        #: flow id -> (device name, bytes metered so far).
-        self._flows: Dict[str, Tuple[str, float]] = {}
-
-    def subscribe_revocations(
-        self, callback: Callable[[str], None]
-    ) -> Callable[[], None]:
-        """Register for permit revocations through the guard layer.
-
-        Forwards to the wired :class:`PermitServer`; a ledger without a
-        permit backend returns a no-op unsubscribe. Exists so service
-        code subscribes via the authority boundary (RL010) instead of
-        reaching into the server.
-        """
-        if self.permit_server is None:
-            return lambda: None
-        return self.permit_server.subscribe_revocations(callback)
-
-    def open_flow(self, flow_id: str, device: str) -> None:
-        """Start accounting for ``flow_id`` on ``device``'s leg."""
-        with self._lock:
-            if flow_id in self._flows:
-                raise ValueError(f"flow {flow_id!r} already open")
-            self._flows[flow_id] = (device, 0.0)
-
-    def meter(self, flow_id: str, nbytes: float, now: float) -> None:
-        """Meter ``nbytes`` of relayed traffic for an open flow."""
-        with self._lock:
-            device, metered = self._flows[flow_id]
-            self._flows[flow_id] = (device, metered + nbytes)
-        tracker = self.trackers.get(device)
-        if tracker is not None and nbytes > 0.0:
-            tracker.record_usage(nbytes, now)
-
-    def settle(
-        self, flow_id: str, total_bytes: float, now: float
-    ) -> float:
-        """Close a flow, truing up unmetered bytes; returns the true-up.
-
-        ``total_bytes`` is everything the flow moved over the cellular
-        leg, including partial transfers cut off by an abort; the
-        difference against what :meth:`meter` already recorded is
-        metered now, so the tracker sees every cellular byte exactly as
-        :meth:`TransferGuard.finalize` guarantees for the sim side.
-        """
-        with self._lock:
-            device, metered = self._flows.pop(flow_id)
-        extra = total_bytes - metered
-        tracker = self.trackers.get(device)
-        if tracker is not None and extra > 1e-9:
-            tracker.record_usage(extra, now)
-            return extra
-        return 0.0
-
-    def may_onload(self, device: str, cell: str, now: float) -> bool:
-        """May a new flow take ``device``'s cellular leg right now?
-
-        Cap first (multi-provider rule: advertise iff A(t) > 0), then
-        the permit backend when one is wired (network-integrated rule:
-        hold or obtain a valid permit). Permit acquisition happens
-        here, not in the service, so the RL010 authority boundary
-        holds.
-        """
-        tracker = self.trackers.get(device)
-        if tracker is not None and not tracker.may_advertise(now):
-            return False
-        if self.permit_server is not None:
-            if self.permit_server.has_valid_permit(device, now):
-                return True
-            permit = self.permit_server.request_permit(
-                device, cell, now
-            )
-            return permit is not None
-        return True
-
-    def open_count(self) -> int:
-        """Flows currently open in the ledger."""
-        with self._lock:
-            return len(self._flows)
-
-
 def bind_fault_schedule(
     runner: TransactionRunner,
     schedule: FaultSchedule,
     horizon: float,
-    network: Optional[FluidNetwork] = None,
 ) -> List[FaultEvent]:
     """Arm ``schedule`` so its transitions drive ``runner`` membership.
 
@@ -531,7 +469,6 @@ def bind_fault_schedule(
     the runner does not know are ignored, and both calls are idempotent,
     so overlapping schedules compose safely. Returns the armed events.
     """
-    network = network or runner.network
     known = {worker.path.name for worker in runner._workers}
 
     def on_down(event: FaultEvent) -> None:
@@ -544,4 +481,4 @@ def bind_fault_schedule(
         if event.target in known:
             runner.add_path(event.target)
 
-    return schedule.arm(network, on_down, on_up, horizon=horizon)
+    return schedule.arm(runner.network, on_down, on_up, horizon=horizon)

@@ -3,8 +3,8 @@
 Ties the whole system together the way the deployed prototype does: a
 household's client component discovers the admissible phones Φ on the LAN,
 builds the multipath set (gateway + Φ), runs transactions through the
-HLS-aware proxy or the multipart uploader, and meters the cellular bytes
-into each phone's cap tracker afterwards.
+HLS-aware proxy or the multipart uploader, and a transfer guard meters the
+cellular bytes into each phone's cap tracker.
 
 This is the main entry point for library users::
 
@@ -24,7 +24,6 @@ from repro.core.mobile import MobileComponent, OperatingMode
 from repro.core.permits import PermitServer
 from repro.core.proxy import HlsAwareProxy, VideoDownloadReport
 from repro.core.resilience import TransferGuard
-from repro.core.scheduler.runner import TransactionResult
 from repro.core.uploader import MultipartUploader, UploadReport
 from repro.netsim.cellular import CellularDevice
 from repro.netsim.path import NetworkPath
@@ -153,24 +152,10 @@ class OnloadSession:
     # ------------------------------------------------------------------
     # Transactions
     # ------------------------------------------------------------------
-    def _meter_cellular(
-        self, result: TransactionResult, paths: Sequence[NetworkPath]
-    ) -> None:
-        now = self.network.time
-        for path in paths:
-            if not path.is_cellular:
-                continue
-            nbytes = result.path_bytes.get(path.name, 0.0)
-            component = self.mobile_components.get(path.device.name)
-            if component is not None and nbytes > 0.0:
-                component.record_transfer(nbytes, now)
-
     def _make_guard(self) -> TransferGuard:
         """Guard for one transfer: live revocation + incremental metering."""
         return TransferGuard(
-            self.mobile_components,
-            permit_server=self.permit_server,
-            network=self.network,
+            self.mobile_components, permit_server=self.permit_server
         )
 
     def download_video(
@@ -185,24 +170,20 @@ class OnloadSession:
         """Download one rendition, with or without 3GOL assistance."""
         playlist = self.origin.video(video_name).playlist(quality)
         wired = self.household.adsl_down_path()
-        guard: Optional[TransferGuard] = None
-        if use_3gol:
-            paths = self.paths_for(Direction.DOWNLOAD, max_phones=max_phones)
-            guard = self._make_guard()
-        else:
-            paths = [wired]
+        paths = (
+            self.paths_for(Direction.DOWNLOAD, max_phones=max_phones)
+            if use_3gol
+            else [wired]
+        )
         proxy = HlsAwareProxy(self.network, self.origin, wired)
-        report = proxy.download(
+        return proxy.download(
             playlist.playlist_uri,
             paths,
             policy_name=policy_name,
             prebuffer_fraction=prebuffer_fraction,
             quality_label=quality,
-            guard=guard,
+            guard=self._make_guard(),
         )
-        if guard is None:
-            self._meter_cellular(report.result, paths)
-        return report
 
     def upload_photos(
         self,
@@ -212,19 +193,15 @@ class OnloadSession:
         use_3gol: bool = True,
     ) -> UploadReport:
         """Upload a photo set, with or without 3GOL assistance."""
-        guard: Optional[TransferGuard] = None
-        if use_3gol:
-            paths = self.paths_for(Direction.UPLOAD, max_phones=max_phones)
-            guard = self._make_guard()
-        else:
-            paths = [self.household.adsl_up_path()]
-        uploader = MultipartUploader(self.network)
-        report = uploader.upload(
-            photos, paths, policy_name=policy_name, guard=guard
+        paths = (
+            self.paths_for(Direction.UPLOAD, max_phones=max_phones)
+            if use_3gol
+            else [self.household.adsl_up_path()]
         )
-        if guard is None:
-            self._meter_cellular(report.result, paths)
-        return report
+        uploader = MultipartUploader(self.network)
+        return uploader.upload(
+            photos, paths, policy_name=policy_name, guard=self._make_guard()
+        )
 
     def baseline_download_time(self, video_name: str, quality: str) -> float:
         """ADSL-alone total download time for one rendition (no proxy)."""

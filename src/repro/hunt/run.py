@@ -198,16 +198,12 @@ def _execute(scenario: Scenario) -> ScenarioOutcome:
         ),
         stall_timeout_s=scenario.stall_timeout_s,
     )
-    guard = TransferGuard(
-        components, permit_server=permit_server, network=network
-    )
+    guard = TransferGuard(components, permit_server=permit_server)
     guard.attach(runner, paths)
     schedule = scenario.build_fault_schedule(
         [path.name for path in paths]
     )
-    bind_fault_schedule(
-        runner, schedule, horizon=scenario.cutoff_s, network=network
-    )
+    bind_fault_schedule(runner, schedule, horizon=scenario.cutoff_s)
 
     baseline = {path.name: path.bytes_used for path in paths}
     transaction = Transaction(

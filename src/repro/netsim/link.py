@@ -17,7 +17,7 @@ import bisect
 import math
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
-from repro.netsim.stochastic import CapacityProcess
+from repro.netsim.stochastic import CapacityProcess, next_grid_time
 from repro.util.validate import check_non_negative
 
 #: Sentinel returned by ``next_change_after`` for links that never change.
@@ -142,8 +142,9 @@ class StochasticLink(Link):
     def next_change_after(self, time: float) -> float:
         next_change = self.process.next_change_after(time)
         if self.modulation is not None and self.modulation_interval > 0.0:
-            k = math.floor(time / self.modulation_interval) + 1
-            next_change = min(next_change, k * self.modulation_interval)
+            next_change = min(
+                next_change, next_grid_time(time, self.modulation_interval)
+            )
         return next_change
 
 

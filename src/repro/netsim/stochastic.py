@@ -44,6 +44,26 @@ def _interval_rng(seed: int, index: int) -> np.random.Generator:
 _SAMPLE_BLOCK = 8
 
 
+def next_grid_time(time: float, interval: float) -> float:
+    """First time whose ``floor(x / interval)`` exceeds that of ``time``.
+
+    The product ``(floor(t / I) + 1) * I`` rounds: for an inexact ``I``
+    (``0.7``) it can land at or below ``t``, or on a time still inside
+    ``t``'s interval, and a caller that re-asks at that time never
+    advances. It is only the first guess here; :func:`math.nextafter`
+    walks it to the exact start of the next interval. On an exact grid
+    (``4``, ``0.5``, ``300``) the guess is already right.
+    """
+    index = math.floor(time / interval)
+    boundary = (index + 1) * interval
+    while math.floor(boundary / interval) <= index:
+        boundary = math.nextafter(boundary, math.inf)
+    below = math.nextafter(boundary, -math.inf)
+    while math.floor(below / interval) > index:
+        boundary, below = below, math.nextafter(below, -math.inf)
+    return boundary
+
+
 class CapacityProcess:
     """Interface: a multiplicative capacity factor per time interval."""
 
@@ -59,7 +79,7 @@ class CapacityProcess:
 
     def next_change_after(self, time: float) -> float:
         """Start time of the interval after the one containing ``time``."""
-        return (self.interval_index(time) + 1) * self.interval
+        return next_grid_time(max(time, 0.0), self.interval)
 
     def factor_for_interval(self, index: int) -> float:
         raise NotImplementedError

@@ -102,20 +102,38 @@ class _ReadBudget:
         )
         self.overall_timeout = overall_timeout
 
-    def recv_timeout(
-        self, base: Optional[float]
-    ) -> Optional[float]:
-        """The next recv's timeout; raises when the budget is spent."""
-        if self._stop_at is None:
-            return base
-        remaining = self._stop_at - time.monotonic()
+    def _remaining(self, stop_at: float) -> float:
+        """Seconds left before ``stop_at``; raises once it has passed."""
+        remaining = stop_at - time.monotonic()
         if remaining <= 0.0:
             raise StallError(
                 f"read exceeded its {self.overall_timeout}s budget"
             )
-        if base is None:
-            return max(MIN_TIMEOUT_S, remaining)
-        return clamp_timeout(base, remaining)
+        return remaining
+
+    def read_chunk(
+        self, sock: socket.socket, base: Optional[float]
+    ) -> bytes:
+        """One recv bounded by ``base`` and by what is left of the budget.
+
+        Raises :class:`StallError` naming the budget once it is spent,
+        also when the recv itself timed out after its end: the budget (or
+        the ``MIN_TIMEOUT_S`` floor past it) cut the wait short, not a
+        silent peer.
+        """
+        if self._stop_at is None:
+            return _recv(sock, base)
+        remaining = self._remaining(self._stop_at)
+        timeout = (
+            max(MIN_TIMEOUT_S, remaining)
+            if base is None
+            else clamp_timeout(base, remaining)
+        )
+        try:
+            return _recv(sock, timeout)
+        except StallError:
+            self._remaining(self._stop_at)
+            raise
 
 
 #: Control characters never valid inside a header value (HTAB allowed).
@@ -164,7 +182,7 @@ def read_until_blank_line(
             raise WireError(
                 f"header section exceeds {max_header_bytes} bytes"
             )
-        chunk = _recv(sock, budget.recv_timeout(timeout))
+        chunk = budget.read_chunk(sock, timeout)
         if not chunk:
             if not data:
                 raise WireError("connection closed before request")
@@ -308,7 +326,7 @@ def read_body(
     budget = _ReadBudget(overall_timeout)
     body = leftover
     while len(body) < content_length:
-        chunk = _recv(sock, budget.recv_timeout(timeout))
+        chunk = budget.read_chunk(sock, timeout)
         if not chunk:
             raise WireError("connection closed mid-body")
         body += chunk

@@ -29,8 +29,10 @@ class TestMultiProviderMode:
         tracker = CapTracker(20 * MB)
         component = MobileComponent(device, registry, cap_tracker=tracker)
         component.refresh(0.0)
-        component.record_transfer(25 * MB, 10.0)
-        assert not component.is_advertised
+        tracker.record_usage(25 * MB, 10.0)
+        # Metering leaves the ad alone; the next refresh withdraws it.
+        assert registry.lookup("phone-a", 11.0) is not None
+        assert not component.refresh(11.0)
         assert registry.lookup("phone-a", 11.0) is None
 
     def test_re_advertises_next_day(self, device):
@@ -38,8 +40,10 @@ class TestMultiProviderMode:
         tracker = CapTracker(20 * MB)
         component = MobileComponent(device, registry, cap_tracker=tracker)
         component.refresh(0.0)
-        component.record_transfer(25 * MB, 10.0)
+        tracker.record_usage(25 * MB, 10.0)
+        assert not component.refresh(11.0)
         assert component.refresh(86_400.0 + 1.0)
+        assert registry.lookup("phone-a", 86_400.0 + 2.0) is not None
 
     def test_requires_tracker(self, device):
         with pytest.raises(ValueError, match="CapTracker"):

@@ -1,11 +1,14 @@
 """TransferGuard: permit revocation and cap exhaustion mid-transfer."""
 
+import json
+
 import pytest
 
 from repro.core.mobile import OperatingMode
 from repro.core.permits import PermitServer
 from repro.core.resilience import TransferGuard, bind_fault_schedule
 from repro.core.session import OnloadSession
+from repro.core.uploader import MultipartUploader
 from repro.netsim.faults import FaultSchedule, PathFlapProcess
 from repro.util.units import MB
 from repro.web.upload import Photo
@@ -257,4 +260,42 @@ class TestRejoinVeto:
         assert runner.degradations[-1].kind == "path-rejoin"
         assert server.has_valid_permit(
             phone.device.name, session.network.time
+        )
+
+
+class TestGuardLedgerBinding:
+    """The guard's ledger binds obs to the trackers of guarded paths only.
+
+    The pre-ledger guard bound the tracker of each phone on the transfer's
+    path set; a phone the session knows but the transfer does not use
+    must keep an unbound tracker, or its later metering would leak
+    ``cap.*`` lines into the trace.
+    """
+
+    def test_unused_phone_keeps_unbound_tracker(self, quiet_location):
+        from repro.core.items import Direction
+        from repro.obs.capture import capture
+
+        session = OnloadSession.for_location(
+            quiet_location, n_phones=2, seed=1
+        )
+        used, unused = session.household.phones
+        paths = session.paths_for(Direction.UPLOAD, max_phones=1)
+        assert [p.device.name for p in paths if p.device] == [used.name]
+        with capture() as handle:
+            report = MultipartUploader(session.network).upload(
+                photos(4), paths, guard=session._make_guard()
+            )
+            session.mobile_components[unused.name].cap_tracker.record_usage(
+                1 * MB, session.network.time
+            )
+        assert report.photo_count == 4
+        keys = {
+            json.loads(line).get("key", "")
+            for line in handle.export_lines()
+        }
+        assert f"cap.metered_bytes{{device={used.name}}}" in keys
+        assert not any(unused.name in key for key in keys)
+        assert (
+            session.mobile_components[unused.name].cap_tracker._obs is None
         )

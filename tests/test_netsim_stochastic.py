@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.netsim.link import StochasticLink
 from repro.netsim.stochastic import (
     ConstantProcess,
     LognormalProcess,
@@ -86,3 +87,60 @@ class TestMeanRevertingProcess:
     def test_negative_index_clamps(self):
         process = MeanRevertingProcess(seed=4, interval=1.0)
         assert process.factor_for_interval(-3) == process.factor_for_interval(0)
+
+
+class TestInexactGrid:
+    """Boundaries on an inexact grid move the interval index by one.
+
+    ``(floor(t / 0.7) + 1) * 0.7`` is ``<= t`` for 200 of the multiples
+    ``k * 0.7`` below 2000, and at ``nextafter(3 * 0.7, 0)`` it returns a
+    time still inside ``t``'s interval; either way the link-change
+    tracker re-asks at the same clock forever.
+    """
+
+    INTERVAL = 0.7
+
+    def grid_times(self):
+        for k in range(1, 2000):
+            multiple = k * self.INTERVAL
+            yield multiple
+            yield math.nextafter(multiple, 0.0)
+
+    def check_boundary(self, t, boundary):
+        index = math.floor(t / self.INTERVAL)
+        assert boundary > t
+        assert math.floor(boundary / self.INTERVAL) == index + 1
+        # ...and it is the first such time.
+        below = math.nextafter(boundary, -math.inf)
+        assert math.floor(below / self.INTERVAL) <= index
+
+    def test_process_boundary(self):
+        process = LognormalProcess(seed=1, interval=self.INTERVAL, sigma=0.3)
+        for t in self.grid_times():
+            boundary = process.next_change_after(t)
+            self.check_boundary(t, boundary)
+            assert process.interval_index(boundary) == (
+                process.interval_index(t) + 1
+            )
+
+    def test_modulation_boundary(self):
+        link = StochasticLink(
+            "s",
+            100.0,
+            ConstantProcess(1.0),
+            modulation=lambda t: 1.0,
+            modulation_interval=self.INTERVAL,
+        )
+        for t in self.grid_times():
+            self.check_boundary(t, link.next_change_after(t))
+
+    def test_negative_time_clamps_to_first_interval(self):
+        process = LognormalProcess(seed=1, interval=self.INTERVAL, sigma=0.3)
+        assert process.next_change_after(-5.0) == self.INTERVAL
+
+    @pytest.mark.parametrize("interval", [4.0, 5.0, 2.0, 1.0, 0.5, 300.0])
+    def test_exact_grid_keeps_the_product(self, interval):
+        process = LognormalProcess(seed=1, interval=interval, sigma=0.3)
+        for k in range(2000):
+            for t in (k * interval, k * interval + interval / 3.0):
+                assert process.next_change_after(t) == (k + 1) * interval

@@ -186,6 +186,19 @@ class TestOverallReadBudget:
             ours.close()
             theirs.close()
 
+    def test_recv_cut_short_by_the_budget_reports_the_budget(self):
+        # 10 ms of budget left: the recv waits the MIN_TIMEOUT_S floor
+        # past it, so its timeout is the budget's, not a silent peer's.
+        ours, theirs = socket.socketpair()
+        try:
+            with pytest.raises(StallError, match="budget"):
+                read_until_blank_line(
+                    ours, timeout=1.0, overall_timeout=0.01
+                )
+        finally:
+            ours.close()
+            theirs.close()
+
     def test_no_budget_keeps_the_per_recv_semantics(self):
         # A trickled but terminating head still parses when no overall
         # budget is set (the pre-existing behaviour).

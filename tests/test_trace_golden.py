@@ -48,7 +48,9 @@ def _traced_lines(experiment_id, jobs=1):
 
 
 class TestGoldenDigests:
-    @pytest.mark.parametrize("experiment_id", ["fig06", "ext-churn"])
+    @pytest.mark.parametrize(
+        "experiment_id", ["fig06", "ext-churn", "fig09", "pilot"]
+    )
     def test_quick_trace_matches_golden(self, experiment_id, golden):
         expected = golden["quick"][experiment_id]
         lines = _traced_lines(experiment_id)
