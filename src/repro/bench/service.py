@@ -114,7 +114,8 @@ def build_service_record(
 def write_service_record(
     record: Dict[str, Any], root: Path
 ) -> Path:
-    """Write ``BENCH_service.json`` under ``root``; returns the path."""
+    """Write ``BENCH_service.json`` under ``root`` (made if missing)."""
+    root.mkdir(parents=True, exist_ok=True)
     path = root / SERVICE_BENCH_FILENAME
     path.write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n",

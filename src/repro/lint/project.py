@@ -29,7 +29,6 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -47,6 +46,7 @@ from repro.lint.graph import (
     annotation_type_names,
     module_name_from_rel_parts,
 )
+from repro.lint.rules import dotted_name, terminal_identifier
 
 __all__ = [
     "EmitSite",
@@ -109,25 +109,6 @@ _COMBINING_CALLS = frozenset(
 _RNG_CONSTRUCTORS = frozenset({"default_rng", "Random", "RandomState"})
 #: Module prefixes an RNG constructor must hang off (or resolve to).
 _RNG_MODULES = ("random", "np.random", "numpy.random")
-
-
-def _dotted(node: ast.AST) -> str:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
-
-
-def _terminal(node: ast.AST) -> str:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return ""
 
 
 @dataclass(frozen=True)
@@ -249,9 +230,8 @@ class _FunctionWalker:
             if isinstance(handler.type, ast.Tuple)
             else [handler.type]
         )
-        return frozenset(
-            _terminal(node) for node in nodes if _terminal(node)
-        )
+        names = (terminal_identifier(node) for node in nodes)
+        return frozenset(name for name in names if name)
 
     def _handler_catches(self, handler: ast.ExceptHandler) -> bool:
         # A handler whose body unconditionally re-raises (top-level bare
@@ -313,7 +293,7 @@ class _FunctionWalker:
             )
             return
         raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-        name = _terminal(raised)
+        name = terminal_identifier(raised)
         if name:
             self.summary.raises.append(
                 RaiseSite(name=name, node=node, caught=caught)
@@ -420,7 +400,7 @@ class _FunctionWalker:
         if isinstance(func.value, ast.Name) and func.value.id == "self":
             return self._resolve_self_method(func.attr)
         # module-qualified call (alias.helper, package.module.helper)
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted:
             resolved = table.resolve_dotted(self.module, dotted)
             if resolved is not None and resolved[0] == "function":
@@ -445,7 +425,7 @@ class _FunctionWalker:
             module = self.project.modules.get(info.module)
             if module is not None:
                 for base in info.base_nodes:
-                    terminal = _terminal(base)
+                    terminal = terminal_identifier(base)
                     resolved = (
                         self.project.symbols.resolve(module, terminal)
                         if terminal
@@ -481,12 +461,12 @@ class _FunctionWalker:
         )
 
     def _rng_constructor_kind(self, func: ast.expr) -> Optional[str]:
-        terminal = _terminal(func)
+        terminal = terminal_identifier(func)
         if terminal == "SystemRandom":
             return terminal
         if terminal not in _RNG_CONSTRUCTORS:
             return None
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted:
             head = dotted.rsplit(".", 1)[0]
             if head.endswith(_RNG_MODULES) or head in (
@@ -596,7 +576,7 @@ class _FunctionWalker:
         return Provenance.unknown()
 
     def _call_provenance(self, expr: ast.Call, depth: int) -> Provenance:
-        terminal = _terminal(expr.func)
+        terminal = terminal_identifier(expr.func)
         if terminal in _DERIVE_CALLS:
             return Provenance.seeded()
         if terminal == "RngFactory":
@@ -668,7 +648,7 @@ class _FunctionWalker:
         inferred = self.infer_type_names(receiver)
         if "Instrumentation" in inferred:
             return True
-        terminal = _terminal(receiver)
+        terminal = terminal_identifier(receiver)
         return "obs" in terminal.lower() or terminal == "instrumentation"
 
     def _literal_name(self, node: ast.Call) -> Optional[str]:
@@ -733,7 +713,7 @@ class _FunctionWalker:
                     returns = summary_info.node.returns  # type: ignore[attr-defined]
                     return annotation_type_names(returns)
             # Unresolved constructor by bare class name.
-            terminal = _terminal(expr.func)
+            terminal = terminal_identifier(expr.func)
             if terminal and terminal[:1].isupper():
                 if self.project.symbols.find_class(terminal) is not None:
                     return frozenset({terminal})

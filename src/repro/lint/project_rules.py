@@ -17,10 +17,11 @@ types and opaque seed expressions all read as clean.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Iterator, Set, Tuple
 
 from repro.lint.core import Finding, ProjectRule, rule
 from repro.lint.project import EscapedRaise, ProjectContext, Provenance
+from repro.lint.rules import PROTOCOL_ERROR_NAMES, is_parse_path
 
 # ---------------------------------------------------------------------------
 # Shared helpers
@@ -311,18 +312,6 @@ class AuthorityDisciplineRule(ProjectRule):
 # RL011 — exception escape across call boundaries
 # ---------------------------------------------------------------------------
 
-#: The typed taxonomy parse paths are allowed to leak (see RL006).
-_PROTOCOL_ERROR_NAMES = frozenset(
-    {
-        "ProtocolError",
-        "WireError",
-        "FramingError",
-        "StallError",
-        "PlaylistError",
-        "MultipartError",
-    }
-)
-
 #: Data-dependent exception types hostile input can trigger. Escapes of
 #: these through a parse path are the bug class RL006 cannot see;
 #: programming-error types (TypeError, AssertionError) stay exempt.
@@ -338,14 +327,6 @@ _DATA_ERROR_NAMES = frozenset(
         "ArithmeticError",
     }
 )
-
-#: Same name-prefix convention as RL006: these verbs mark a parse path.
-_PARSE_PREFIXES = ("parse", "decode", "read", "recv", "check")
-
-
-def _is_parse_path(name: str) -> bool:
-    stripped = name.lstrip("_")
-    return any(stripped.startswith(prefix) for prefix in _PARSE_PREFIXES)
 
 
 @rule
@@ -370,7 +351,7 @@ class ExceptionEscapeRule(ProjectRule):
         for qualname, summary in sorted(project.summaries.items()):
             if _package_of(summary.info.module) not in ("proto", "web"):
                 continue
-            if not _is_parse_path(summary.info.name):
+            if not is_parse_path(summary.info.name):
                 continue
             for name, escaped in sorted(project.escapes(qualname).items()):
                 finding = self._judge(project, qualname, name, escaped, seen)
@@ -387,7 +368,7 @@ class ExceptionEscapeRule(ProjectRule):
     ) -> "Finding | None":
         if len(escaped.chain) < 2:
             return None  # direct raises are RL006's finding, not ours
-        if name in _PROTOCOL_ERROR_NAMES:
+        if name in PROTOCOL_ERROR_NAMES:
             return None
         ancestors = project.exception_ancestors(name)
         if "ProtocolError" in ancestors:

@@ -637,7 +637,7 @@ class FloatEqualityRule(Rule):
 # ---------------------------------------------------------------------------
 
 #: The taxonomy defined in repro/proto/errors.py.
-_PROTOCOL_ERROR_NAMES = frozenset(
+PROTOCOL_ERROR_NAMES = frozenset(
     {
         "ProtocolError",
         "WireError",
@@ -653,7 +653,8 @@ _PROTOCOL_ERROR_NAMES = frozenset(
 _PARSE_PREFIXES = ("parse", "decode", "read", "recv", "check")
 
 
-def _is_parse_path(name: str) -> bool:
+def is_parse_path(name: str) -> bool:
+    """Whether a function named ``name`` is a wire parse path."""
     stripped = name.lstrip("_")
     return any(stripped.startswith(prefix) for prefix in _PARSE_PREFIXES)
 
@@ -680,7 +681,7 @@ class ProtocolTaxonomyRule(Rule):
         for node in ast.walk(context.tree):
             if isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) and _is_parse_path(node.name):
+            ) and is_parse_path(node.name):
                 yield from self._check_function(context, node)
 
     def _check_function(
@@ -702,7 +703,7 @@ class ProtocolTaxonomyRule(Rule):
                     else node.exc
                 )
                 name = terminal_identifier(raised)
-                if name and name not in _PROTOCOL_ERROR_NAMES:
+                if name and name not in PROTOCOL_ERROR_NAMES:
                     yield context.finding(
                         self.code,
                         f"parse path {func.name!r} raises {name}; wire "

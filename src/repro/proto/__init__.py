@@ -14,6 +14,13 @@ executable equivalent here is a loopback deployment on 127.0.0.1:
   drives the *same scheduling policies as the simulator* over real
   threads and sockets.
 
+The origin, the proxy and the onload service
+(:class:`~repro.service.server.OnloadService`) share one server core,
+:class:`~repro.proto.server.LoopbackServer` (listening socket, accept
+loop, lifecycle), and one strict request reader,
+:func:`~repro.proto.httpwire.read_request_head`; the client reads
+responses through :func:`~repro.proto.httpwire.read_response`.
+
 The shapers (:mod:`repro.proto.shaping`) emulate the ADSL line and the 3G
 channels; everything else — HTTP parsing, proxying, parallel scheduling,
 duplicate aborts — is the genuine article.

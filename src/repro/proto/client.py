@@ -5,8 +5,11 @@ implementations as the simulator over actual TCP connections: one worker
 thread per path, each holding a persistent connection to its shaped proxy
 (the gateway pipe or a phone's 3G proxy). The greedy policy's endgame
 duplication works exactly as in §4.1.1 — when the first copy of an item
-completes, the losing copies are cancelled (their workers notice a cancel
-flag between receive chunks and drop the connection).
+completes, the losing copies are cancelled: the winner sets each loser's
+cancel flag and shuts its socket down, which ends the blocked read, and
+the loser reconnects for its next transfer.
+Responses are read by :func:`repro.proto.httpwire.read_response`, the
+same strict reader every other hop uses.
 
 A bad peer degrades one *path*, not the transaction: a stalling or
 garbage-speaking endpoint times out / errors its single in-flight
@@ -35,8 +38,6 @@ from repro.netsim.path import NetworkPath
 from repro.obs.capture import Instrumentation, current as obs_current
 from repro.proto import httpwire
 from repro.proto.errors import StallError
-
-RECV_CHUNK = 64 * 1024
 
 
 @dataclass
@@ -108,44 +109,17 @@ class _Endpoint:
                 self.sock.close()
             self.sock = None
 
+    def abort(self) -> None:
+        """Cancel the in-flight copy: set the flag, then shut the socket.
 
-class _Cancelled(Exception):
-    """Raised inside a worker when its in-flight copy lost the race."""
-
-
-def _read_response_cancellable(
-    sock: socket.socket, cancel: threading.Event
-) -> Tuple[int, bytes]:
-    """Read one response, checking the cancel flag between chunks."""
-    data = b""
-    while b"\r\n\r\n" not in data:
-        if cancel.is_set():
-            # Control flow, not a parse failure: the copy lost the race.
-            raise _Cancelled()  # repro-lint: disable=RL006
-        if len(data) > httpwire.MAX_HEADER_BYTES:
-            raise httpwire.WireError(
-                f"header section exceeds {httpwire.MAX_HEADER_BYTES} bytes"
-            )
-        chunk = sock.recv(RECV_CHUNK)
-        if not chunk:
-            raise httpwire.WireError("closed mid-header")
-        data += chunk
-    head, _, body = data.partition(b"\r\n\r\n")
-    if len(head) + 4 > httpwire.MAX_HEADER_BYTES:
-        raise httpwire.WireError(
-            f"header section exceeds {httpwire.MAX_HEADER_BYTES} bytes"
-        )
-    first, headers = httpwire.parse_head(head + b"\r\n\r\n")
-    status = httpwire.parse_status_line(first)
-    length = httpwire.parse_content_length(headers)
-    while len(body) < length:
-        if cancel.is_set():
-            raise _Cancelled()  # repro-lint: disable=RL006
-        chunk = sock.recv(RECV_CHUNK)
-        if not chunk:
-            raise httpwire.WireError("closed mid-body")
-        body += chunk
-    return status, body
+        The shutdown is what unblocks a worker parked in ``recv``; the
+        flag tells it that the failure which follows is a cancelled
+        copy, not a path fault.
+        """
+        self.cancel.set()
+        if self.sock is not None:
+            with contextlib.suppress(OSError):
+                self.sock.shutdown(socket.SHUT_RDWR)
 
 
 class PrototypeClient:
@@ -353,22 +327,26 @@ class PrototypeClient:
                         endpoint, method, host, item, upload_path,
                         remaining_s=remaining,
                     )
-                except _Cancelled:
-                    with lock:
-                        self._forget_copy(copies_inflight, item.label, index)
-                        policy.on_item_aborted(worker, item, now())
-                    endpoint.connect()  # fresh connection after the drop
-                    continue
                 except (httpwire.WireError, OSError) as exc:
                     with lock:
                         self._forget_copy(copies_inflight, item.label, index)
-                        fail_path(index, exc, item_label=item.label)
-                        if item.label not in completed:
-                            # Re-offer the orphaned item, exactly as the
-                            # simulator's runner does after a path fault
-                            # (policies re-queue idempotently).
-                            policy.on_item_failed(worker, item, now())
+                        # Read under the lock the winner cancels under:
+                        # set means this copy lost the race and its
+                        # socket was shut down, not that the path died.
+                        lost = endpoint.cancel.is_set()
+                        if lost:
+                            policy.on_item_aborted(worker, item, now())
+                        else:
+                            fail_path(index, exc, item_label=item.label)
+                            if item.label not in completed:
+                                # Re-offer the orphaned item, exactly as
+                                # the simulator's runner does after a
+                                # path fault (policies re-queue
+                                # idempotently).
+                                policy.on_item_failed(worker, item, now())
                     endpoint.close()
+                    if lost:
+                        continue  # reconnects for the next transfer
                     return
                 with lock:
                     self._forget_copy(copies_inflight, item.label, index)
@@ -394,13 +372,25 @@ class PrototypeClient:
                             completed_at=now(),
                             copies=copy_counts[item.label],
                         )
-                        # Cancel losing copies still in flight elsewhere.
+                        # Cancel the losing copies still in flight. Once
+                        # no work remains, a loser whose path has not
+                        # delivered yet is spared: that copy is the
+                        # path's only verdict, so a silent path still
+                        # times out and is logged as a stall.
                         for other in copies_inflight.get(item.label, []):
-                            self.endpoints[other].cancel.set()
+                            loser = self.endpoints[other]
+                            if len(completed) < items_total or (
+                                bytes_by_path[loser.name]
+                            ):
+                                loser.abort()
                     worker.current_item = None
                     work_available.notify_all()
                     if len(completed) >= items_total:
                         return
+                if endpoint.cancel.is_set():
+                    # This copy lost after its response was read; the
+                    # winner shut the connection down all the same.
+                    endpoint.close()
 
         threads = [
             threading.Thread(
@@ -461,8 +451,7 @@ class PrototypeClient:
         budget in the deadline header (so downstream hops clamp to it)
         and this socket's own recv timeout shrinks to match.
         """
-        sock = endpoint.sock
-        assert sock is not None
+        sock = endpoint.sock or endpoint.connect()
         extra: Optional[Dict[str, str]] = None
         if remaining_s is not None:
             sock.settimeout(
@@ -486,7 +475,7 @@ class PrototypeClient:
                 body=payload,
             )
         sock.sendall(request)
-        status, body = _read_response_cancellable(sock, endpoint.cancel)
+        status, _, body = httpwire.read_response(sock)
         if status != 200:
             raise httpwire.WireError(f"unexpected status {status}")
         return len(body) if method == "GET" else int(item.size_bytes)

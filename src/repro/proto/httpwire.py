@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import socket
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.proto.errors import (
     FramingError,
@@ -35,6 +35,7 @@ __all__ = [
     "MAX_HEADER_COUNT",
     "MIN_TIMEOUT_S",
     "ProtocolError",
+    "RequestHead",
     "StallError",
     "WireError",
     "clamp_timeout",
@@ -43,6 +44,7 @@ __all__ = [
     "parse_head",
     "parse_status_line",
     "read_body",
+    "read_request_head",
     "read_response",
     "read_until_blank_line",
     "render_request",
@@ -333,6 +335,48 @@ def read_body(
     if len(body) > content_length:
         raise FramingError("more body bytes than Content-Length")
     return body
+
+
+class RequestHead(NamedTuple):
+    """One request head, read to the blank line and strictly parsed."""
+
+    #: The raw head, CRLFCRLF included (a relay forwards it verbatim).
+    raw: bytes
+    #: The request line (``METHOD PATH VERSION``).
+    first: str
+    headers: Dict[str, str]
+    content_length: int
+    #: The propagated deadline budget, ``None`` when absent.
+    deadline_s: Optional[float]
+    #: Body bytes already read past the head.
+    leftover: bytes
+
+
+def read_request_head(
+    sock: socket.socket,
+    timeout: Optional[float] = None,
+    overall_timeout: Optional[float] = None,
+) -> RequestHead:
+    """Read one request head and parse its framing and deadline.
+
+    The one request reader of every server here: a malformed head,
+    Content-Length or deadline raises a typed :class:`ProtocolError`
+    before any body byte is read. Timeouts are as for
+    :func:`read_until_blank_line`; each caller reads the body itself
+    (:func:`read_body`) under its own bounds.
+    """
+    head, leftover = read_until_blank_line(
+        sock, timeout=timeout, overall_timeout=overall_timeout
+    )
+    first, headers = parse_head(head)
+    return RequestHead(
+        head,
+        first,
+        headers,
+        parse_content_length(headers),
+        parse_deadline(headers),
+        leftover,
+    )
 
 
 def render_request(

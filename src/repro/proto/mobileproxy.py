@@ -20,22 +20,20 @@ from __future__ import annotations
 import contextlib
 import socket
 import threading
-import time
 from typing import Optional, Tuple
 
 from repro.core.resilience import DegradationLog
 from repro.obs.capture import Instrumentation, current as obs_current
 from repro.proto import httpwire
 from repro.proto.errors import StallError, WireError
+from repro.proto.server import LoopbackServer
 from repro.proto.shaping import TokenBucket, shaped_send
 
-#: The accept loop wakes at this cadence to re-check its running flag,
-#: so a stop() that races the accept call never strands the thread.
-ACCEPT_TICK_S = 0.5
 
-
-class MobileProxy:
+class MobileProxy(LoopbackServer):
     """A forwarding HTTP proxy with per-direction rate shaping."""
+
+    BACKLOG = 32
 
     def __init__(
         self,
@@ -51,7 +49,6 @@ class MobileProxy:
         self.origin_address = origin_address
         self.down_bucket = down_bucket
         self.up_bucket = up_bucket
-        self.name = name
         #: Bound on each upstream (origin-facing) recv gap.
         self.recv_timeout = recv_timeout
         #: Bound on how long a LAN connection may sit idle between
@@ -68,62 +65,11 @@ class MobileProxy:
         #: Instrumentation handle; worker threads only touch locked
         #: metric counters (never the tracer) through it.
         self._obs = obs if obs is not None else obs_current()
-        self._started_at = time.monotonic()
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind(("127.0.0.1", 0))
-        self._server.listen(32)
-        self._server.settimeout(ACCEPT_TICK_S)
-        self.host, self.port = self._server.getsockname()
-        self._running = False
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "MobileProxy":
-        """Start accepting LAN connections."""
-        self._running = True
-        threading.Thread(
-            target=self._accept_loop, name=f"{self.name}-accept", daemon=True
-        ).start()
-        return self
-
-    def stop(self) -> None:
-        """Stop the proxy."""
-        self._running = False
-        with contextlib.suppress(OSError):
-            self._server.close()
-
-    def __enter__(self) -> "MobileProxy":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """(host, port) the proxy listens on (the LAN side)."""
-        return (self.host, self.port)
-
-    def _now(self) -> float:
-        """Seconds since the proxy was built (degradation timestamps)."""
-        return time.monotonic() - self._started_at
+        super().__init__(name)
 
     # ------------------------------------------------------------------
     # Relaying
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, _ = self._server.accept()
-            except socket.timeout:
-                continue  # tick: re-check the running flag
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            ).start()
-
     def _serve_connection(self, client: socket.socket) -> None:
         """Pipe one LAN connection's requests through the shaped uplink.
 
@@ -155,37 +101,33 @@ class MobileProxy:
                         httpwire.render_response(502, "Bad Gateway")
                     )
                 return
-            leftover = b""
             while True:
                 # Request from the LAN client (idle-bounded).
                 try:
-                    head, leftover = httpwire.read_until_blank_line(
-                        client, leftover, timeout=self.idle_timeout
+                    request = httpwire.read_request_head(
+                        client, timeout=self.idle_timeout
                     )
-                    first, headers = httpwire.parse_head(head)
-                    length = httpwire.parse_content_length(headers)
-                    deadline_s = httpwire.parse_deadline(headers)
                     body = httpwire.read_body(
                         client,
-                        leftover,
-                        length,
-                        timeout=self._clamp(deadline_s),
+                        request.leftover,
+                        request.content_length,
+                        timeout=self._clamp(request.deadline_s),
                     )
                 except WireError as exc:
                     self._reject_client(client, exc)
                     return
-                leftover = b""
                 # A spent deadline budget is refused up front: the
                 # client's clock already ran out, so relaying would
                 # only burn the shaped uplink on an answer nobody
                 # waits for.
+                deadline_s = request.deadline_s
                 if deadline_s is not None and deadline_s <= 0.0:
-                    self._reject_deadline(client, first, deadline_s)
+                    self._reject_deadline(client, request.first, deadline_s)
                     return
                 # Relay upstream and read the origin's answer; a bad or
                 # stalling origin fails this transfer with a 502/504.
                 try:
-                    shaped_send(upstream, head + body, self.up_bucket)
+                    shaped_send(upstream, request.raw + body, self.up_bucket)
                     with self._counters_lock:
                         self.bytes_up += len(body)
                     if self._obs is not None:
@@ -198,7 +140,7 @@ class MobileProxy:
                         upstream, timeout=self._clamp(deadline_s)
                     )
                 except (WireError, OSError) as exc:
-                    self._reject_upstream(client, first, exc)
+                    self._reject_upstream(client, request.first, exc)
                     return
                 response = httpwire.render_response(
                     status,

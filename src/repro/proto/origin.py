@@ -12,10 +12,10 @@ from __future__ import annotations
 import contextlib
 import socket
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.proto import httpwire
-from repro.proto.mobileproxy import ACCEPT_TICK_S
+from repro.proto.server import LoopbackServer
 from repro.web.hls import VideoAsset, render_m3u8
 
 
@@ -26,7 +26,7 @@ def _segment_payload(uri: str, size: int) -> bytes:
     return (tag * reps)[:size]
 
 
-class LoopbackOrigin:
+class LoopbackOrigin(LoopbackServer):
     """Threaded HTTP origin bound to 127.0.0.1 on an ephemeral port."""
 
     def __init__(self) -> None:
@@ -34,14 +34,7 @@ class LoopbackOrigin:
         self._segments: Dict[str, int] = {}
         self.uploads: Dict[str, int] = {}
         self._uploads_lock = threading.Lock()
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind(("127.0.0.1", 0))
-        self._server.listen(64)
-        self._server.settimeout(ACCEPT_TICK_S)
-        self.host, self.port = self._server.getsockname()
-        self._running = False
-        self._accept_thread: Optional[threading.Thread] = None
+        super().__init__("origin")
 
     # ------------------------------------------------------------------
     # Content
@@ -56,60 +49,20 @@ class LoopbackOrigin:
                 self._segments[segment.uri] = int(round(segment.size_bytes))
 
     # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "LoopbackOrigin":
-        """Start accepting connections (daemon threads)."""
-        self._running = True
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="origin-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop the server and release the port."""
-        self._running = False
-        with contextlib.suppress(OSError):
-            self._server.close()
-
-    def __enter__(self) -> "LoopbackOrigin":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, _ = self._server.accept()
-            except socket.timeout:
-                continue  # tick: re-check the running flag
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            ).start()
-
     def _serve_connection(self, conn: socket.socket) -> None:
-        leftover = b""
         try:
             # Idle-bounded like every other server socket here (RL012):
             # a peer that connects and goes silent is reclaimed instead
             # of pinning a thread forever.
             conn.settimeout(httpwire.DEFAULT_IDLE_TIMEOUT)
             while True:
-                head, leftover = httpwire.read_until_blank_line(
-                    conn, leftover
+                request = httpwire.read_request_head(conn)
+                method, path = (request.first.split(" ", 2) + [""])[:2]
+                body = httpwire.read_body(
+                    conn, request.leftover, request.content_length
                 )
-                first, headers = httpwire.parse_head(head)
-                method, path, _ = (first.split(" ", 2) + ["", ""])[:3]
-                length = int(headers.get("content-length", "0"))
-                body = httpwire.read_body(conn, leftover, length)
-                leftover = b""
                 conn.sendall(self._respond(method, path, body))
         except (httpwire.WireError, OSError):
             pass
@@ -141,8 +94,3 @@ class LoopbackOrigin:
                 200, "OK", _segment_payload(path, size), content_type="video/mp2t"
             )
         return httpwire.render_response(404, "Not Found")
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """(host, port) the origin listens on."""
-        return (self.host, self.port)

@@ -180,3 +180,11 @@ class TestServiceBench:
         assert loaded["measured"]["service"]["stranded"] == 0
         # No latency samples: percentiles are explicitly null, not 0.
         assert loaded["measured"]["latency_s"]["p50"] is None
+
+    def test_record_written_into_a_missing_directory(self, tmp_path):
+        # `repro-serve smoke --update-bench --dir <new dir>` (the CI
+        # smoke step) writes into a directory nobody made yet.
+        from repro.bench.service import write_service_record
+
+        path = write_service_record({"seed": 0}, tmp_path / "fresh" / "d")
+        assert json.loads(path.read_text(encoding="utf-8")) == {"seed": 0}
