@@ -39,7 +39,7 @@ def run(endpoints, label):
     elapsed = time.monotonic() - start
     shares = ", ".join(
         f"{name}: {nbytes / 1e6:.2f} MB"
-        for name, nbytes in sorted(report.bytes_by_path.items())
+        for name, nbytes in sorted(report.path_bytes.items())
     )
     print(f"  {label:<18s} {elapsed:5.1f} s  ({shares})")
     return elapsed

@@ -30,9 +30,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.captracker import CapTracker
 from repro.core.mobile import MobileComponent
 from repro.core.permits import PermitServer
+from repro.core.scheduler.ledger import ItemRecord
 from repro.core.scheduler.runner import (
     DegradationEvent,
-    ItemRecord,
     RetryPolicy,
     TransactionResult,
     TransactionRunner,

@@ -31,10 +31,10 @@ from repro.core.scheduler.deadline import DeadlinePolicy, attach_deadlines
 from repro.core.scheduler.greedy import GreedyPolicy
 from repro.core.scheduler.roundrobin import RoundRobinPolicy
 from repro.core.scheduler.mintime import MinTimePolicy
+from repro.core.scheduler.ledger import ItemRecord
 from repro.core.scheduler.runner import (
     DegradationEvent,
     IMMEDIATE_RETRY,
-    ItemRecord,
     RetryPolicy,
     TransactionResult,
     TransactionRunner,

@@ -1,8 +1,11 @@
 """Scheduler interfaces.
 
 A :class:`SchedulingPolicy` decides *which item a path transfers next*;
-the :class:`~repro.core.scheduler.runner.TransactionRunner` owns the
-mechanics (flows, aborts, accounting). The split keeps each policy a small,
+the :class:`~repro.core.scheduler.ledger.CopyLedger` decides which copy
+won, the waste, the losers and the re-offers; the executors (the
+:class:`~repro.core.scheduler.runner.TransactionRunner` and the
+prototype's ``PrototypeClient``) own the mechanics (flows or sockets,
+aborts, byte metering). The split keeps each policy a small,
 independently testable object and mirrors the paper's framing, where the
 three compared schedulers differ only in their assignment rule.
 """
@@ -137,11 +140,13 @@ class SchedulingPolicy:
     ) -> None:
         """``worker``'s path died with ``item`` in flight.
 
-        The policy must make the item schedulable again (unless another
-        copy is still in flight elsewhere — the runner calls this hook
-        regardless, so idempotent re-queueing is the policy's job).
-        The default raises: a policy that cannot recover must say so
-        rather than silently lose items.
+        The policy must make the item schedulable again. Both executors
+        call this hook only when the item is incomplete and no sibling
+        copy is still in flight, as
+        :meth:`~repro.core.scheduler.ledger.CopyLedger.fault` decides;
+        a policy should still re-queue idempotently. The default
+        raises: a policy that cannot recover must say so rather than
+        silently lose items.
         """
         raise NotImplementedError(
             f"{type(self).__name__} cannot recover from a path failure"

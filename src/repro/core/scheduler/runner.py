@@ -4,8 +4,11 @@
 policies: it keeps one transfer in flight per path (HTTP, no pipelining),
 asks the policy for work whenever a path goes idle, executes transfers as
 fluid flows, aborts losing duplicate copies when an item completes, and
-accounts bytes per path — including the duplication *waste* whose bound
-(N−1)·S_max the paper derives for the greedy scheduler.
+accounts bytes per path. Which copy won, the duplication *waste* whose
+bound (N−1)·S_max the paper derives for the greedy scheduler, the losers
+to abort and whether a fault re-offers an item are decided by the
+:class:`~repro.core.scheduler.ledger.CopyLedger`, the same ledger the
+loopback prototype's client drives over real sockets.
 
 On top of the happy path the runner implements the churn-tolerance layer:
 
@@ -26,35 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.items import Transaction, TransferItem
 from repro.core.scheduler.base import PathWorker, SchedulingPolicy
+from repro.core.scheduler.ledger import Copy, CopyLedger, ItemRecord
 from repro.netsim.fluid import Flow, FluidNetwork
 from repro.netsim.path import NetworkPath
 from repro.obs.capture import Instrumentation, current as obs_current
 from repro.util.units import transfer_rate
-
-
-@dataclass
-class ItemRecord:
-    """Timing record for one item of a completed transaction."""
-
-    label: str
-    size_bytes: float
-    #: Path that delivered the winning copy.
-    path_name: str
-    #: Time the item was first handed to a path.
-    scheduled_at: float
-    #: Time the first copy completed.
-    completed_at: float
-    #: Number of copies ever started (1 = never duplicated).
-    copies: int = 1
-
-    @property
-    def elapsed(self) -> float:
-        """Seconds from first scheduling to completion."""
-        return self.completed_at - self.scheduled_at
 
 
 @dataclass(frozen=True)
@@ -189,17 +172,6 @@ class TransactionResult:
         )
 
 
-class _CopyState:
-    """Runner-internal: one in-flight copy of an item."""
-
-    __slots__ = ("worker", "flow", "issued_at")
-
-    def __init__(self, worker: PathWorker, flow: Flow, issued_at: float) -> None:
-        self.worker = worker
-        self.flow = flow
-        self.issued_at = issued_at
-
-
 class TransactionRunner:
     """Executes one transaction under one policy."""
 
@@ -248,12 +220,11 @@ class TransactionRunner:
         self._workers = [
             PathWorker(index=i, path=path) for i, path in enumerate(self.paths)
         ]
-        self._copies: Dict[str, List[_CopyState]] = {}
-        self._worker_flow: Dict[int, Flow] = {}
-        self._scheduled_at: Dict[str, float] = {}
-        self._completed: Dict[str, ItemRecord] = {}
-        self._wasted = 0.0
-        self._items_total = 0
+        #: The started transaction's copy ledger (an empty, finished one
+        #: before :meth:`start`).
+        self._ledger = CopyLedger(())
+        #: The copy each path has in flight, and its flow.
+        self._in_flight: Dict[str, Tuple[Copy, Flow]] = {}
         self._finished_at: Optional[float] = None
         self._transaction: Optional[Transaction] = None
         self._started_at = 0.0
@@ -293,8 +264,8 @@ class TransactionRunner:
 
     def _refresh_worker_snapshots(self) -> None:
         for worker in self._workers:
-            flow = self._worker_flow.get(worker.index)
-            worker.remaining_bytes = flow.remaining_bytes if flow else 0.0
+            entry = self._in_flight.get(worker.path.name)
+            worker.remaining_bytes = entry[1].remaining_bytes if entry else 0.0
 
     def _dispatch(self, worker: PathWorker) -> None:
         if (
@@ -308,17 +279,10 @@ class TransactionRunner:
         if assignment is None:
             return
         item = assignment.item
-        if item.label in self._completed:
-            # Defensive: a policy must never hand out a completed item
-            # (the runner clears worker state before re-dispatching), so
-            # treat it as a policy bug rather than looping.
-            raise RuntimeError(
-                f"policy {self.policy.name} assigned completed item "
-                f"{item.label!r}"
-            )
         now = self.network.time
-        if item.label not in self._scheduled_at:
-            self._scheduled_at[item.label] = now
+        # A policy must never hand out a completed item (the runner
+        # clears worker state before re-dispatching): the ledger raises.
+        copy = self._ledger.issue(item.label, worker.path.name, now)
         delay = worker.path.start_delay(
             now, fresh_connection=not worker.used_before
         )
@@ -326,10 +290,10 @@ class TransactionRunner:
         worker.current_item = item
 
         def complete(flow: Flow, when: float) -> None:
-            self._on_copy_complete(worker, item, flow, when)
+            self._on_copy_complete(worker, item, copy, flow, when)
 
         def aborted(flow: Flow, when: float) -> None:
-            self._on_copy_aborted(worker, item, flow, when)
+            self._on_copy_aborted(worker, item, copy, flow, when)
 
         flow = Flow(
             item.size_bytes,
@@ -339,10 +303,7 @@ class TransactionRunner:
             on_abort=aborted,
             label=f"{worker.path.name}:{item.label}",
         )
-        self._worker_flow[worker.index] = flow
-        self._copies.setdefault(item.label, []).append(
-            _CopyState(worker=worker, flow=flow, issued_at=now)
-        )
+        self._in_flight[worker.path.name] = (copy, flow)
         if self.obs is not None:
             self.obs.event(
                 "copy.start",
@@ -355,7 +316,7 @@ class TransactionRunner:
             self.obs.count("runner.copies", path=worker.path.name)
         self.network.add_flow(flow, delay=delay)
         if self.stall_timeout_s is not None:
-            self._arm_watchdog(worker, item, flow, flow.remaining_bytes)
+            self._arm_watchdog(worker, item, copy, flow, flow.remaining_bytes)
 
     def _dispatch_idle(self) -> None:
         for worker in self._workers:
@@ -364,11 +325,12 @@ class TransactionRunner:
                 if self._finished_at is not None:
                     return
 
-    def _release_worker(self, worker: PathWorker, flow: Flow) -> None:
+    def _release_worker(self, worker: PathWorker, copy: Copy) -> None:
         worker.current_item = None
         worker.remaining_bytes = 0.0
-        if self._worker_flow.get(worker.index) is flow:
-            del self._worker_flow[worker.index]
+        entry = self._in_flight.get(worker.path.name)
+        if entry is not None and entry[0] is copy:
+            del self._in_flight[worker.path.name]
         if worker.draining:
             # The drained copy settled: the path now leaves the set. The
             # policy must hear about it — static policies (RR, MIN) keep
@@ -383,19 +345,18 @@ class TransactionRunner:
             self._dispatch_idle()
 
     def _on_copy_complete(
-        self, worker: PathWorker, item: TransferItem, flow: Flow, now: float
+        self, worker: PathWorker, item: TransferItem, copy: Copy,
+        flow: Flow, now: float,
     ) -> None:
         worker.path.record_usage(flow.transferred_bytes)
         worker.path.notify_activity(now)
-        copies = self._copies.get(item.label, [])
-        self._release_worker(worker, flow)
-        duration = now - next(
-            c.issued_at for c in copies if c.flow is flow
+        self._release_worker(worker, copy)
+        record, duration, losers = self._ledger.complete(
+            copy, flow.transferred_bytes, now
         )
-        if item.label in self._completed:
+        if record is None:
             # A sibling copy won in this same simulation step; everything
             # this copy moved is overhead.
-            self._wasted += flow.transferred_bytes
             if self.obs is not None:
                 self.obs.event(
                     "copy.waste",
@@ -413,15 +374,6 @@ class TransactionRunner:
             self.policy.on_item_complete(worker, item, duration, now)
             self._dispatch(worker)
             return
-        record = ItemRecord(
-            label=item.label,
-            size_bytes=item.size_bytes,
-            path_name=worker.path.name,
-            scheduled_at=self._scheduled_at[item.label],
-            completed_at=now,
-            copies=len(copies),
-        )
-        self._completed[item.label] = record
         worker.completed_bytes += flow.transferred_bytes
         if self.obs is not None:
             queue_s = record.scheduled_at - self._started_at
@@ -450,10 +402,10 @@ class TransactionRunner:
         # Abort ALL losing copies first — their workers must be fully
         # released before anyone re-dispatches, or a policy could see (and
         # try to duplicate) a stale in-flight copy of the finished item.
-        for copy in list(copies):
-            if copy.flow is not flow and not copy.flow.is_done:
-                self.network.abort_flow(copy.flow)
-        if len(self._completed) == self._items_total:
+        for loser in losers:
+            if loser.live:
+                self.network.abort_flow(self._in_flight[loser.path][1])
+        if self._ledger.finished:
             self._finished_at = now
             if self.obs is not None and self._transaction is not None:
                 self.obs.event(
@@ -461,33 +413,26 @@ class TransactionRunner:
                     time=now,
                     transaction=self._transaction.name,
                     policy=self.policy.name,
-                    wasted_bytes=self._wasted,
+                    wasted_bytes=self._ledger.wasted_bytes,
                     payload_bytes=self._transaction.total_bytes,
                 )
             return
         self._dispatch_idle()
 
     def _on_copy_aborted(
-        self, worker: PathWorker, item: TransferItem, flow: Flow, now: float
+        self, worker: PathWorker, item: TransferItem, copy: Copy,
+        flow: Flow, now: float,
     ) -> None:
         # Dispatching happens in _on_copy_complete once every losing copy
         # is settled; here we only account and release.
         worker.path.record_usage(flow.transferred_bytes)
         worker.path.notify_activity(now)
-        self._wasted += flow.transferred_bytes
+        self._ledger.abort(copy, flow.transferred_bytes)
         if self.obs is not None:
             cause = (
                 "fault"
                 if flow.flow_id in self._fault_aborting
                 else "duplicate"
-            )
-            issued_at = next(
-                (
-                    c.issued_at
-                    for c in self._copies.get(item.label, [])
-                    if c.flow is flow
-                ),
-                now,
             )
             self.obs.event(
                 "copy.abort",
@@ -502,8 +447,8 @@ class TransactionRunner:
                 amount=flow.transferred_bytes,
                 cause=cause,
             )
-            self.obs.observe("runner.copy_abort_age_s", now - issued_at)
-        self._release_worker(worker, flow)
+            self.obs.observe("runner.copy_abort_age_s", now - copy.issued_at)
+        self._release_worker(worker, copy)
         if flow.flow_id in self._fault_aborting:
             # remove_path / the stall watchdog drives recovery itself
             # (delayed re-queue + re-dispatch).
@@ -521,25 +466,17 @@ class TransactionRunner:
         finally:
             self._fault_aborting.discard(flow.flow_id)
 
-    def _recover_item(self, worker: PathWorker, item: TransferItem) -> None:
-        """Re-offer ``item`` to the policy after a fault orphaned it.
+    def _recover_item(
+        self, worker: PathWorker, item: TransferItem, copy: Copy
+    ) -> None:
+        """Re-offer ``item`` to the policy after a fault orphaned ``copy``.
 
-        No-op when the transaction finished, the item completed, a
-        sibling copy is still in flight, or a recovery is already
-        scheduled — which makes the path re-entrant: any number of
-        faults in the same engine tick schedule at most one re-dispatch.
+        No-op when the ledger declines (the item completed, or a sibling
+        copy is still in flight) or a recovery is already scheduled —
+        which makes the path re-entrant: any number of faults in the
+        same engine tick schedule at most one re-dispatch.
         """
-        if self._finished_at is not None or item.label in self._completed:
-            return
-        live_copies = [
-            c
-            for c in self._copies.get(item.label, [])
-            if not c.flow.is_done
-        ]
-        if live_copies:
-            # The endgame machinery already covers the item.
-            return
-        if item.label in self._requeue_pending:
+        if not self._ledger.fault(copy) or item.label in self._requeue_pending:
             return
         now = self.network.time
         attempt = self._fault_counts.get(item.label, 0) + 1
@@ -572,10 +509,7 @@ class TransactionRunner:
 
         def requeue() -> None:
             self._requeue_pending.discard(item.label)
-            if (
-                self._finished_at is not None
-                or item.label in self._completed
-            ):
+            if item.label in self._ledger.records:
                 return
             self.policy.on_item_failed(worker, item, self.network.time)
             self._dispatch_idle()
@@ -592,6 +526,7 @@ class TransactionRunner:
         self,
         worker: PathWorker,
         item: TransferItem,
+        copy: Copy,
         flow: Flow,
         last_remaining: float,
     ) -> None:
@@ -603,7 +538,9 @@ class TransactionRunner:
                 return
             if flow.remaining_bytes < last_remaining:
                 # Progress since the last check: re-arm from here.
-                self._arm_watchdog(worker, item, flow, flow.remaining_bytes)
+                self._arm_watchdog(
+                    worker, item, copy, flow, flow.remaining_bytes
+                )
                 return
             self._record(
                 DegradationEvent(
@@ -615,7 +552,7 @@ class TransactionRunner:
                 )
             )
             self._abort_for_fault(flow)
-            self._recover_item(worker, item)
+            self._recover_item(worker, item, copy)
             self._dispatch_idle()
 
         # Scheduled directly on the engine. Deliberately NOT cancelled when
@@ -636,9 +573,9 @@ class TransactionRunner:
         households): start each runner, then step the network until every
         runner's :attr:`finished` is true, then :meth:`collect_result`.
         """
-        if self._items_total:
+        if self._transaction is not None:
             raise RuntimeError("TransactionRunner instances are single-use")
-        self._items_total = len(transaction)
+        self._ledger = CopyLedger(transaction.items)
         self._transaction = transaction
         self._started_at = self.network.time
         self._baseline_path_bytes = {
@@ -650,7 +587,7 @@ class TransactionRunner:
                 time=self._started_at,
                 transaction=transaction.name,
                 policy=self.policy.name,
-                items=self._items_total,
+                items=len(transaction),
                 payload_bytes=transaction.total_bytes,
             )
             self.obs.count(
@@ -724,12 +661,12 @@ class TransactionRunner:
             self.obs.gauge(
                 "runner.active_paths", float(len(self.active_path_names))
             )
-        flow = self._worker_flow.get(worker.index)
-        if flow is not None and not flow.is_done:
-            self._abort_for_fault(flow)
+        entry = self._in_flight.get(path_name)
+        if entry is not None and not entry[1].is_done:
+            self._abort_for_fault(entry[1])
         worker.current_item = None
-        if item is not None:
-            self._recover_item(worker, item)
+        if item is not None and entry is not None:
+            self._recover_item(worker, item, entry[0])
         elif kind != "path-fault":
             # An idle worker left for a session-layer reason (cap dry,
             # permit revoked): no copy failed, so ``on_item_failed``
@@ -795,7 +732,7 @@ on_membership_change` and the path starts pulling work immediately.
             worker = PathWorker(index=len(self._workers), path=path)
             self._workers.append(worker)
             self.paths.append(path)
-            if self._items_total:
+            if self._transaction is not None:
                 self._baseline_path_bytes[path.name] = path.bytes_used
             self._record(
                 DegradationEvent(
@@ -807,7 +744,7 @@ on_membership_change` and the path starts pulling work immediately.
                 "runner.active_paths", float(len(self.active_path_names))
             )
         self.policy.on_membership_change(tuple(self._workers), now)
-        if self._items_total and self._finished_at is None:
+        if self._transaction is not None and self._finished_at is None:
             self._dispatch(worker)
         return worker
 
@@ -835,14 +772,10 @@ on_item_failed` hook re-queues the stranded item after the retry
 
     def collect_result(self) -> TransactionResult:
         """Build the result of a finished transaction."""
-        if not self._items_total or self._transaction is None:
+        if self._transaction is None:
             raise RuntimeError("no transaction was started")
         if self._finished_at is None:
-            missing = sorted(
-                item.label
-                for item in self._transaction.items
-                if item.label not in self._completed
-            )
+            missing = self._ledger.missing()
             raise RuntimeError(
                 f"transaction {self._transaction.name!r} incomplete at "
                 f"t={self.network.time:.1f}s under {self.policy.name}: "
@@ -857,9 +790,9 @@ on_item_failed` hook re-queues the stranded item after the retry
             policy_name=self.policy.name,
             started_at=self._started_at,
             finished_at=self._finished_at,
-            records=dict(self._completed),
+            records=dict(self._ledger.records),
             path_bytes=path_bytes,
-            wasted_bytes=self._wasted,
+            wasted_bytes=self._ledger.wasted_bytes,
             payload_bytes=self._transaction.total_bytes,
             degradations=list(self.degradations),
         )

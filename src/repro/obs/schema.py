@@ -322,18 +322,6 @@ METRICS: Dict[str, Dict[str, object]] = {
         "type": "counter", "labels": ("direction",), "unit": "bytes",
         "help": "bytes the MobileProxy relayed (direction=up/down)",
     },
-    "client.copies": {
-        "type": "counter", "labels": ("path",), "unit": "count",
-        "help": "PrototypeClient copies dispatched per endpoint",
-    },
-    "client.items_completed": {
-        "type": "counter", "labels": ("path",), "unit": "count",
-        "help": "PrototypeClient winning copies per endpoint",
-    },
-    "client.waste_bytes": {
-        "type": "counter", "labels": (), "unit": "bytes",
-        "help": "PrototypeClient bytes moved by losing copies",
-    },
     "service.flows": {
         "type": "counter", "labels": ("outcome",), "unit": "count",
         "help": "admitted flows by terminal outcome "

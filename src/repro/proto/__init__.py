@@ -55,7 +55,6 @@ __all__ = [
     "ProtocolError",
     "PrototypeClient",
     "StallError",
-    "ThreadedTransferReport",
     "TokenBucket",
     "WireError",
 ]
@@ -65,7 +64,6 @@ _LAZY = {
     "LoopbackOrigin": "repro.proto.origin",
     "MobileProxy": "repro.proto.mobileproxy",
     "PrototypeClient": "repro.proto.client",
-    "ThreadedTransferReport": "repro.proto.client",
 }
 
 

@@ -1,15 +1,18 @@
 """The prototype's client component: real threads, real sockets.
 
 Drives the *same* :class:`~repro.core.scheduler.base.SchedulingPolicy`
-implementations as the simulator over actual TCP connections: one worker
+implementations and :class:`~repro.core.scheduler.ledger.CopyLedger` as
+the simulator over actual TCP connections, and returns its
+:class:`~repro.core.scheduler.runner.TransactionResult`: one worker
 thread per path, each holding a persistent connection to its shaped proxy
-(the gateway pipe or a phone's 3G proxy). The greedy policy's endgame
-duplication works exactly as in §4.1.1 — when the first copy of an item
-completes, the losing copies are cancelled: the winner sets each loser's
-cancel flag and shuts its socket down, which ends the blocked read, and
-the loser reconnects for its next transfer.
-Responses are read by :func:`repro.proto.httpwire.read_response`, the
-same strict reader every other hop uses.
+(the gateway pipe or a phone's 3G proxy), drives the ledger under one
+lock. The greedy policy's endgame duplication works exactly as in
+§4.1.1 — when the first copy of an item completes, the ledger names the
+losing copies and the winner cancels them: it sets each loser's cancel
+flag and shuts its socket down, which ends the blocked read, and the
+loser reconnects for its next transfer. Responses are read by
+:func:`repro.proto.httpwire.read_response`, the same strict reader every
+other hop uses.
 
 A bad peer degrades one *path*, not the transaction: a stalling or
 garbage-speaking endpoint times out / errors its single in-flight
@@ -27,49 +30,18 @@ import contextlib
 import socket
 import threading
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.items import Transaction, TransferItem
 from repro.core.resilience import DegradationLog
 from repro.core.scheduler.base import PathWorker, SchedulingPolicy
+from repro.core.scheduler.ledger import CopyLedger
+from repro.core.scheduler.runner import DegradationEvent, TransactionResult
 from repro.netsim.link import Link
 from repro.netsim.path import NetworkPath
 from repro.obs.capture import Instrumentation, current as obs_current
 from repro.proto import httpwire
 from repro.proto.errors import StallError
-
-
-@dataclass
-class ItemTiming:
-    """Completion record for one item fetched by the prototype."""
-
-    label: str
-    path_name: str
-    size_bytes: int
-    started_at: float
-    completed_at: float
-    copies: int = 1
-
-    @property
-    def duration(self) -> float:
-        """Seconds from first scheduling of this item to completion."""
-        return self.completed_at - self.started_at
-
-
-@dataclass
-class ThreadedTransferReport:
-    """Outcome of one prototype transaction."""
-
-    total_time: float
-    records: Dict[str, ItemTiming]
-    wasted_bytes: int
-    bytes_by_path: Dict[str, int]
-
-    @property
-    def payload_bytes(self) -> int:
-        """Bytes of the winning copies."""
-        return sum(r.size_bytes for r in self.records.values())
 
 
 class _Endpoint:
@@ -94,9 +66,7 @@ class _Endpoint:
         peer that accepts the connection and then goes silent raises
         ``socket.timeout`` instead of hanging the worker forever.
         """
-        if self.sock is not None:
-            with contextlib.suppress(OSError):
-                self.sock.close()
+        self.close()
         self.sock = socket.create_connection(
             self.address, timeout=self.recv_timeout
         )
@@ -134,6 +104,9 @@ class PrototypeClient:
     ) -> None:
         if not endpoints:
             raise ValueError("need at least one endpoint")
+        names = [name for name, _ in endpoints]
+        if len(set(names)) != len(names):
+            raise ValueError("endpoint names must be unique")
         self.recv_timeout = recv_timeout
         #: Structured log of per-path degradations across transactions.
         self.degradations = (
@@ -157,7 +130,7 @@ class PrototypeClient:
         host: str = "origin",
         timeout: float = 120.0,
         deadline_s: Optional[float] = None,
-    ) -> ThreadedTransferReport:
+    ) -> TransactionResult:
         """Fetch every item (item labels are URL paths) via GET.
 
         ``deadline_s`` is an end-to-end budget: each request carries
@@ -179,7 +152,7 @@ class PrototypeClient:
         timeout: float = 120.0,
         upload_path: str = "/upload",
         deadline_s: Optional[float] = None,
-    ) -> ThreadedTransferReport:
+    ) -> TransactionResult:
         """POST every item's payload (deterministic filler bytes)."""
         return self._run(
             transaction, policy, "POST", host, timeout, upload_path,
@@ -198,29 +171,24 @@ class PrototypeClient:
         timeout: float,
         upload_path: str = "/upload",
         deadline_s: Optional[float] = None,
-    ) -> ThreadedTransferReport:
+    ) -> TransactionResult:
         lock = threading.Lock()
         work_available = threading.Condition(lock)
         started = time.monotonic()
 
-        workers = []
-        dummy_links = [Link("wire", 1.0)]
-        for index, endpoint in enumerate(self.endpoints):
-            # PathWorker wants a NetworkPath; give it a nominal one (the
-            # policies only read names/estimates, and MIN's prior covers
-            # the missing capacity knowledge — as for a real client).
-            path = NetworkPath(endpoint.name, dummy_links)
-            workers.append(PathWorker(index=index, path=path))
+        # PathWorker wants a NetworkPath; give it a nominal one (the
+        # policies only read names/estimates, and MIN's prior covers the
+        # missing capacity knowledge — as for a real client).
+        wire = [Link("wire", 1.0)]
+        workers = [
+            PathWorker(index=i, path=NetworkPath(e.name, wire))
+            for i, e in enumerate(self.endpoints)
+        ]
+        index_of = {e.name: i for i, e in enumerate(self.endpoints)}
 
-        items_total = len(transaction)
-        completed: Dict[str, ItemTiming] = {}
-        scheduled_at: Dict[str, float] = {}
-        copies_inflight: Dict[str, List[int]] = {}
-        copy_counts: Dict[str, int] = {}
-        wasted = 0
-        bytes_by_path: Dict[str, int] = {
-            endpoint.name: 0 for endpoint in self.endpoints
-        }
+        ledger = CopyLedger(transaction.items)
+        path_bytes = {endpoint.name: 0.0 for endpoint in self.endpoints}
+        events: List[DegradationEvent] = []
         failure: List[BaseException] = []
 
         policy.initialize(workers, transaction.items)
@@ -228,11 +196,10 @@ class PrototypeClient:
         def now() -> float:
             return time.monotonic() - started
 
-        def fail_path(
-            index: int,
-            exc: Exception,
-            item_label: str = "",
-        ) -> None:
+        def degrade(kind: str, **fields: str) -> None:
+            events.append(self.degradations.record(kind, now(), **fields))
+
+        def fail_path(index: int, exc: Exception, label: str = "") -> None:
             """Take one dead path out of the transfer set (lock held).
 
             Mirrors the simulator runner's ``remove_path``: mark the
@@ -245,21 +212,28 @@ class PrototypeClient:
             worker.current_item = None
             worker.remaining_bytes = 0.0
             stalled = isinstance(exc, (StallError, socket.timeout))
-            self.degradations.record(
-                kind="stall" if stalled else "path-fault",
-                time=now(),
+            degrade(
+                "stall" if stalled else "path-fault",
                 path_name=self.endpoints[index].name,
-                item_label=item_label,
+                item_label=label,
                 detail=f"{type(exc).__name__}: {exc}",
             )
-            if not any(w.available for w in workers) and (
-                len(completed) < items_total
-            ):
+            if not any(w.available for w in workers) and not ledger.finished:
                 failure.append(exc)
             work_available.notify_all()
 
+        def worker_main(index: int) -> None:
+            """Run one path's loop; an exception fails the run at once."""
+            try:
+                worker_loop(index)
+            except Exception as exc:
+                with lock:
+                    failure.append(exc)
+                    for endpoint in self.endpoints:
+                        endpoint.abort()
+                    work_available.notify_all()
+
         def worker_loop(index: int) -> None:
-            nonlocal wasted
             endpoint = self.endpoints[index]
             worker = workers[index]
             try:
@@ -273,7 +247,7 @@ class PrototypeClient:
                 return
             while True:
                 with lock:
-                    if failure or len(completed) >= items_total:
+                    if failure or ledger.finished:
                         return
                     worker.current_item = None
                     worker.remaining_bytes = 0.0
@@ -284,15 +258,11 @@ class PrototypeClient:
                         work_available.wait(timeout=0.2)
                         continue
                     item = assignment.item
-                    if item.label in completed:
-                        continue
+                    copy = ledger.issue(item.label, endpoint.name, now())
                     worker.current_item = item
                     worker.remaining_bytes = item.size_bytes
-                    scheduled_at.setdefault(item.label, now())
-                    copies_inflight.setdefault(item.label, []).append(index)
-                    copy_counts[item.label] = copy_counts.get(item.label, 0) + 1
                     if self._obs is not None:
-                        self._obs.count("client.copies", path=endpoint.name)
+                        self._obs.count("runner.copies", path=endpoint.name)
                     endpoint.cancel.clear()
                 remaining: Optional[float] = None
                 if deadline_s is not None:
@@ -302,12 +272,8 @@ class PrototypeClient:
                         # with a structured event instead of burning a
                         # request the proxy would refuse anyway.
                         with lock:
-                            self._forget_copy(
-                                copies_inflight, item.label, index
-                            )
-                            self.degradations.record(
-                                kind="deadline-expired",
-                                time=now(),
+                            degrade(
+                                "deadline-expired",
                                 path_name=endpoint.name,
                                 item_label=item.label,
                                 detail=(
@@ -315,13 +281,7 @@ class PrototypeClient:
                                     "before transfer"
                                 ),
                             )
-                            failure.append(
-                                TimeoutError(
-                                    f"deadline {deadline_s}s expired"
-                                )
-                            )
-                            work_available.notify_all()
-                        return
+                        raise TimeoutError(f"deadline {deadline_s}s expired")
                 try:
                     size = self._transfer_one(
                         endpoint, method, host, item, upload_path,
@@ -329,63 +289,55 @@ class PrototypeClient:
                     )
                 except (httpwire.WireError, OSError) as exc:
                     with lock:
-                        self._forget_copy(copies_inflight, item.label, index)
                         # Read under the lock the winner cancels under:
                         # set means this copy lost the race and its
                         # socket was shut down, not that the path died.
                         lost = endpoint.cancel.is_set()
                         if lost:
+                            # A cancelled copy's partial bytes are not
+                            # observable here: it books no waste.
+                            ledger.abort(copy, 0.0)
                             policy.on_item_aborted(worker, item, now())
                         else:
-                            fail_path(index, exc, item_label=item.label)
-                            if item.label not in completed:
+                            fail_path(index, exc, item.label)
+                            if ledger.fault(copy):
                                 # Re-offer the orphaned item, exactly as
                                 # the simulator's runner does after a
-                                # path fault (policies re-queue
-                                # idempotently).
+                                # path fault.
                                 policy.on_item_failed(worker, item, now())
                     endpoint.close()
                     if lost:
                         continue  # reconnects for the next transfer
                     return
                 with lock:
-                    self._forget_copy(copies_inflight, item.label, index)
-                    bytes_by_path[endpoint.name] += size
-                    duration = now() - scheduled_at[item.label]
-                    policy.on_item_complete(worker, item, duration, now())
-                    if item.label in completed:
-                        wasted += size
-                        if self._obs is not None:
+                    path_bytes[endpoint.name] += size
+                    at = now()
+                    record, duration, losers = ledger.complete(copy, size, at)
+                    policy.on_item_complete(worker, item, duration, at)
+                    if self._obs is not None:
+                        if record is None:
                             self._obs.count(
-                                "client.waste_bytes", amount=float(size)
+                                "runner.waste_bytes", float(size),
+                                cause="duplicate",
                             )
-                    else:
-                        if self._obs is not None:
+                        else:
                             self._obs.count(
-                                "client.items_completed", path=endpoint.name
+                                "runner.items_completed", path=endpoint.name
                             )
-                        completed[item.label] = ItemTiming(
-                            label=item.label,
-                            path_name=endpoint.name,
-                            size_bytes=size,
-                            started_at=scheduled_at[item.label],
-                            completed_at=now(),
-                            copies=copy_counts[item.label],
-                        )
-                        # Cancel the losing copies still in flight. Once
-                        # no work remains, a loser whose path has not
-                        # delivered yet is spared: that copy is the
-                        # path's only verdict, so a silent path still
-                        # times out and is logged as a stall.
-                        for other in copies_inflight.get(item.label, []):
-                            loser = self.endpoints[other]
-                            if len(completed) < items_total or (
-                                bytes_by_path[loser.name]
-                            ):
-                                loser.abort()
+                    # Cancel the losing copies still in flight, releasing
+                    # their workers first so no policy duplicates the
+                    # finished item. Once no work remains, a loser whose
+                    # path has not delivered yet is spared: that copy is
+                    # the path's only verdict, so a silent path still
+                    # times out and is logged as a stall.
+                    for loser in losers:
+                        other = index_of[loser.path]
+                        workers[other].current_item = None
+                        if not ledger.finished or path_bytes[loser.path]:
+                            self.endpoints[other].abort()
                     worker.current_item = None
                     work_available.notify_all()
-                    if len(completed) >= items_total:
+                    if ledger.finished:
                         return
                 if endpoint.cancel.is_set():
                     # This copy lost after its response was read; the
@@ -394,7 +346,7 @@ class PrototypeClient:
 
         threads = [
             threading.Thread(
-                target=worker_loop, args=(i,), name=f"3gol-{e.name}",
+                target=worker_main, args=(i,), name=f"3gol-{e.name}",
                 daemon=True,
             )
             for i, e in enumerate(self.endpoints)
@@ -411,30 +363,22 @@ class PrototypeClient:
             raise RuntimeError(
                 f"prototype transfer failed: {failure[0]!r}"
             ) from failure[0]
-        if len(completed) < items_total:
-            missing = sorted(
-                item.label
-                for item in transaction.items
-                if item.label not in completed
-            )
+        if not ledger.finished:
             raise TimeoutError(
-                f"transaction incomplete after {timeout}s: missing {missing[:5]}"
+                f"transaction incomplete after {timeout}s: "
+                f"missing {ledger.missing()[:5]}"
             )
-        total_time = max(r.completed_at for r in completed.values())
-        return ThreadedTransferReport(
-            total_time=total_time,
-            records=completed,
-            wasted_bytes=wasted,
-            bytes_by_path=bytes_by_path,
+        return TransactionResult(
+            transaction_name=transaction.name,
+            policy_name=policy.name,
+            started_at=0.0,
+            finished_at=max(r.completed_at for r in ledger.records.values()),
+            records=dict(ledger.records),
+            path_bytes=path_bytes,
+            wasted_bytes=ledger.wasted_bytes,
+            payload_bytes=transaction.total_bytes,
+            degradations=events,
         )
-
-    @staticmethod
-    def _forget_copy(
-        copies: Dict[str, List[int]], label: str, index: int
-    ) -> None:
-        entries = copies.get(label, [])
-        if index in entries:
-            entries.remove(index)
 
     def _transfer_one(
         self,
@@ -478,4 +422,10 @@ class PrototypeClient:
         status, _, body = httpwire.read_response(sock)
         if status != 200:
             raise httpwire.WireError(f"unexpected status {status}")
+        if method == "GET" and len(body) != round(item.size_bytes):
+            # The record books the declared size: any other is a fault.
+            raise httpwire.FramingError(
+                f"{item.label}: {len(body)} body bytes, "
+                f"{item.size_bytes:g} declared"
+            )
         return len(body) if method == "GET" else int(item.size_bytes)

@@ -253,7 +253,7 @@ class TestClientCancel:
         assert report.records["/a"].path_name == "fast"
         assert report.records["/b"].path_name == "slow"
         assert report.wasted_bytes == 1000
-        assert report.bytes_by_path == {"fast": 1000, "slow": 2000}
+        assert report.path_bytes == {"fast": 1000, "slow": 2000}
         assert policy.aborted == []
         assert sockets["slow", "/b"] is not sockets["slow", "/a"]
         assert origin.uploads == {"/upload/a": 1000, "/upload/b": 1000}

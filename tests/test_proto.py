@@ -7,7 +7,11 @@ import time
 import pytest
 
 from repro.core.items import Transaction, TransferItem
-from repro.core.scheduler import make_policy
+from repro.core.scheduler import (
+    SchedulingPolicy,
+    WorkAssignment,
+    make_policy,
+)
 from repro.proto import LoopbackOrigin, MobileProxy, PrototypeClient
 from repro.proto.httpwire import read_response, render_request
 from repro.proto.shaping import TokenBucket
@@ -186,8 +190,8 @@ class TestPrototypeClient:
         assert len(report.records) == 6
         assert report.payload_bytes == pytest.approx(600_000, rel=0.01)
         # Both paths carried traffic.
-        assert report.bytes_by_path["gateway"] > 0
-        assert report.bytes_by_path["phone1"] > 0
+        assert report.path_bytes["gateway"] > 0
+        assert report.path_bytes["phone1"] > 0
 
     def test_multipath_faster_than_gateway_alone(self, origin):
         def run(paths):
@@ -271,3 +275,50 @@ class TestPrototypeClient:
             client.run_download(
                 Transaction(items), make_policy("GRD"), timeout=5.0
             )
+
+    def test_endpoint_names_must_be_unique(self):
+        # The copy ledger names paths by endpoint name.
+        with pytest.raises(ValueError, match="unique"):
+            PrototypeClient([("p", ("127.0.0.1", 1)), ("p", ("127.0.0.1", 2))])
+
+    def test_wrong_size_body_is_a_path_fault(self, origin):
+        # The origin serves each segment at its hosted size; a playlist
+        # that declares one byte more must not pass as delivered.
+        items = [
+            TransferItem(item.label, item.size_bytes + 1.0)
+            for item in self.make_transaction().items
+        ]
+        client = PrototypeClient([("direct", origin.address)])
+        with pytest.raises(RuntimeError, match="FramingError"):
+            client.run_download(
+                Transaction(items), make_policy("GRD"), timeout=30.0
+            )
+        faults = client.degradations.of_kind("path-fault")
+        assert len(faults) == 1
+        assert "100000 body bytes, 100001 declared" in faults[0].detail
+
+    def test_worker_exception_fails_the_run_at_once(self, origin):
+        # A policy that hands a completed item out again makes the
+        # ledger raise inside a worker thread; the run must fail with
+        # that error instead of waiting out its timeout.
+        class Scripted(SchedulingPolicy):
+            name = "scripted"
+
+            def initialize(self, workers, items):
+                self.items = {item.label: item for item in items}
+                self.script = {"a": ["/x", "/x", "/y"], "b": []}
+
+            def next_item(self, worker, now):
+                queue = self.script[worker.path.name]
+                if not queue:
+                    return None
+                return WorkAssignment(self.items[queue.pop(0)])
+
+        client = PrototypeClient(
+            [("a", origin.address), ("b", origin.address)]
+        )
+        items = [TransferItem("/x", 10.0), TransferItem("/y", 10.0)]
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="completed item '/x'"):
+            client.run_upload(Transaction(items), Scripted(), timeout=30.0)
+        assert time.monotonic() - started < 5.0

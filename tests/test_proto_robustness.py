@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.items import Transaction, TransferItem
 from repro.core.resilience import DegradationLog
-from repro.core.scheduler import make_policy
+from repro.core.scheduler import GreedyPolicy, make_policy
 from repro.core.scheduler.runner import DegradationEvent
 from repro.fuzz.targets import FakeSocket
 from repro.proto import LoopbackOrigin, MobileProxy, PrototypeClient
@@ -26,6 +26,7 @@ from repro.proto.httpwire import (
     read_until_blank_line,
     render_request,
 )
+from repro.proto.shaping import TokenBucket
 from repro.web.hls import VideoAsset, VideoQuality
 from repro.util.units import kbps
 
@@ -272,10 +273,55 @@ class TestStallingPeer:
         finally:
             proxy.stop()
         assert len(report.records) == 4
-        assert report.bytes_by_path["gateway"] > 0
+        assert report.path_bytes["gateway"] > 0
         stalls = client.degradations.of_kind("stall")
         assert len(stalls) == 1
         assert stalls[0].path_name == "stalled"
+
+    def test_duplicate_reports_its_own_copy_duration(self, origin):
+        # GRD over a live gateway and a silent path: the silent path
+        # holds its first item, the gateway finishes the rest and then
+        # duplicates it. The policy must hear how long the duplicate
+        # itself took, not the time since the silent copy was issued
+        # (MIN's bandwidth estimator learns from this duration).
+        class Spy(GreedyPolicy):
+            def __init__(self):
+                super().__init__()
+                self.handed_at = {}
+                self.windows = []
+
+            def next_item(self, worker, now):
+                assignment = super().next_item(worker, now)
+                if assignment is not None:
+                    self.handed_at[worker.path.name] = now
+                return assignment
+
+            def on_item_complete(self, worker, item, duration, now):
+                window = now - self.handed_at[worker.path.name]
+                self.windows.append((item.label, duration, window))
+
+        policy = Spy()
+        proxy = MobileProxy(
+            origin.address,
+            down_bucket=TokenBucket(1_000_000.0),
+            name="gateway",
+        ).start()
+        try:
+            with silent_server() as stalled:
+                client = PrototypeClient(
+                    [("gateway", proxy.address), ("stalled", stalled)],
+                    recv_timeout=0.5,
+                )
+                report = client.run_download(
+                    segment_transaction(), policy, timeout=30.0
+                )
+        finally:
+            proxy.stop()
+        duplicated = [r for r in report.records.values() if r.copies == 2]
+        assert len(duplicated) == 1
+        assert len(policy.windows) == 4
+        for label, duration, window in policy.windows:
+            assert 0.0 <= duration <= window, (label, duration, window)
 
     def test_client_fails_cleanly_when_every_path_stalls(self):
         with silent_server() as stalled:
