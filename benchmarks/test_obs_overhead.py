@@ -95,8 +95,8 @@ def _per_guard_seconds():
     return (time.perf_counter() - start) / GUARD_REPS
 
 
-def test_disabled_instrumentation_overhead(once):
-    disabled_wall_s = once(_timed_disabled_run)
+def test_disabled_instrumentation_overhead():
+    disabled_wall_s = _timed_disabled_run()
     checkpoints = _count_checkpoints()
     per_guard_s = _per_guard_seconds()
 

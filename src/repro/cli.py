@@ -15,6 +15,11 @@ reduced smoke sizes); ``--seed``/``--repetitions`` override them for the
 experiments whose ``run()`` accepts those parameters. Results are cached
 in ``.repro_cache/`` keyed by (experiment id, parameters, source digest);
 ``--no-cache`` bypasses the cache entirely.
+
+``run`` exits 1 when an experiment crashes or one of its paper checks
+fails. Checks are evaluated at the registered bench parameters (all of
+them) and quick parameters (the quick ones); a run whose ``--seed`` or
+``--repetitions`` changes the parameters records them as not evaluated.
 """
 
 from __future__ import annotations
@@ -139,9 +144,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     f"[{outcome.experiment_id}] FAILED\n{outcome.error}",
                     file=sys.stderr,
                 )
+    for outcome in outcomes:
+        for name in outcome.failed_checks:
+            print(
+                f"[{outcome.experiment_id}] check failed: {name}",
+                file=sys.stderr,
+            )
     if args.profile:
         print(_profile_table(outcomes))
-    return 0 if all(outcome.ok for outcome in outcomes) else 1
+    passed = all(o.ok and not o.failed_checks for o in outcomes)
+    return 0 if passed else 1
 
 
 #: Phase keys of :attr:`ExperimentOutcome.profile`, in display order.

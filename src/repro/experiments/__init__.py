@@ -3,51 +3,21 @@
 Every module exposes a ``run(...)`` function decorated with
 :func:`repro.experiments.registry.experiment`, which registers it in the
 shared catalogue with its description, benchmark-size and ``--quick``
-parameter sets, and the paper-vs-measured commentary EXPERIMENTS.md
-embeds. The result object returned by ``run()`` honours the structured
-contract: ``render()`` (aligned text table) and ``to_dict()``
-(JSON-ready payload).
+parameter sets, the paper-vs-measured commentary EXPERIMENTS.md embeds,
+and its ``checks``: the paper's claims as predicates over the result,
+each bound written only there. The result object returned by ``run()``
+honours the structured contract: ``render()`` (aligned text table) and
+``to_dict()`` (JSON-ready payload).
 
 The registry (:mod:`repro.experiments.registry`) is the single source of
-truth: ``python -m repro list``/``run`` read it, the benchmarks under
-``benchmarks/`` pull their parameter sets from it, and the report
-generator (:mod:`repro.experiments.report`) renders it into
+truth: ``python -m repro list``/``run`` read it (``run`` exits 1 when a
+check fails), and the report generator
+(:mod:`repro.experiments.report`) renders it, verdicts included, into
 EXPERIMENTS.md. Execution goes through the engine in
 :mod:`repro.experiments.runner` — parallel across processes
 (``--jobs``), failure-isolated, and cached on disk keyed by (experiment
 id, parameters, source digest).
 
-Catalogue index (``python -m repro list`` prints the live version; see
-DESIGN.md §4 for the full paper mapping):
-
-=================  =====================================================
-fig01              diurnal wired vs mobile traffic, misaligned peaks
-fig03              aggregate 3G throughput vs number of devices
-fig04              throughput by hour of day, device groups of 1/3/5
-fig05              per-base-station throughput distributions (violins)
-table02            six locations: DSL vs 3G vs 3GOL speedup (3 devices)
-table03            per-device throughput by cluster size
-fig06              scheduler comparison (GRD / RR / MIN), 2 Mbps testbed
-table04            the five in-the-wild evaluation locations
-fig07              pre-buffering gain vs pre-buffer amount
-fig08              total video download-time reduction per location
-fig09              upload times, ADSL vs one and two phones
-fig10              CDF of used cap fraction (MNO)
-fig11a             per-user speedup CDF under the 40 MB/day budget
-fig11b             onloaded cellular load vs backhaul capacity
-fig11c             traffic increase vs 3GOL adoption
-sec21              back-of-envelope capacity comparison
-sec6est            allowance-estimator backtest (tau=5, alpha=4)
-ext-lte            extension: 3GOL over LTE
-ext-mptcp          extension: the omitted MP-TCP comparison
-ext-playout        extension: playout-phase coverage
-ext-dslam          extension: DSLAM oversubscription
-ext-neighborhood   extension: simultaneous adopters on one cell
-ext-estimator      ablation: estimator design space
-ext-min-tuning     ablation: tuning the MIN scheduler
-ext-duplication    ablation: endgame duplication
-ext-churn          extension: scheduler robustness under path churn
-pilot              the 30-household pilot deployment
-headline           §5 headline speedups (prebuffer/download/upload)
-=================  =====================================================
+``python -m repro list`` prints the catalogue; DESIGN.md §4 maps it to
+the paper.
 """

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.core.items import Transaction, TransferItem
 from repro.core.scheduler import TransactionRunner, make_policy
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.fluid import Flow
 from repro.netsim.link import Link
 from repro.netsim.topology import Household, HouseholdConfig, LocationProfile
@@ -126,6 +126,17 @@ def _background_traffic(
     ),
     bench_params={"seeds": (0, 1, 2)},
     quick_params={"seeds": (0,)},
+    checks=(
+        Check("speedup_grows_with_contention",
+              "§2.1: wired access is oversubscribed; 3GOL helps there",
+              lambda r: r.speedup_grows_with_contention()),
+        Check("speedup_above_3_with_16_neighbours",
+              "§2.1: 16 streaming neighbours on a shared DSLAM backhaul",
+              lambda r: r.cells[16].speedup > 3.0),
+        Check("speedup_above_1_5_uncontended",
+              "Table 2: an uncontended line still gains from 3GOL",
+              lambda r: r.cells[0].speedup > 1.5),
+    ),
     order=210,
 )
 def run(

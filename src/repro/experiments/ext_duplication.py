@@ -20,7 +20,7 @@ from repro.core.items import Transaction, TransferItem
 from repro.core.scheduler import TransactionRunner
 from repro.core.scheduler.greedy import GreedyPolicy
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.fluid import FluidNetwork
 from repro.netsim.latency import RttModel
 from repro.netsim.link import Link, PiecewiseLink
@@ -175,6 +175,17 @@ def _degrading_regime(seeds: Sequence[int]) -> DuplicationCell:
     ),
     bench_params={"seeds": (0, 1, 2, 3)},
     quick_params={"seeds": (0,)},
+    checks=(
+        Check("steady_rescue_negligible",
+              "§4.1.1: on steady paths duplication changes little",
+              lambda r: abs(r.cells["steady paths"].rescue_benefit) < 0.15),
+        Check("steady_waste_below_2_mb",
+              "§4.1.1: waste <= (N-1)*S_max, 'generally much smaller'",
+              lambda r: r.cells["steady paths"].waste_with_mb < 2.0),
+        Check("degrading_path_rescued",
+              "§4.1.1: an idle path re-fetches the oldest in-flight item",
+              lambda r: r.cells["degrading path"].rescue_benefit > 0.5),
+    ),
     order=250,
 )
 def run(seeds: Sequence[int] = (0, 1, 2, 3)) -> DuplicationAblationResult:

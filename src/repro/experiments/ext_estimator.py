@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.core.allowance import EstimatorEvaluation, evaluate_estimator
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.traces.mno import MnoDataset, generate_mno_dataset
 
 DEFAULT_TAUS: Tuple[int, ...] = (2, 3, 5, 8)
@@ -141,6 +141,18 @@ class EstimatorAblationResult:
     ),
     bench_params={"n_users": 1500},
     quick_params={"n_users": 200},
+    checks=(
+        Check("paper_choice_on_frontier",
+              "§6: 3GOLa with tau=5 months and alpha=4",
+              lambda r: r.paper_choice_on_frontier()),
+        Check("last_month_overruns_more",
+              "§6: average tau months rather than trust the last one",
+              lambda r: r.last_month.overrun_days_per_month
+              > r.paper_point.overrun_days_per_month),
+        Check("paper_point_overruns_below_1_day",
+              "§6: overruns on less than 1 day a month",
+              lambda r: r.paper_point.overrun_days_per_month < 1.0),
+    ),
     order=230,
 )
 def run(

@@ -19,7 +19,7 @@ from typing import Dict, Sequence, Tuple
 from repro.core.items import Transaction, TransferItem
 from repro.core.scheduler import TransactionRunner, make_policy
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.cellular import (
     HspaParameters,
     LTE_PARAMETERS,
@@ -162,6 +162,16 @@ def _run_one(
     ),
     bench_params={"seeds": (0, 1, 2, 3)},
     quick_params={"seeds": (0,)},
+    checks=(
+        Check("lte_beats_hspa",
+              "§2.3: 4G makes 3GOL even more compelling",
+              lambda r: r.speedup("3GOL over LTE")
+              > r.speedup("3GOL over HSPA")),
+        Check("lte_busy_window_shorter",
+              "§2.3: powerboosting time 'might be extremely short'",
+              lambda r: r.cells["3GOL over LTE"].cell_busy_s
+              < r.cells["3GOL over HSPA"].cell_busy_s * 0.7),
+    ),
     order=180,
 )
 def run(seeds: Sequence[int] = (0, 1, 2, 3)) -> LteComparisonResult:

@@ -27,7 +27,7 @@ from repro.core.scheduler.greedy import GreedyPolicy
 from repro.core.scheduler.mintime import MinTimePolicy
 from repro.experiments.fig06_scheduler import TESTBED_LOCATION
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.topology import Household, HouseholdConfig
 from repro.util.stats import RunningStats
 from repro.util.units import mbps
@@ -93,6 +93,15 @@ class MinTuningResult:
     ),
     bench_params={"repetitions": 8},
     quick_params={"repetitions": 2},
+    checks=(
+        Check("no_setting_beats_grd",
+              "§5.1: 'Changing filter and/or sampling criteria was not "
+              "helpful in improving the performance of the MIN scheduler.'",
+              lambda r: r.no_setting_beats_grd(margin=1.05)),
+        Check("best_min_trails_grd",
+              "Fig. 6: MIN is the slowest of the three schedulers",
+              lambda r: r.best_min_time_s > r.grd_time_s * 1.1),
+    ),
     order=240,
 )
 def run(

@@ -19,7 +19,7 @@ from repro.core.items import Transaction, TransferItem
 from repro.core.mptcp import DEFAULT_COUPLING_EFFICIENCY, mptcp_transfer_time
 from repro.core.scheduler import TransactionRunner, make_policy
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.topology import Household, HouseholdConfig, LocationProfile
 from repro.util.stats import RunningStats
 from repro.util.units import mbps
@@ -87,6 +87,18 @@ class MptcpComparisonResult:
     ),
     bench_params={"seeds": (0, 1, 2, 3, 4)},
     quick_params={"seeds": (0,)},
+    checks=(
+        Check("ccc_no_benefit",
+              "§5: MP-TCP with coupling 'provided no benefit'",
+              lambda r: r.benefit_over_adsl("MPTCP-CCC") < 0.2),
+        Check("grd_benefit_above_half",
+              "§5: the application-level scheduler adds the paths up",
+              lambda r: r.benefit_over_adsl("3GOL-GRD") > 0.5),
+        Check("coupling_is_the_gap",
+              "§5: the coupled congestion control costs the gain",
+              lambda r: r.times["MPTCP-uncoupled"]
+              < r.times["MPTCP-CCC"] / 2),
+    ),
     order=190,
 )
 def run(

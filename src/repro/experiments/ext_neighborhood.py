@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.core.items import Transaction, TransferItem
 from repro.core.scheduler import TransactionRunner, make_policy
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.neighborhood import Neighborhood
 from repro.netsim.topology import LocationProfile
 from repro.util.stats import RunningStats
@@ -146,6 +146,17 @@ def _run_round(
     ),
     bench_params={"seeds": (0, 1, 2)},
     quick_params={"seeds": (0,)},
+    checks=(
+        Check("speedup_erodes",
+              "Fig. 11c: more adopters on one cell share its capacity",
+              lambda r: r.speedup_erodes()),
+        Check("still_beneficial_at_max",
+              "Fig. 11c: adopters sharing one cell still each gain",
+              lambda r: r.still_beneficial_at_max()),
+        Check("lone_adopter_speedup_above_1_8",
+              "Table 2: a lone 3GOL home about doubles its download rate",
+              lambda r: r.points[0].speedup > 1.8),
+    ),
     order=220,
 )
 def run(

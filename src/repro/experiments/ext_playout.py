@@ -22,7 +22,7 @@ from repro.core.playback import PlayoutSimulator, completion_times_from_result
 from repro.core.scheduler import TransactionRunner, make_policy
 from repro.core.scheduler.deadline import attach_deadlines
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.topology import Household, HouseholdConfig, LocationProfile
 from repro.util.stats import RunningStats
 from repro.util.units import kbps, mbps
@@ -119,6 +119,24 @@ class PlayoutComparisonResult:
     ),
     bench_params={"seeds": (0, 1, 2, 3, 4, 5, 6, 7)},
     quick_params={"seeds": (0, 1)},
+    checks=(
+        Check("adsl_alone_stalls",
+              "§4.1.1: a rendition above the line rate stalls on ADSL",
+              lambda r: r.cells["ADSL"].stall_count > 3),
+        Check("onload_plays_smoothly",
+              "§4.1.1 (future work): cover the playout phase too",
+              lambda r: all(r.cells[c].stall_time_s < 5.0
+                            for c in ("GRD", "DLN"))),
+        Check("onload_starts_faster",
+              "Fig. 7: 3GOL shortens the pre-buffering phase",
+              lambda r: all(r.cells[c].startup_delay_s
+                            < r.cells["ADSL"].startup_delay_s
+                            for c in ("GRD", "DLN"))),
+        Check("deadline_never_worse",
+              "§4.1.1: a deadline-aware scheduler for the playout phase",
+              lambda r: r.cells["DLN"].stall_time_s
+              <= r.cells["GRD"].stall_time_s + 2.0),
+    ),
     order=200,
 )
 def run(

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.diurnal import MOBILE_PROFILE
 from repro.traces.dslam import generate_dslam_trace
 from repro.traces.webtraffic import hourly_volume_series, normalized
@@ -82,6 +82,14 @@ class DiurnalResult:
     ),
     bench_params={"seed": 0, "n_subscribers": 1500},
     quick_params={"n_subscribers": 300},
+    checks=(
+        Check("peaks_misaligned",
+              "Fig. 1: the cellular and wired peaks are not aligned",
+              lambda r: r.peak_misalignment_hours >= 2),
+        Check("mobile_diurnal",
+              "Fig. 1: cellular traffic has a strong diurnal pattern",
+              lambda r: r.mobile_peak_to_trough > 2.0),
+    ),
     order=10,
 )
 def run(seed: int = 0, n_subscribers: int = 1000) -> DiurnalResult:

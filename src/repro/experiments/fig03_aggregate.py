@@ -17,9 +17,10 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.formatting import fmt_mbps, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.topology import MEASUREMENT_LOCATIONS, LocationProfile
 from repro.traces.handsets import measure_cluster_throughput
+from repro.util.units import mbps
 
 DEFAULT_DEVICE_COUNTS: Tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 
@@ -70,6 +71,10 @@ class AggregateThroughputResult:
         )
 
 
+#: Locations served by one HSUPA domain (Fig. 3).
+_SINGLE_DOMAIN = ("location1", "location2", "location4")
+
+
 @experiment(
     "fig03",
     title="Fig. 3 — aggregate 3G throughput vs devices",
@@ -85,6 +90,24 @@ class AggregateThroughputResult:
     ),
     bench_params={"repetitions": 3, "seeds": (0, 1)},
     quick_params={"repetitions": 1, "seeds": (0,)},
+    checks=(
+        Check("best_downlink_9_to_17_mbps",
+              "Fig. 3: aggregate downlink reaches ~14 Mbps",
+              lambda r: mbps(9) < max(r.series(loc.name, "down")[-1]
+                                      for loc in MEASUREMENT_LOCATIONS[:4])
+              < mbps(17)),
+        Check("uplink_below_6_5_mbps",
+              "Fig. 3: the uplink stops near the 5.76 Mbps HSUPA cap",
+              lambda r: all(r.series(name, "up")[-1] < mbps(6.5)
+                            for name in _SINGLE_DOMAIN)),
+        Check("uplink_plateaus",
+              "Fig. 3: 'downlink throughput seems to scale up better'",
+              lambda r: all(r.plateau_ratio(name, "up") < 1.4
+                            for name in _SINGLE_DOMAIN)),
+        Check("location3_uplink_above_5_mbps",
+              "Fig. 3: location 3 (two domains) exceeds one channel",
+              lambda r: r.series("location3", "up")[-1] > mbps(5.0)),
+    ),
     order=20,
 )
 def run(

@@ -15,9 +15,10 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.formatting import fmt_mbps, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.topology import MEASUREMENT_LOCATIONS, LocationProfile
 from repro.traces.handsets import measure_cluster_throughput
+from repro.util.units import mbps
 
 DEFAULT_GROUP_SIZES: Tuple[int, ...] = (1, 3, 5)
 DEFAULT_HOURS: Tuple[float, ...] = tuple(range(0, 24, 2))
@@ -70,6 +71,13 @@ class TemporalThroughputResult:
         )
 
 
+def _group_mean(
+    result: TemporalThroughputResult, direction: str, group: int
+) -> float:
+    """Mean per-device rate of one group size over the sampled hours."""
+    return sum(result.series(direction, group)) / len(result.hours)
+
+
 @experiment(
     "fig04",
     title="Fig. 4 — throughput by hour, groups of 1/3/5",
@@ -84,6 +92,23 @@ class TemporalThroughputResult:
     ),
     bench_params={"days": 2},
     quick_params={"days": 1},
+    checks=(
+        Check("single_device_down_1_2_to_3_2_mbps",
+              "Fig. 4: one device reaches ~2.5 Mbps depending on the hour",
+              lambda r: mbps(1.2) < r.single_device_peak_bps("down")
+              < mbps(3.2)),
+        Check("single_device_up_0_9_to_3_mbps",
+              "Fig. 4: one device reaches ~2.5 Mbps depending on the hour",
+              lambda r: mbps(0.9) < r.single_device_peak_bps("up")
+              < mbps(3.0)),
+        Check("per_device_falls_with_group",
+              "Fig. 4: per-device throughput falls for groups of 1/3/5",
+              lambda r: all(_group_mean(r, d, 1) > _group_mean(r, d, 3)
+                            > _group_mean(r, d, 5) for d in ("down", "up"))),
+        Check("diurnal_swing_small",
+              "Fig. 4: diurnal variations 'are rather small'",
+              lambda r: 1.05 < r.diurnal_swing("down", 5) < 3.0),
+    ),
     order=30,
 )
 def run(

@@ -15,10 +15,11 @@ from typing import Dict, Sequence, Tuple
 
 from repro.analysis.stats import ViolinSummary, summarize_violin
 from repro.experiments.formatting import fmt_mbps, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.cellular import HspaParameters
 from repro.netsim.topology import MEASUREMENT_LOCATIONS, LocationProfile
 from repro.traces.handsets import measure_cluster_throughput
+from repro.util.units import mbps
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,24 @@ class StationDistributionResult:
     ),
     bench_params={"days": 2},
     quick_params={"days": 1},
+    checks=(
+        Check("medians_above_dedicated_rate",
+              "Fig. 5: far above the 360/64 kbps dedicated-channel rates",
+              lambda r: all(v.median > r.dedicated_down_bps
+                            for v in r.violins.values())),
+        Check("medians_above_0_25_mbps",
+              "Fig. 5: a station gives ~0.7-2.5 Mbps per device",
+              lambda r: min(v.median for v in r.violins.values())
+              > mbps(0.25)),
+        Check("medians_below_3_mbps",
+              "Fig. 5: a station gives ~0.7-2.5 Mbps per device",
+              lambda r: max(v.median for v in r.violins.values())
+              < mbps(3.0)),
+        Check("two_stations_per_location",
+              "Fig. 5: at least two stations serve every location",
+              lambda r: all(len(r.stations_for(loc.name)) >= 2
+                            for loc in MEASUREMENT_LOCATIONS[:4])),
+    ),
     order=40,
 )
 def run(

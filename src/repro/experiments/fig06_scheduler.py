@@ -17,7 +17,7 @@ from typing import Dict, Sequence, Tuple
 from repro.core.items import Transaction, TransferItem
 from repro.core.scheduler import TransactionRunner, make_policy
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.topology import Household, HouseholdConfig, LocationProfile
 from repro.util.stats import RunningStats
 from repro.util.units import mbps
@@ -118,6 +118,23 @@ class SchedulerComparisonResult:
     ),
     bench_params={"repetitions": 10},
     quick_params={"repetitions": 2},
+    checks=(
+        Check("grd_fastest_all_beat_adsl",
+              "Fig. 6: GRD is fastest; every scheduler beats ADSL alone",
+              lambda r: all(r.ordering_holds(q, n) for n in (1, 2)
+                            for q in ("Q1", "Q2", "Q3", "Q4"))),
+        Check("min_slow_q4_one_phone",
+              "Fig. 6: MIN is the worst scheduler overall",
+              lambda r: r.time("Q4", "MIN", 1)
+              > r.time("Q4", "GRD", 1) * 1.3),
+        Check("min_slow_q3_two_phones",
+              "Fig. 6: MIN is the worst scheduler overall",
+              lambda r: r.time("Q3", "MIN", 2)
+              > r.time("Q3", "GRD", 2) * 1.2),
+        Check("one_phone_halves_adsl_time",
+              "Fig. 6: one phone at least halves the Q4 download time",
+              lambda r: r.time("Q4", "GRD", 1) < r.time("Q4", "ADSL") / 2.0),
+    ),
     order=70,
 )
 def run(

@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.core.proxy import VideoDownloadReport
 from repro.experiments import wild
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.topology import EVALUATION_LOCATIONS, LocationProfile
 from repro.util.stats import RunningStats
 from repro.web.hls import HlsPlaylist
@@ -136,6 +136,26 @@ class PrebufferGainResult:
     ),
     bench_params={"repetitions": 4},
     quick_params={"repetitions": 1},
+    checks=(
+        Check("gain_grows_with_quality",
+              "Fig. 7: the pre-buffering gain grows with video quality",
+              lambda r: all(r.gain(loc, "3G_1PH", "Q4", 1.0)
+                            > r.gain(loc, "3G_1PH", "Q1", 1.0)
+                            for loc in ("loc2", "loc4"))),
+        Check("gain_grows_with_prebuffer",
+              "Fig. 7: the gain grows with the pre-buffer amount",
+              lambda r: all(r.gains[(loc, "3G_1PH", "Q4")][-1]
+                            > r.gains[(loc, "3G_1PH", "Q4")][0]
+                            for loc in ("loc2", "loc4"))),
+        Check("second_phone_improves_best_gain",
+              "Fig. 7: a second phone adds 26-35% to the gain",
+              lambda r: all(r.best_gain(loc, "3G_2PH")
+                            > r.best_gain(loc, "3G_1PH")
+                            for loc in ("loc2", "loc4"))),
+        Check("best_gain_3_to_60_s",
+              "Fig. 7: the gains are seconds-scale",
+              lambda r: 3.0 < r.best_gain("loc4", "3G_1PH") < 60.0),
+    ),
     order=90,
 )
 def run(

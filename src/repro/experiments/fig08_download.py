@@ -17,7 +17,7 @@ from repro.analysis.stats import reduction_percent
 from repro.experiments import wild
 from repro.experiments.fig07_prebuffer import CONFIGS, QUALITIES, config_label
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.topology import EVALUATION_LOCATIONS, LocationProfile
 from repro.util.stats import RunningStats
 
@@ -67,6 +67,9 @@ class DownloadReductionResult:
         )
 
 
+_LOCATIONS = ("loc1", "loc2", "loc3", "loc4", "loc5")
+
+
 @experiment(
     "fig08",
     title="Fig. 8 — total download-time reduction per location",
@@ -82,6 +85,27 @@ class DownloadReductionResult:
     ),
     bench_params={"repetitions": 4},
     quick_params={"repetitions": 1},
+    checks=(
+        Check("reductions_above_20pct",
+              "Fig. 8: download time falls 38-72% (x1.5-x4.1)",
+              lambda r: min(r.reductions.values()) > 20.0),
+        Check("reductions_below_75pct",
+              "Fig. 8: download time falls 38-72% (x1.5-x4.1)",
+              lambda r: max(r.reductions.values()) < 75.0),
+        Check("second_phone_helps",
+              "Fig. 8: the second device always helps",
+              lambda r: all(r.second_phone_benefit(loc, connected=False)
+                            > 0.0 for loc in _LOCATIONS)),
+        Check("connected_start_marginal",
+              "Fig. 8: a connected-mode start brings marginal gains",
+              lambda r: all(r.reduction(loc, "H_1PH")
+                            - r.reduction(loc, "3G_1PH") < 12.0
+                            for loc in _LOCATIONS)),
+        Check("two_phone_speedup_above_1_5",
+              "Fig. 8: speedups of x1.5-x4.1",
+              lambda r: all(r.speedup(loc, "3G_2PH") > 1.5
+                            for loc in _LOCATIONS)),
+    ),
     order=100,
 )
 def run(

@@ -14,7 +14,7 @@ from typing import Dict, Sequence, Tuple
 
 from repro.experiments import wild
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.topology import EVALUATION_LOCATIONS, LocationProfile
 from repro.traces.pictures import generate_photo_set
 from repro.util.stats import RunningStats
@@ -60,6 +60,9 @@ class UploadTimesResult:
         )
 
 
+_LOCATIONS = ("loc1", "loc2", "loc3", "loc4", "loc5")
+
+
 @experiment(
     "fig09",
     title="Fig. 9 — upload times (30 photos)",
@@ -75,6 +78,23 @@ class UploadTimesResult:
     ),
     bench_params={"repetitions": 4},
     quick_params={"repetitions": 1},
+    checks=(
+        Check("one_phone_speedup_1_25_to_4_5",
+              "Fig. 9: uploads speed up x1.5-x4.0 with one device",
+              lambda r: all(1.25 < r.speedup(loc, 1) < 4.5
+                            for loc in _LOCATIONS)),
+        Check("two_phone_speedup_1_6_to_7",
+              "Fig. 9: uploads speed up x2.2-x6.2 with two devices",
+              lambda r: all(1.6 < r.speedup(loc, 2) < 7.0
+                            for loc in _LOCATIONS)),
+        Check("gains_sublinear",
+              "Fig. 9: the gain is sublinear in the number of devices",
+              lambda r: all(r.speedup(loc, 2) < 2.0 * r.speedup(loc, 1)
+                            for loc in _LOCATIONS)),
+        Check("slow_uplink_600_to_1200_s",
+              "Fig. 9: 30 photos take hundreds of seconds on ~0.6 Mbps",
+              lambda r: 600.0 < r.time("loc5", 0) < 1200.0),
+    ),
     order=110,
 )
 def run(

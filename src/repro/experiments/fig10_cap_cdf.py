@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from repro.analysis.stats import Ecdf
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.traces.mno import generate_mno_dataset
 from repro.util.units import bytes_to_megabytes
 
@@ -65,6 +65,17 @@ class CapCdfResult:
     ),
     bench_params={"n_users": 5000, "seed": 0},
     quick_params={"n_users": 500},
+    checks=(
+        Check("below_10pct_of_cap_near_40pct",
+              "Fig. 10: '40% of the customers use less than 10%'",
+              lambda r: abs(r.fraction_below_10pct - 0.40) <= 0.05),
+        Check("below_50pct_of_cap_near_75pct",
+              "Fig. 10: '75% of the customers use less than 50%'",
+              lambda r: abs(r.fraction_below_50pct - 0.75) <= 0.05),
+        Check("free_volume_10_to_80_mb_per_day",
+              "§6: ~20 MB/day of already-paid-for volume per user",
+              lambda r: 10.0 < r.mean_daily_free_mb < 80.0),
+    ),
     order=120,
 )
 def run(n_users: int = 5000, seed: int = 0) -> CapCdfResult:

@@ -16,7 +16,7 @@ from repro.analysis.load import (
 )
 from repro.analysis.stats import Ecdf
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.traces.dslam import generate_dslam_trace
 
 
@@ -72,6 +72,17 @@ class BudgetedSpeedupResult:
     ),
     bench_params={"n_subscribers": 2000, "seed": 0},
     quick_params={"n_subscribers": 300},
+    checks=(
+        Check("speedup_1_2_above_35pct",
+              "Fig. 11a: 50% of users get at least x1.2",
+              lambda r: r.fraction_at_least_1_2 > 0.35),
+        Check("speedup_2_near_5pct",
+              "Fig. 11a: 5% of users get at least x2",
+              lambda r: abs(r.fraction_at_least_2_0 - 0.05) <= 0.03),
+        Check("max_speedup_2_2_to_2_61",
+              "Fig. 11a: the CDF ends near x2.6",
+              lambda r: 2.2 < r.max_speedup <= 2.61),
+    ),
     order=130,
 )
 def run(

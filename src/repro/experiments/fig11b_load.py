@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.analysis.load import OnloadLoadSeries, onloaded_load_series
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.traces.dslam import generate_dslam_trace
 from repro.util.units import bits_to_bytes, bytes_to_megabytes, rate_to_mbps
 
@@ -85,6 +85,18 @@ class OnloadLoadResult:
     ),
     bench_params={"n_subscribers": 2000, "seed": 0},
     quick_params={"n_subscribers": 300},
+    checks=(
+        Check("budgeted_fits_backhaul",
+              "Fig. 11b: budgeted load stays under the 2x40 Mbps backhaul",
+              lambda r: r.series.budgeted_overload_fraction() == 0.0),
+        Check("unbudgeted_overloads_backhaul",
+              "Fig. 11b: uncapped, 3G 'will be guaranteed to be overloaded'",
+              lambda r: r.series.unbudgeted_peak_bps > r.series.backhaul_bps,
+              quick=False),
+        Check("mean_onload_near_29_78_mb",
+              "Fig. 11b: the average user onloads 29.78 MB/day",
+              lambda r: abs(r.mean_onload_mb_per_user - 29.78) <= 5.0),
+    ),
     order=140,
 )
 def run(n_subscribers: int = 2000, seed: int = 0) -> OnloadLoadResult:

@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 
 from repro.analysis.load import AdoptionImpact, adoption_traffic_increase
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.traces.mno import generate_mno_dataset
 
 DEFAULT_ADOPTION_GRID: Tuple[float, ...] = tuple(
@@ -79,6 +79,24 @@ class AdoptionResult:
     ),
     bench_params={"n_users": 3000, "seed": 0},
     quick_params={"n_users": 400},
+    checks=(
+        Check("monotone_in_adoption",
+              "Fig. 11c: 3G traffic grows with 3GOL adoption",
+              lambda r: r.is_monotone()),
+        Check("full_adoption_doubles_traffic",
+              "Fig. 11c: at 100% adoption 'the increase ... around 100%'",
+              lambda r: abs(r.at(1.0).total_increase - 1.0) <= 0.3),
+        Check("peak_increase_below_total",
+              "Fig. 11c: the peak-hour increase is smaller than the total",
+              lambda r: r.at(1.0).peak_increase < r.at(1.0).total_increase),
+        Check("peak_increase_above_half_total",
+              "Fig. 11c: the peak-hour increase is smaller than the total",
+              lambda r: r.at(1.0).peak_increase
+              > 0.5 * r.at(1.0).total_increase),
+        Check("low_adoption_modest",
+              "Fig. 11c: low adoption adds little traffic",
+              lambda r: r.at(0.1).total_increase < 0.15),
+    ),
     order=150,
 )
 def run(

@@ -1,6 +1,6 @@
 """Plain-text table rendering for experiment results.
 
-The benchmark harness prints each reproduced table/figure as an aligned
+The experiment harness prints each reproduced table/figure as an aligned
 text table so a reader can compare against the paper side by side.
 """
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.experiments import fig07_prebuffer, fig08_download, fig09_upload
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,17 @@ class HeadlineResult:
     ),
     bench_params={"repetitions": 3},
     quick_params={"repetitions": 1},
+    checks=(
+        Check("max_download_speedup_1_5_to_5",
+              "§5: downloads up to x4 faster",
+              lambda r: 1.5 < r.max_download_speedup < 5.0),
+        Check("max_upload_speedup_2_to_7",
+              "§5: uploads up to x6 faster",
+              lambda r: 2.0 < r.max_upload_speedup < 7.0),
+        Check("avg_reduction_25_to_60pct",
+              "§5: transactions take 47% less time on average",
+              lambda r: 25.0 < r.avg_transaction_reduction_pct < 60.0),
+    ),
     order=270,
 )
 def run(repetitions: int = 3) -> HeadlineResult:

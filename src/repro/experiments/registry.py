@@ -11,13 +11,24 @@ function::
         claims="Paper: ...\\nMeasured: ...",
         bench_params={"repetitions": 10},
         quick_params={"repetitions": 2},
+        checks=(
+            Check("grd_fastest", "Fig. 6: GRD is the fastest scheduler",
+                  lambda r: r.ordering_holds("Q4", 1)),
+        ),
         order=70,
     )
     def run(...): ...
 
 The CLI (``repro list`` / ``repro run``), the report generator
-(:mod:`repro.experiments.report`) and the benchmark suite all read this
+(:mod:`repro.experiments.report`) and the catalogue all read this
 registry instead of keeping their own experiment tables.
+
+Each :class:`Check` is one paper claim as a named predicate over the
+``run()`` result, with the bound written once, here. The runner
+evaluates the checks right after ``run()``
+(:meth:`ExperimentSpec.verdicts`): all of them at the bench parameters,
+those marked ``quick`` at the quick parameters, none at any other
+parameter set.
 
 Registration is import-driven: decorating registers the spec, and
 :func:`discover` imports every module under :mod:`repro.experiments` so
@@ -41,6 +52,7 @@ from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
 from repro.util.serialize import jsonable
 
 __all__ = [
+    "Check",
     "DuplicateExperimentError",
     "ExperimentSpec",
     "RegistryError",
@@ -78,6 +90,19 @@ class UnknownExperimentError(RegistryError):
 
 
 @dataclass(frozen=True)
+class Check:
+    """One paper claim as a named predicate over a ``run()`` result."""
+
+    name: str
+    #: The paper sentence or figure the check stands for.
+    quote: str
+    predicate: Callable[[Any], bool] = field(repr=False)
+    #: Whether the claim also holds at the quick parameters; ``False``
+    #: makes the check bench-only.
+    quick: bool = True
+
+
+@dataclass(frozen=True)
 class ExperimentSpec:
     """One registered experiment: metadata plus its ``run`` callable."""
 
@@ -90,8 +115,7 @@ class ExperimentSpec:
     paper_ref: str
     #: Paper-vs-measured commentary embedded in the report.
     claims: str
-    #: Benchmark-size keyword arguments (what the report and the
-    #: ``benchmarks/`` suite run).
+    #: Benchmark-size keyword arguments (what the report runs).
     bench_params: Mapping[str, Any]
     #: Reduced-size overrides for smoke runs (``repro run --quick``).
     quick_params: Mapping[str, Any]
@@ -99,6 +123,8 @@ class ExperimentSpec:
     order: int
     #: The experiment's ``run`` function.
     func: Callable[..., Any] = field(repr=False)
+    #: The paper's claims as predicates over the result.
+    checks: Tuple[Check, ...] = ()
 
     @property
     def module(self) -> str:
@@ -120,9 +146,25 @@ class ExperimentSpec:
             merged.update(self.quick_params)
         return merged
 
-    def execute(self, **overrides: Any) -> Any:
-        """Run at benchmark size with ``overrides`` applied on top."""
-        return self.func(**{**self.params(), **overrides})
+    def verdicts(
+        self, result: Any, params: Mapping[str, Any]
+    ) -> Dict[str, Optional[bool]]:
+        """Each check's verdict on ``result``, ``None`` if not evaluated.
+
+        A run at the bench parameters evaluates every check, a run at
+        the quick parameters the ``quick`` ones, and a run at any other
+        parameter set (a ``--seed`` or ``--repetitions`` override) none.
+        """
+        at_bench = dict(params) == self.params()
+        at_quick = dict(params) == self.params(quick=True)
+        return {
+            check.name: (
+                bool(check.predicate(result))
+                if at_bench or (at_quick and check.quick)
+                else None
+            )
+            for check in self.checks
+        }
 
 
 _REGISTRY: Dict[str, ExperimentSpec] = {}
@@ -137,6 +179,7 @@ def experiment(
     claims: str = "",
     bench_params: Optional[Mapping[str, Any]] = None,
     quick_params: Optional[Mapping[str, Any]] = None,
+    checks: Tuple[Check, ...] = (),
     order: int = 0,
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Register the decorated ``run`` function; returns it unchanged."""
@@ -152,6 +195,7 @@ def experiment(
             quick_params=dict(quick_params or {}),
             order=order,
             func=func,
+            checks=tuple(checks),
         )
         register(spec)
         func.experiment_spec = spec  # type: ignore[attr-defined]

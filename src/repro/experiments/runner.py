@@ -4,6 +4,10 @@
 on a :class:`~concurrent.futures.ProcessPoolExecutor`, with
 
 * per-experiment wall-time accounting,
+* the verdicts of the experiment's paper checks
+  (:meth:`~repro.experiments.registry.ExperimentSpec.verdicts`),
+  evaluated in the worker right after ``run()`` and kept with the
+  result, so a cached outcome carries the verdicts of its fresh run,
 * failure isolation — one crashing experiment becomes an ``error``
   outcome instead of killing the batch, and
 * an optional on-disk result cache keyed by (experiment id, parameter
@@ -93,6 +97,9 @@ class ExperimentOutcome:
     rendered: str = ""
     #: ``result.to_dict()`` payload; ``None`` on error.
     payload: Optional[Dict[str, Any]] = None
+    #: Check name -> verdict: ``True``/``False``, or ``None`` where the
+    #: parameters were not the profile the check is declared for.
+    checks: Dict[str, Optional[bool]] = field(default_factory=dict)
     #: Formatted traceback when :attr:`status` is ``"error"``.
     error: str = ""
     #: Deterministic trace export (JSONL lines) when the experiment ran
@@ -110,6 +117,11 @@ class ExperimentOutcome:
         """Whether a result is available (fresh or cached)."""
         return self.status in (STATUS_OK, STATUS_CACHED)
 
+    @property
+    def failed_checks(self) -> List[str]:
+        """Names of the evaluated checks that did not hold."""
+        return [name for name, ok in self.checks.items() if ok is False]
+
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready record, the unit of ``repro run --json`` output."""
         return {
@@ -118,6 +130,7 @@ class ExperimentOutcome:
             "elapsed_s": self.elapsed_s,
             "params": jsonable(self.params),
             "result": self.payload,
+            "checks": dict(self.checks),
             "error": self.error or None,
         }
 
@@ -231,6 +244,7 @@ def _execute(
     record: Dict[str, Any] = {
         "rendered": rendered,
         "payload": payload,
+        "checks": spec.verdicts(result, params),
         "elapsed_s": ran - started,
         "profile": {
             "run_s": ran - started,
@@ -275,6 +289,7 @@ def _outcome(
         params=params,
         rendered=str(record.get("rendered", "")),
         payload=record.get("payload"),
+        checks=dict(record.get("checks", {})),
         trace_lines=record.get("trace"),
         profile=record.get("profile"),
     )
@@ -331,6 +346,7 @@ def run_experiments(
                 {
                     "rendered": outcome.rendered,
                     "payload": outcome.payload,
+                    "checks": outcome.checks,
                     "elapsed_s": outcome.elapsed_s,
                 },
             )
@@ -342,16 +358,8 @@ def run_experiments(
         params = params_by_id[experiment_id]
         entry = cache.get(experiment_id, params) if cache else None
         if entry is not None:
-            finish(
-                ExperimentOutcome(
-                    experiment_id=experiment_id,
-                    status=STATUS_CACHED,
-                    elapsed_s=0.0,
-                    params=params,
-                    rendered=str(entry.get("rendered", "")),
-                    payload=entry.get("payload"),
-                )
-            )
+            cached = {**entry, "elapsed_s": 0.0}
+            finish(_outcome(experiment_id, params, cached, STATUS_CACHED))
         else:
             pending.append(experiment_id)
 

@@ -16,7 +16,7 @@ from repro.analysis.capacity import (
     compare_capacity,
 )
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.util.units import rate_to_gbps, rate_to_mbps
 
 
@@ -68,6 +68,23 @@ class CapacityResult:
         "vs a 40-50 Mbps cell backhaul: 1-2 orders of magnitude.\n"
         "Measured: identical arithmetic (differences <2% from the "
         "paper's rounding)."
+    ),
+    checks=(
+        Check("subscribers_4375",
+              "§2.1: a downtown cell covers 4375 subscribers",
+              lambda r: abs(r.comparison.subscribers_in_cell - 4375)
+              <= 0.02 * 4375),
+        Check("adsl_lines_875",
+              "§2.1: 875 ADSL connections",
+              lambda r: abs(r.comparison.adsl_connections - 875)
+              <= 0.02 * 875),
+        Check("adsl_aggregate_5_863_gbps",
+              "§2.1: 5.863 Gbps aggregate ADSL downlink",
+              lambda r: abs(r.comparison.adsl_aggregate_down_bps - 5.863e9)
+              <= 0.02 * 5.863e9),
+        Check("one_to_two_orders_of_magnitude",
+              "§2.1: the cell is 1-2 orders of magnitude smaller",
+              lambda r: 1.0 <= r.comparison.down_orders_of_magnitude <= 2.5),
     ),
     order=160,
 )

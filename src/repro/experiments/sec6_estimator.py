@@ -16,7 +16,7 @@ from typing import Dict, Sequence, Tuple
 
 from repro.core.allowance import EstimatorEvaluation, evaluate_estimator
 from repro.experiments.formatting import fmt, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.traces.mno import generate_mno_dataset
 
 DEFAULT_ALPHAS: Tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 6.0)
@@ -92,6 +92,20 @@ class EstimatorResult:
     ),
     bench_params={"n_users": 2000, "seed": 0},
     quick_params={"n_users": 300},
+    checks=(
+        Check("utilization_55_to_85pct",
+              "§6: tau=5, alpha=4 uses ~65% of the free capacity",
+              lambda r: 0.55 < r.paper_point.utilization_of_free < 0.85),
+        Check("overruns_below_1_day",
+              "§6: overruns on less than 1 day a month",
+              lambda r: r.paper_point.overrun_days_per_month < 1.0),
+        Check("utilization_decreases_with_alpha",
+              "§6: alpha trades utilisation against overruns",
+              lambda r: r.utilization_decreases_with_alpha()),
+        Check("overruns_decrease_with_alpha",
+              "§6: alpha trades utilisation against overruns",
+              lambda r: r.overruns_decrease_with_alpha()),
+    ),
     order=170,
 )
 def run(

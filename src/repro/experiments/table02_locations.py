@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.experiments.formatting import fmt, fmt_mbps, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.topology import MEASUREMENT_LOCATIONS, LocationProfile
 from repro.traces.handsets import measure_cluster_throughput
 
@@ -96,6 +96,27 @@ class LocationTableResult:
     ),
     bench_params={"repetitions": 3, "seeds": (0, 1, 2)},
     quick_params={"repetitions": 1, "seeds": (0,)},
+    checks=(
+        Check("location1_down_1_8_to_3_6",
+              "Table 2: location 1 gains x2.67 downlink",
+              lambda r: 1.8 < r.row("location1").speedup_down < 3.6),
+        Check("location1_up_8_to_18",
+              "Table 2: location 1 gains x12.93 uplink",
+              lambda r: 8.0 < r.row("location1").speedup_up < 18.0),
+        Check("location6_down_below_1_25",
+              "Table 2: the VDSL-class location 6 gains x1.04 downlink",
+              lambda r: r.row("location6").speedup_down < 1.25),
+        Check("location6_up_below_1_8",
+              "Table 2: the VDSL-class location 6 gains x1.14 uplink",
+              lambda r: r.row("location6").speedup_up < 1.8),
+        Check("every_location_gains",
+              "Table 2: every location gains",
+              lambda r: all(row.speedup_down > 1.0 for row in r.rows)),
+        Check("uplink_gains_dominate",
+              "Table 2: uplink gains dominate (ADSL is asymmetric)",
+              lambda r: all(row.speedup_up > row.speedup_down * 0.9
+                            for row in r.rows)),
+    ),
     order=50,
 )
 def run(

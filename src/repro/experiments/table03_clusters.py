@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from repro.experiments.formatting import fmt_mbps, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.topology import MEASUREMENT_LOCATIONS, LocationProfile
 from repro.traces.handsets import measure_cluster_throughput
 from repro.util.stats import RunningStats
+from repro.util.units import mbps
 
 DEFAULT_CLUSTER_SIZES: Tuple[int, ...] = (1, 3, 5)
 
@@ -88,6 +89,25 @@ class ClusterTableResult:
     ),
     bench_params={"days": 2},
     quick_params={"days": 1},
+    checks=(
+        Check("down_decreases_with_cluster",
+              "Table 3: downlink 1.61/1.33/1.16 Mbps per device",
+              lambda r: r.is_decreasing("down")),
+        Check("up_decreases_with_cluster",
+              "Table 3: uplink 1.09/0.90/0.65 Mbps per device",
+              lambda r: r.is_decreasing("up")),
+        Check("single_down_0_9_to_2_4_mbps",
+              "Table 3: one device gets 1.61 Mbps downlink",
+              lambda r: mbps(0.9) < r.per_device(1, "down").mean_bps
+              < mbps(2.4)),
+        Check("single_up_0_6_to_1_9_mbps",
+              "Table 3: one device gets 1.09 Mbps uplink",
+              lambda r: mbps(0.6) < r.per_device(1, "up").mean_bps
+              < mbps(1.9)),
+        Check("five_up_below_1_3_mbps",
+              "Table 3: five devices get 0.65 Mbps uplink each",
+              lambda r: r.per_device(5, "up").mean_bps < mbps(1.3)),
+    ),
     order=60,
 )
 def run(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from repro.experiments.formatting import fmt_mbps, render_table
-from repro.experiments.registry import experiment, jsonable
+from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.cellular import dbm_to_asu
 from repro.netsim.fluid import Flow
 from repro.netsim.topology import (
@@ -21,7 +21,7 @@ from repro.netsim.topology import (
     HouseholdConfig,
     LocationProfile,
 )
-from repro.util.units import MB, transfer_rate
+from repro.util.units import MB, mbps, transfer_rate
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,16 @@ def _speedtest(household: Household, direction: str) -> float:
     return transfer_rate(size, finished[0] - start - overhead)
 
 
+#: Table 4 as printed: name, downlink Mbps, uplink Mbps, signal dBm.
+_TABLE4 = (
+    ("loc1", 6.48, 0.83, -81),
+    ("loc2", 21.64, 2.77, -95),
+    ("loc3", 8.67, 0.62, -97),
+    ("loc4", 6.20, 0.65, -89),
+    ("loc5", 6.82, 0.58, -89),
+)
+
+
 @experiment(
     "table04",
     title="Table 4 — evaluation locations",
@@ -93,6 +103,26 @@ def _speedtest(household: Household, direction: str) -> float:
         "strengths.\n"
         "Measured: simulated speed tests recover the configured rates; "
         "signal strengths are inputs (reported for completeness)."
+    ),
+    checks=(
+        Check("location_names",
+              "Table 4: the five evaluation locations",
+              lambda r: all(row.name == paper[0]
+                            for row, paper in zip(r.rows, _TABLE4))),
+        Check("downlink_within_5pct",
+              "Table 4: downlink 6.48/21.64/8.67/6.20/6.82 Mbps",
+              lambda r: all(abs(row.measured_down_bps - mbps(paper[1]))
+                            <= 0.05 * mbps(paper[1])
+                            for row, paper in zip(r.rows, _TABLE4))),
+        Check("uplink_within_5pct",
+              "Table 4: uplink 0.83/2.77/0.62/0.65/0.58 Mbps",
+              lambda r: all(abs(row.measured_up_bps - mbps(paper[2]))
+                            <= 0.05 * mbps(paper[2])
+                            for row, paper in zip(r.rows, _TABLE4))),
+        Check("signal_strengths",
+              "Table 4: signal -81/-95/-97/-89/-89 dBm",
+              lambda r: all(row.signal_dbm == paper[3]
+                            for row, paper in zip(r.rows, _TABLE4))),
     ),
     order=80,
 )

@@ -138,23 +138,6 @@ class TestDuplicationAblation:
         assert cell.waste_with_mb < 2.0
 
 
-class TestNeighborhoodExtension:
-    @pytest.fixture(scope="class")
-    def result(self):
-        from repro.experiments import ext_neighborhood
-
-        return ext_neighborhood.run(active_counts=(1, 4), seeds=(0, 1))
-
-    def test_benefit_erodes_with_adoption(self, result):
-        assert result.speedup_erodes()
-
-    def test_still_beneficial_when_crowded(self, result):
-        assert result.still_beneficial_at_max()
-
-    def test_lone_adopter_near_solo_household(self, result):
-        assert result.points[0].speedup > 1.8
-
-
 class TestMinTuningAblation:
     @pytest.fixture(scope="class")
     def result(self):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.experiments.formatting import fmt, fmt_mbps, render_table
-from repro.experiments.report import _section
+from repro.experiments.registry import Check, ExperimentSpec
+from repro.experiments.report import _section, _verdicts
+from repro.experiments.runner import ExperimentOutcome
 
 
 class TestRenderTable:
@@ -49,6 +51,16 @@ class TestReportScaffolding:
         assert "## Title" in text
         assert "Claims here" in text
         assert "```\ntable body\n```" in text
+
+    def test_verdicts_follow_the_claims(self):
+        checks = (Check("a", "Fig. 1: a", bool),
+                  Check("b", "Fig. 2: b", bool, quick=False))
+        spec = ExperimentSpec("x", "t", "d", "", "", {}, {}, 0, bool, checks)
+        outcome = ExperimentOutcome("x", "ok", 0.0, checks={"a": False})
+        assert _verdicts(spec, outcome) == (
+            "\n\nChecks:\n\n- FAIL `a` — Fig. 1: a"
+            "\n- not evaluated `b` — Fig. 2: b"
+        )
 
     def test_registry_covers_extensions(self):
         # CLI, report and benchmarks all read the one registry, so an

@@ -10,6 +10,7 @@ from repro.experiments.registry import (
     ExperimentSpec,
     UnknownExperimentError,
 )
+from repro.experiments.runner import run_experiments
 
 
 def _spec(experiment_id, func, **kwargs):
@@ -112,3 +113,13 @@ class TestResultContract:
     def test_tuple_keys_flatten(self, results):
         payload = results["fig06"].to_dict()
         assert any("/" in key for key in payload["cells"])
+
+
+@pytest.mark.parametrize("experiment_id", registry.experiment_ids())
+def test_quick_checks_hold(experiment_id):
+    """Every experiment runs at quick size and its quick checks hold."""
+    spec = registry.get(experiment_id)
+    outcome = run_experiments([experiment_id], quick=True)[0]
+    assert outcome.ok, outcome.error
+    assert outcome.failed_checks == []
+    assert all(outcome.checks[c.name] for c in spec.checks if c.quick)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import registry, runner
-from repro.experiments.registry import ExperimentSpec
+from repro.experiments.registry import Check, ExperimentSpec
 from repro.experiments.runner import ResultCache, run_experiments
 
 
@@ -157,3 +158,67 @@ class TestOutcomeSerialization:
         assert record["experiment"] == "sec21"
         assert record["status"] == "ok"
         assert record["error"] is None
+
+
+
+class _Value(float):
+    """A number honouring the result contract (render/to_dict)."""
+
+    def render(self):
+        return f"value {float(self)}"
+
+    def to_dict(self):
+        return {"value": float(self)}
+
+
+def _value_run(seed=0, scale=1.0):
+    return _Value(seed + scale)
+
+
+def _checked_spec(*checks):
+    return ExperimentSpec(
+        id="checked-test", title="checked", description="d", paper_ref="",
+        claims="", bench_params={"scale": 2.0}, quick_params={"scale": 1.0},
+        order=999, func=_value_run, checks=checks,
+    )
+
+
+HOLDS = Check("holds", "always true", lambda r: r > 0)
+FAILS = Check("fails", "never true", lambda r: r > 100)
+BENCH_ONLY = Check("bench_only", "false at quick", lambda r: r < 1.5,
+                   quick=False)
+
+
+def _cli(capsys, *checks, args=()):
+    with registry.temporary_experiment(_checked_spec(*checks)):
+        code = main(["run", "checked-test", "--json", "--no-cache", *args])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out)["checks"], captured.err
+
+
+class TestChecks:
+    def test_failing_check_exits_1_and_passing_exits_0(self, capsys):
+        code, checks, err = _cli(capsys, HOLDS, FAILS)
+        assert (code, checks) == (1, {"holds": True, "fails": False})
+        assert "[checked-test] check failed: fails" in err
+        assert _cli(capsys, HOLDS)[:2] == (0, {"holds": True})
+
+    def test_cached_outcome_keeps_verdicts(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        with registry.temporary_experiment(_checked_spec(HOLDS, FAILS)):
+            fresh = run_experiments(["checked-test"], cache=cache)[0]
+            cached = run_experiments(["checked-test"], cache=cache)[0]
+        assert (fresh.status, cached.status) == ("ok", "cached")
+        assert cached.checks == fresh.checks == {
+            "holds": True, "fails": False,
+        }
+
+    def test_seed_override_is_not_evaluated(self, capsys):
+        code, checks, _ = _cli(capsys, HOLDS, FAILS, args=["--seed", "7"])
+        assert (code, checks) == (0, {"holds": None, "fails": None})
+
+    def test_quick_skips_bench_only_checks(self, capsys):
+        code, checks, _ = _cli(capsys, HOLDS, BENCH_ONLY, args=["--quick"])
+        assert (code, checks) == (0, {"holds": True, "bench_only": None})
+        code, checks, _ = _cli(capsys, HOLDS, BENCH_ONLY)
+        assert (code, checks) == (1, {"holds": True, "bench_only": False})
