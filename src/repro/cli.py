@@ -29,7 +29,7 @@ import json
 import sys
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.experiments import registry, runner
+from repro.experiments import pilot_study, registry, runner
 from repro.netsim.topology import (
     EVALUATION_LOCATIONS,
     LocationProfile,
@@ -210,12 +210,7 @@ def _cmd_locations(_args: argparse.Namespace) -> int:
 
 
 def _cmd_pilot(args: argparse.Namespace) -> int:
-    from repro.pilot import PilotStudy, generate_household_workloads
-
-    plans = generate_household_workloads(
-        n_households=args.households, seed=args.seed
-    )
-    report = PilotStudy(plans, seed=args.seed).run()
+    report = pilot_study.run(n_households=args.households, seed=args.seed)
     print(report.render())
     return 0
 
@@ -307,8 +302,17 @@ def build_parser() -> argparse.ArgumentParser:
     pilot_parser = sub.add_parser(
         "pilot", help="simulate the 30-household pilot"
     )
-    pilot_parser.add_argument("--households", type=int, default=30)
-    pilot_parser.add_argument("--seed", type=int, default=0)
+    # The registered experiment's parameters, so `repro pilot` and
+    # `repro run pilot` simulate the same pilot.
+    spec: registry.ExperimentSpec = (
+        pilot_study.run.experiment_spec  # type: ignore[attr-defined]
+    )
+    pilot_parser.add_argument(
+        "--households", type=int, default=spec.bench_params["n_households"]
+    )
+    pilot_parser.add_argument(
+        "--seed", type=int, default=spec.bench_params["seed"]
+    )
     pilot_parser.set_defaults(func=_cmd_pilot)
 
     report_parser = sub.add_parser(

@@ -13,69 +13,3 @@ Layout mirrors the architecture of Fig. 2:
   :mod:`repro.core.allowance` (multi-provider, §6);
 * :mod:`repro.core.session` — the facade wiring a household together.
 """
-
-from repro.core.items import (
-    Direction,
-    Transaction,
-    TransferItem,
-    items_from_sizes,
-)
-from repro.core.scheduler import (
-    DegradationEvent,
-    GreedyPolicy,
-    MinTimePolicy,
-    RetryPolicy,
-    RoundRobinPolicy,
-    TransactionResult,
-    TransactionRunner,
-    make_policy,
-)
-from repro.core.allowance import (
-    AllowanceDecision,
-    AllowanceEstimator,
-    EstimatorEvaluation,
-    evaluate_estimator,
-)
-from repro.core.captracker import CapTracker
-from repro.core.permits import Permit, PermitServer
-from repro.core.discovery import DiscoveryRegistry, ServiceRecord
-from repro.core.mobile import MobileComponent, OperatingMode
-from repro.core.proxy import HlsAwareProxy, VideoDownloadReport
-from repro.core.resilience import DegradationLog, TransferGuard, bind_fault_schedule
-from repro.core.uploader import MultipartUploader, UploadReport
-from repro.core.session import DEFAULT_DAILY_BUDGET_BYTES, OnloadSession
-
-__all__ = [
-    "Direction",
-    "Transaction",
-    "TransferItem",
-    "items_from_sizes",
-    "DegradationEvent",
-    "GreedyPolicy",
-    "MinTimePolicy",
-    "RetryPolicy",
-    "RoundRobinPolicy",
-    "TransactionResult",
-    "TransactionRunner",
-    "make_policy",
-    "AllowanceDecision",
-    "AllowanceEstimator",
-    "EstimatorEvaluation",
-    "evaluate_estimator",
-    "CapTracker",
-    "Permit",
-    "PermitServer",
-    "DiscoveryRegistry",
-    "ServiceRecord",
-    "MobileComponent",
-    "OperatingMode",
-    "HlsAwareProxy",
-    "VideoDownloadReport",
-    "DegradationLog",
-    "TransferGuard",
-    "bind_fault_schedule",
-    "MultipartUploader",
-    "UploadReport",
-    "DEFAULT_DAILY_BUDGET_BYTES",
-    "OnloadSession",
-]

@@ -59,7 +59,7 @@ class HeadlineResult:
     claims=(
         "Paper: max speedups ~x3.8 (pre-buffer), x4 (download), x6 "
         "(upload); average transaction reduction 47%.\n"
-        "Measured: x2.4 download / x5.5 upload maxima, ~43% average "
+        "Measured: x2.2 download / x5.3 upload maxima, ~41% average "
         "reduction — compressed on the downlink for the same reason "
         "as Fig. 8."
     ),

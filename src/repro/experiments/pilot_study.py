@@ -2,14 +2,19 @@
 
 The pilot lives in :mod:`repro.pilot`; this wrapper gives it a place in
 the experiment catalogue so the report and the CLI reach it, and gate
-its checks, the same way as every table/figure reproduction.
+its checks, the same way as every table/figure reproduction. The pilot
+itself loads when ``run()`` is called, so ``repro pilot`` can read the
+registered parameters for its defaults without loading the simulator.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.experiments.registry import Check, experiment
-from repro.pilot import PilotStudy, generate_household_workloads
-from repro.pilot.simulation import PilotReport
+
+if TYPE_CHECKING:
+    from repro.pilot.simulation import PilotReport
 
 
 @experiment(
@@ -49,6 +54,8 @@ from repro.pilot.simulation import PilotReport
 )
 def run(n_households: int = 30, seed: int = 1) -> PilotReport:
     """Simulate the pilot fleet for one day."""
+    from repro.pilot import PilotStudy, generate_household_workloads
+
     plans = generate_household_workloads(
         n_households=n_households, seed=seed
     )

@@ -13,22 +13,3 @@ fixed-point exchange between rounds. Shard results merge
 deterministically: reports are byte-identical at any shard count (see
 ``docs/FLEET.md`` for the contract).
 """
-
-from repro.fleet.dispatcher import FleetOutcome, run_city, run_policy
-from repro.fleet.population import (
-    FleetParameters,
-    Population,
-    sample_population,
-)
-from repro.fleet.report import FleetReport, PolicySummary
-
-__all__ = [
-    "FleetOutcome",
-    "FleetParameters",
-    "FleetReport",
-    "PolicySummary",
-    "Population",
-    "run_city",
-    "run_policy",
-    "sample_population",
-]

@@ -15,67 +15,3 @@ Main entry points:
 * :class:`repro.netsim.topology.Household` — builders wiring up the 3GOL
   scenario (gateway + ADSL line + phones + cell + origin).
 """
-
-from repro.netsim.engine import EventQueue, ScheduledEvent
-from repro.netsim.faults import (
-    FaultEvent,
-    FaultProcess,
-    FaultSchedule,
-    LatencySpikeProcess,
-    Outage,
-    PathFlapProcess,
-    RadioDropProcess,
-    WifiDepartureProcess,
-)
-from repro.netsim.link import Link, PiecewiseLink, StochasticLink, TIME_INFINITY
-from repro.netsim.fluid import FluidNetwork, Flow
-from repro.netsim.path import NetworkPath
-from repro.netsim.adsl import AdslLine, sync_rate_for_distance
-from repro.netsim.wifi import WifiNetwork, WIFI_80211G, WIFI_80211N
-from repro.netsim.radio import RrcState, RadioStateMachine, RrcParameters
-from repro.netsim.cellular import (
-    BaseStation,
-    CellSector,
-    CellularDevice,
-    HspaParameters,
-)
-from repro.netsim.diurnal import DiurnalProfile, MOBILE_PROFILE, WIRED_PROFILE
-from repro.netsim.topology import Household, HouseholdConfig, LocationProfile
-
-__all__ = [
-    "EventQueue",
-    "ScheduledEvent",
-    "FaultEvent",
-    "FaultProcess",
-    "FaultSchedule",
-    "LatencySpikeProcess",
-    "Outage",
-    "PathFlapProcess",
-    "RadioDropProcess",
-    "WifiDepartureProcess",
-    "Link",
-    "PiecewiseLink",
-    "StochasticLink",
-    "TIME_INFINITY",
-    "FluidNetwork",
-    "Flow",
-    "NetworkPath",
-    "AdslLine",
-    "sync_rate_for_distance",
-    "WifiNetwork",
-    "WIFI_80211G",
-    "WIFI_80211N",
-    "RrcState",
-    "RadioStateMachine",
-    "RrcParameters",
-    "BaseStation",
-    "CellSector",
-    "CellularDevice",
-    "HspaParameters",
-    "DiurnalProfile",
-    "MOBILE_PROFILE",
-    "WIRED_PROFILE",
-    "Household",
-    "HouseholdConfig",
-    "LocationProfile",
-]

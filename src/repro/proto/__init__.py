@@ -34,9 +34,7 @@ web parsers raise them) without a circular import through
 
 from __future__ import annotations
 
-import importlib
-from typing import Any
-
+from repro import lazy_exports
 from repro.proto.errors import (
     FramingError,
     MultipartError,
@@ -59,24 +57,12 @@ __all__ = [
     "WireError",
 ]
 
-_LAZY = {
-    "TokenBucket": "repro.proto.shaping",
-    "LoopbackOrigin": "repro.proto.origin",
-    "MobileProxy": "repro.proto.mobileproxy",
-    "PrototypeClient": "repro.proto.client",
-}
-
-
-def __getattr__(name: str) -> Any:
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> "list[str]":
-    return sorted(set(globals()) | set(_LAZY))
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "TokenBucket": "repro.proto.shaping",
+        "LoopbackOrigin": "repro.proto.origin",
+        "MobileProxy": "repro.proto.mobileproxy",
+        "PrototypeClient": "repro.proto.client",
+    },
+)

@@ -1,9 +1,10 @@
 """Long-running onload service: overload control, drain, chaos.
 
 The ``proto`` package proves the 3GOL data path works once; this
-package keeps it working *continuously*. :class:`OnloadService` is a
-real loopback TCP relay in front of the ADSL gateway and the phones'
-shaped 3G proxies, built for sustained operation:
+package keeps it working *continuously*.
+:class:`~repro.service.server.OnloadService` is a real loopback TCP
+relay in front of the ADSL gateway and the phones' shaped 3G proxies,
+built for sustained operation:
 
 * :mod:`repro.service.admission` — bounded flow pool + bounded wait
   queue; overload sheds explicitly (503 + ``overload-shed``), never
@@ -20,47 +21,3 @@ shaped 3G proxies, built for sustained operation:
   seeded adversarial fleet and the seeded open-loop workload that the
   ``repro-serve smoke`` harness fires at a live service.
 """
-
-from repro.service.admission import (
-    AdmissionController,
-    AdmissionDecision,
-)
-from repro.service.chaos import ChaosPlan, build_plan, run_plan
-from repro.service.lifecycle import (
-    Deadline,
-    Lifecycle,
-    LifecycleError,
-)
-from repro.service.loadgen import (
-    LoadPlan,
-    LoadReport,
-    build_load_plan,
-    run_load,
-)
-from repro.service.server import (
-    DrainReport,
-    FlowRecord,
-    OnloadService,
-    ServiceLeg,
-    ServiceReport,
-)
-
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "ChaosPlan",
-    "Deadline",
-    "DrainReport",
-    "FlowRecord",
-    "Lifecycle",
-    "LifecycleError",
-    "LoadPlan",
-    "LoadReport",
-    "OnloadService",
-    "ServiceLeg",
-    "ServiceReport",
-    "build_load_plan",
-    "build_plan",
-    "run_load",
-    "run_plan",
-]

@@ -7,37 +7,3 @@ campaign. None are publicly available, so this package generates seeded
 synthetic equivalents matching every statistic the paper reports about
 them; DESIGN.md §2 records the substitutions.
 """
-
-from repro.traces.mno import MnoDataset, MnoUser, generate_mno_dataset
-from repro.traces.dslam import (
-    DslamTrace,
-    VideoRequest,
-    generate_dslam_trace,
-)
-from repro.traces.webtraffic import (
-    WebRequest,
-    WebTrafficLog,
-    generate_web_log,
-    hourly_volume_series,
-)
-from repro.traces.pictures import generate_photo_set
-from repro.traces.handsets import (
-    MeasurementSample,
-    measure_cluster_throughput,
-)
-
-__all__ = [
-    "MnoDataset",
-    "MnoUser",
-    "generate_mno_dataset",
-    "DslamTrace",
-    "VideoRequest",
-    "generate_dslam_trace",
-    "WebRequest",
-    "WebTrafficLog",
-    "generate_web_log",
-    "hourly_volume_series",
-    "generate_photo_set",
-    "MeasurementSample",
-    "measure_cluster_throughput",
-]

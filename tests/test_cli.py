@@ -24,6 +24,14 @@ class TestParser:
         ):
             assert key in ids
 
+    def test_pilot_defaults_are_the_registered_params(self):
+        # `repro pilot` and `repro run pilot` must simulate one pilot.
+        args = build_parser().parse_args(["pilot"])
+        params = registry.get("pilot").bench_params
+        assert {"n_households": args.households, "seed": args.seed} == dict(
+            params
+        )
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -21,15 +21,17 @@ from repro.core.scheduler.runner import RetryPolicy
 from repro.obs.capture import capture
 from repro.obs.schema import EVENTS
 from repro.proto import LoopbackOrigin, httpwire
-from repro.service import (
-    AdmissionController,
+from repro.service.admission import AdmissionController
+from repro.service.lifecycle import (
+    DRAINING,
+    SERVING,
+    STARTING,
+    STOPPED,
     Deadline,
     Lifecycle,
     LifecycleError,
-    OnloadService,
-    ServiceLeg,
 )
-from repro.service.lifecycle import DRAINING, SERVING, STARTING, STOPPED
+from repro.service.server import OnloadService, ServiceLeg
 from repro.util.units import MB
 
 

@@ -23,7 +23,6 @@ from repro.obs.capture import capture
 from repro.obs.export import export_lines, parse_lines
 from repro.obs.schema import EVENTS
 from repro.proto import LoopbackOrigin
-from repro.service import OnloadService, ServiceLeg
 from repro.service.chaos import (
     CHAOS_MODES,
     ChaosConnection,
@@ -32,6 +31,7 @@ from repro.service.chaos import (
     run_plan,
 )
 from repro.service.loadgen import build_load_plan, run_load
+from repro.service.server import OnloadService, ServiceLeg
 from repro.util.units import MB
 
 TERMINAL = {"completed", "shed", "aborted"}
