@@ -27,15 +27,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 from repro.experiments import pilot_study, registry, runner
-from repro.netsim.topology import (
-    EVALUATION_LOCATIONS,
-    LocationProfile,
-    MEASUREMENT_LOCATIONS,
-)
 from repro.util.units import rate_to_mbps
+
+if TYPE_CHECKING:
+    from repro.netsim.topology import LocationProfile
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -204,6 +202,11 @@ def _print_locations(
 
 
 def _cmd_locations(_args: argparse.Namespace) -> int:
+    from repro.netsim.topology import (
+        EVALUATION_LOCATIONS,
+        MEASUREMENT_LOCATIONS,
+    )
+
     _print_locations("Measurement locations (Table 2):", MEASUREMENT_LOCATIONS)
     _print_locations("Evaluation locations (Table 4):", EVALUATION_LOCATIONS)
     return 0

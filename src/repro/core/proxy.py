@@ -10,14 +10,12 @@ segment list into a transaction, and hands it to the multipath scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.items import Direction, Transaction, TransferItem
+from repro.core.resilience import RetryPolicy, TransferGuard
 from repro.core.scheduler import TransactionRunner, make_policy
-from repro.core.scheduler.runner import RetryPolicy, TransactionResult
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.resilience import TransferGuard
+from repro.core.scheduler.runner import TransactionResult
 from repro.netsim.fluid import FluidNetwork
 from repro.netsim.path import NetworkPath
 from repro.web.client import SequentialHttpClient

@@ -17,32 +17,108 @@ mutation and ties those signals to the scheduler machinery:
   :class:`~repro.netsim.faults.FaultSchedule` against a runner, mapping
   effective down/up transitions to ``remove_path`` / ``add_path``;
 * :class:`RetryBudget` — a *shared* token-bucket retry budget layered
-  over the per-flow :class:`~repro.core.scheduler.runner.RetryPolicy`,
-  so a fleet of concurrent flows cannot turn one outage into a retry
-  storm.
+  over the per-flow :class:`RetryPolicy`, so a fleet of concurrent flows
+  cannot turn one outage into a retry storm.
+
+:class:`DegradationEvent` and :class:`RetryPolicy`, the vocabulary the
+runner, the prototype and the service share, are defined here. The
+simulator types (runner, paths, devices, fault schedules) are
+annotation-only in this module: the live onload service imports it
+without loading numpy, the scheduler or the fluid engine.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.captracker import CapTracker
-from repro.core.mobile import MobileComponent
 from repro.core.permits import PermitServer
-from repro.core.scheduler.ledger import ItemRecord
-from repro.core.scheduler.runner import (
-    DegradationEvent,
-    RetryPolicy,
-    TransactionResult,
-    TransactionRunner,
-)
-from repro.netsim.cellular import CellularDevice
-from repro.netsim.faults import FaultEvent, FaultSchedule
-from repro.netsim.path import NetworkPath
 from repro.obs.capture import Instrumentation, current as obs_current
 from repro.obs.schema import canonical_degradation_kind
-from repro.util.rng import spawn_rng
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.core.mobile import MobileComponent
+    from repro.core.scheduler.ledger import ItemRecord
+    from repro.core.scheduler.runner import (
+        TransactionResult,
+        TransactionRunner,
+    )
+    from repro.netsim.cellular import CellularDevice
+    from repro.netsim.faults import FaultEvent, FaultSchedule
+    from repro.netsim.path import NetworkPath
+
+
+@dataclass(frozen=True)
+class DegradationEvent:
+    """One structured entry in a transfer's degradation log.
+
+    ``kind`` is a small vocabulary shared across the stack:
+    ``path-fault`` (flap/death), ``path-drain`` (graceful removal),
+    ``path-rejoin`` / ``path-join`` (membership growth),
+    ``rejoin-vetoed`` (a re-join refused by the runner's
+    :attr:`~repro.core.scheduler.runner.TransactionRunner.rejoin_gate`),
+    ``stall`` (watchdog abort), ``retry-budget-exhausted``,
+    ``permit-revoked`` and ``cap-exhausted`` (session-layer reactions).
+    """
+
+    time: float
+    kind: str
+    path_name: str = ""
+    item_label: str = ""
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Bounded retry budget with exponential backoff.
+
+    An item's fault count increments every time a fault or stall orphans
+    it with no sibling copy in flight. The ``k``-th recovery is delayed
+    by ``backoff_base_s * backoff_multiplier**(k-1)`` capped at
+    ``backoff_max_s``. Past ``max_attempts`` the item is *still*
+    re-queued — the runner never loses items — but without backoff and
+    with a ``retry-budget-exhausted`` event in the degradation log, so
+    callers can see the path churn outran the budget.
+    """
+
+    max_attempts: int = 6
+    backoff_base_s: float = 0.5
+    backoff_multiplier: float = 2.0
+    backoff_max_s: float = 30.0
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be >= 1, got {self.max_attempts}"
+            )
+        if self.backoff_base_s < 0.0:
+            raise ValueError("backoff_base_s must be >= 0")
+        if self.backoff_multiplier < 1.0:
+            raise ValueError("backoff_multiplier must be >= 1")
+        if self.backoff_max_s < 0.0:
+            raise ValueError("backoff_max_s must be >= 0")
+
+    def backoff(self, attempt: int) -> float:
+        """Delay before recovery attempt ``attempt`` (1-based)."""
+        if attempt < 1:
+            raise ValueError(f"attempt must be >= 1, got {attempt}")
+        if attempt > self.max_attempts or self.backoff_base_s <= 0.0:
+            return 0.0
+        delay = self.backoff_base_s * self.backoff_multiplier ** (attempt - 1)
+        return min(delay, self.backoff_max_s)
 
 
 class DegradationLog:
@@ -371,8 +447,8 @@ class TransferGuard:
 class RetryBudget:
     """Shared token-bucket retry budget with jittered backoff.
 
-    The per-flow :class:`~repro.core.scheduler.runner.RetryPolicy`
-    bounds how often *one* item retries; it says nothing about a fleet.
+    The per-flow :class:`RetryPolicy` bounds how often *one* item
+    retries; it says nothing about a fleet.
     When an upstream outage hits a service with hundreds of concurrent
     flows, every flow's private policy happily retries, synchronised by
     the outage — a retry storm. The budget is the global brake: a
@@ -384,7 +460,10 @@ class RetryBudget:
     RNG, de-synchronising the survivors.
 
     Thread-safe; deterministic in single-threaded (sim) use because the
-    jitter stream is seeded and consumed in call order.
+    jitter stream is seeded and consumed in call order. The seeded
+    generator (and with it numpy) is created on the first jittered
+    retry, not at construction, so a service that never retries never
+    loads numpy.
     """
 
     def __init__(
@@ -409,7 +488,8 @@ class RetryBudget:
         self.refill_per_success = float(refill_per_success)
         self.jitter_frac = float(jitter_frac)
         self._tokens = float(capacity)
-        self._rng = spawn_rng(seed)
+        self._seed = seed
+        self._rng: Optional[np.random.Generator] = None
         self._lock = threading.Lock()
         self._obs = obs if obs is not None else obs_current()
         #: Grant/denial counters for observability.
@@ -451,6 +531,10 @@ class RetryBudget:
             self.granted_count += 1
             delay = self.policy.backoff(attempt)
             if delay > 0.0 and self.jitter_frac > 0.0:
+                if self._rng is None:
+                    from repro.util.rng import spawn_rng
+
+                    self._rng = spawn_rng(self._seed)
                 delay += delay * self.jitter_frac * float(
                     self._rng.uniform()
                 )

@@ -15,9 +15,9 @@ Three policies, matching the paper's comparison:
 transaction under a policy on the fluid simulator and reports timings,
 per-path byte usage and duplication waste — plus the churn-tolerance
 layer: dynamic path membership, bounded retries with exponential
-backoff (:class:`~repro.core.scheduler.runner.RetryPolicy`), a
+backoff (:class:`~repro.core.resilience.RetryPolicy`), a
 per-flow stall watchdog, and structured
-:class:`~repro.core.scheduler.runner.DegradationEvent` logging.
+:class:`~repro.core.resilience.DegradationEvent` logging.
 """
 
 from typing import Any, Dict, Type

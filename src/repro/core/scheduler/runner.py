@@ -32,72 +32,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.items import Transaction, TransferItem
+from repro.core.resilience import DegradationEvent, RetryPolicy
 from repro.core.scheduler.base import PathWorker, SchedulingPolicy
 from repro.core.scheduler.ledger import Copy, CopyLedger, ItemRecord
 from repro.netsim.fluid import Flow, FluidNetwork
 from repro.netsim.path import NetworkPath
 from repro.obs.capture import Instrumentation, current as obs_current
 from repro.util.units import transfer_rate
-
-
-@dataclass(frozen=True)
-class DegradationEvent:
-    """One structured entry in a transfer's degradation log.
-
-    ``kind`` is a small vocabulary shared across the stack:
-    ``path-fault`` (flap/death), ``path-drain`` (graceful removal),
-    ``path-rejoin`` / ``path-join`` (membership growth),
-    ``rejoin-vetoed`` (a re-join refused by the runner's
-    :attr:`~TransactionRunner.rejoin_gate`), ``stall`` (watchdog
-    abort), ``retry-budget-exhausted``, ``permit-revoked`` and
-    ``cap-exhausted`` (session-layer reactions).
-    """
-
-    time: float
-    kind: str
-    path_name: str = ""
-    item_label: str = ""
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry budget with exponential backoff.
-
-    An item's fault count increments every time a fault or stall orphans
-    it with no sibling copy in flight. The ``k``-th recovery is delayed
-    by ``backoff_base_s * backoff_multiplier**(k-1)`` capped at
-    ``backoff_max_s``. Past ``max_attempts`` the item is *still*
-    re-queued — the runner never loses items — but without backoff and
-    with a ``retry-budget-exhausted`` event in the degradation log, so
-    callers can see the path churn outran the budget.
-    """
-
-    max_attempts: int = 6
-    backoff_base_s: float = 0.5
-    backoff_multiplier: float = 2.0
-    backoff_max_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.backoff_base_s < 0.0:
-            raise ValueError("backoff_base_s must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
-        if self.backoff_max_s < 0.0:
-            raise ValueError("backoff_max_s must be >= 0")
-
-    def backoff(self, attempt: int) -> float:
-        """Delay before recovery attempt ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise ValueError(f"attempt must be >= 1, got {attempt}")
-        if attempt > self.max_attempts or self.backoff_base_s <= 0.0:
-            return 0.0
-        delay = self.backoff_base_s * self.backoff_multiplier ** (attempt - 1)
-        return min(delay, self.backoff_max_s)
 
 
 #: Retry behaviour of the original one-shot ``fail_path`` era: immediate

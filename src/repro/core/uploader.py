@@ -9,14 +9,12 @@ behaviour), parallelised across the uplink paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.items import Direction, Transaction, TransferItem
+from repro.core.resilience import RetryPolicy, TransferGuard
 from repro.core.scheduler import TransactionRunner, make_policy
-from repro.core.scheduler.runner import RetryPolicy, TransactionResult
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.resilience import TransferGuard
+from repro.core.scheduler.runner import TransactionResult
 from repro.netsim.fluid import FluidNetwork
 from repro.netsim.path import NetworkPath
 from repro.obs.capture import Instrumentation

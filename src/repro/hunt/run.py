@@ -21,14 +21,17 @@ from repro.core.discovery import DiscoveryRegistry
 from repro.core.items import Transaction, TransferItem
 from repro.core.mobile import MobileComponent, OperatingMode
 from repro.core.permits import PermitServer
-from repro.core.resilience import TransferGuard, bind_fault_schedule
-from repro.core.scheduler import (
+from repro.core.resilience import (
+    DegradationEvent,
     RetryPolicy,
+    TransferGuard,
+    bind_fault_schedule,
+)
+from repro.core.scheduler import (
     TransactionRunner,
     attach_deadlines,
     make_policy,
 )
-from repro.core.scheduler.runner import DegradationEvent
 from repro.hunt.scenario import Scenario
 from repro.netsim.topology import (
     Household,

@@ -33,10 +33,10 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.items import Transaction, TransferItem
-from repro.core.resilience import DegradationLog
+from repro.core.resilience import DegradationEvent, DegradationLog
 from repro.core.scheduler.base import PathWorker, SchedulingPolicy
 from repro.core.scheduler.ledger import CopyLedger
-from repro.core.scheduler.runner import DegradationEvent, TransactionResult
+from repro.core.scheduler.runner import TransactionResult
 from repro.netsim.link import Link
 from repro.netsim.path import NetworkPath
 from repro.obs.capture import Instrumentation, current as obs_current

@@ -3,7 +3,8 @@
 Subpackage ``__init__``s re-export nothing and the top-level quickstart
 names load on first access, so each entry point's ``repro`` closure is
 what its own imports need. Each case imports in a new interpreter and
-reads ``sys.modules``; nothing here is timed.
+reads ``sys.modules``; nothing here is timed. One case serves an upload
+with numpy blocked, which also catches imports made lazily on the way.
 """
 
 import json
@@ -19,16 +20,12 @@ sys.path.insert(0, {src!r})
 for name in {modules!r}:
     importlib.import_module(name)
 {extra}
-print(json.dumps(sorted(
-    name for name in sys.modules
-    if name == "repro" or name.startswith("repro.")
-)))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def loaded_after(*modules, extra=""):
-    """The ``repro`` modules a fresh interpreter holds after importing."""
-    code = _PROBE.format(src=str(SRC), modules=list(modules), extra=extra)
+def run_fresh(code):
+    """Run ``code`` in a new interpreter; returns its last output line."""
     completed = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -36,7 +33,18 @@ def loaded_after(*modules, extra=""):
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
-    return set(json.loads(completed.stdout))
+    return completed.stdout.strip().splitlines()[-1]
+
+
+def modules_after(*modules, extra=""):
+    """Every module a fresh interpreter holds after importing."""
+    code = _PROBE.format(src=str(SRC), modules=list(modules), extra=extra)
+    return set(json.loads(run_fresh(code)))
+
+
+def loaded_after(*modules, extra=""):
+    """The ``repro`` modules a fresh interpreter holds after importing."""
+    return set(under(modules_after(*modules, extra=extra), "repro"))
 
 
 def under(loaded, *packages):
@@ -86,7 +94,7 @@ def test_fleet_setup_skips_the_detailed_simulator():
 
 def test_service_host_skips_the_harnesses():
     # The five imports of the service benchmark's host process.
-    loaded = loaded_after(
+    everything = modules_after(
         "repro.core.captracker",
         "repro.core.permits",
         "repro.core.resilience",
@@ -94,12 +102,100 @@ def test_service_host_skips_the_harnesses():
         extra="from repro.proto import LoopbackOrigin, MobileProxy",
     )
     assert not under(
-        loaded,
-        "repro.experiments",
-        "repro.fleet",
-        "repro.service.chaos",
-        "repro.service.loadgen",
+        everything,
+        "numpy",
+        "repro.netsim",
+        "repro.core.scheduler",
+        "repro.core.mobile",
     )
+    assert set(under(everything, "repro")) == {
+        "repro",
+        "repro.core",
+        "repro.core.captracker",
+        "repro.core.permits",
+        "repro.core.resilience",
+        "repro.obs",
+        "repro.obs.capture",
+        "repro.obs.metrics",
+        "repro.obs.schema",
+        "repro.obs.tracer",
+        "repro.proto",
+        "repro.proto.errors",
+        "repro.proto.httpwire",
+        "repro.proto.mobileproxy",
+        "repro.proto.origin",
+        "repro.proto.server",
+        "repro.proto.shaping",
+        "repro.service",
+        "repro.service.admission",
+        "repro.service.lifecycle",
+        "repro.service.server",
+        "repro.util",
+        "repro.util.units",
+        "repro.util.validate",
+        "repro.web",
+        "repro.web.hls",
+    }
+
+
+_SERVE_WITHOUT_NUMPY = """
+import json, socket, sys
+sys.modules["numpy"] = None  # any import of numpy now raises
+sys.path.insert(0, {src!r})
+from repro.core.captracker import CapTracker
+from repro.core.permits import PermitServer
+from repro.core.resilience import FlowLedger, RetryBudget
+from repro.proto import LoopbackOrigin, MobileProxy, httpwire
+from repro.service.server import OnloadService, ServiceLeg
+
+origin = LoopbackOrigin()
+origin.start()
+proxy = MobileProxy(origin.address, name="ph1", recv_timeout=5.0).start()
+ledger = FlowLedger(
+    {{"ph1": CapTracker(daily_budget_bytes=1e15)}},
+    permit_server=PermitServer(utilization_fn=lambda cell, now: 0.3),
+)
+service = OnloadService(
+    legs=[
+        ServiceLeg("adsl", origin.address),
+        ServiceLeg("ph1", proxy.address, device="ph1", cell="c0"),
+    ],
+    recv_timeout=5.0,
+    retry_budget=RetryBudget(seed=7),
+    ledger=ledger,
+)
+service.start()
+with socket.create_connection(service.address, timeout=5.0) as sock:
+    sock.sendall(httpwire.render_request(
+        "POST", "/photo.jpg", "origin", body=b"u" * 4096
+    ))
+    status, _, _ = httpwire.read_response(sock, timeout=5.0)
+drain = service.stop()
+proxy.stop()
+origin.stop()
+print(json.dumps({{
+    "status": status,
+    "uploads": dict(origin.uploads),
+    "stranded": service.report().stranded(),
+    "drained": drain.met_deadline,
+}}))
+"""
+
+
+def test_service_serves_an_upload_without_numpy():
+    # A closure test only sees module-level imports; this one fails on
+    # any numpy import the serving path makes lazily.
+    outcome = json.loads(run_fresh(_SERVE_WITHOUT_NUMPY.format(src=str(SRC))))
+    assert outcome == {
+        "status": 200,
+        "uploads": {"/photo.jpg": 4096},
+        "stranded": 0,
+        "drained": True,
+    }
+
+
+def test_cli_imports_topology_only_for_locations():
+    assert "repro.netsim.topology" not in loaded_after("repro.cli")
 
 
 def test_quickstart_names_resolve_on_access():

@@ -16,8 +16,7 @@ import pytest
 
 from repro.core.captracker import CapTracker
 from repro.core.permits import PermitServer
-from repro.core.resilience import FlowLedger, RetryBudget
-from repro.core.scheduler.runner import RetryPolicy
+from repro.core.resilience import FlowLedger, RetryBudget, RetryPolicy
 from repro.obs.capture import capture
 from repro.obs.schema import EVENTS
 from repro.proto import LoopbackOrigin, httpwire
@@ -309,6 +308,20 @@ class TestRetryBudget:
         delays_two = [two.acquire(1) for _ in range(5)]
         assert delays_one == delays_two
         assert delays_one != [other.acquire(1) for _ in range(5)]
+
+    def test_jitter_stream_is_pinned(self):
+        # The generator is created on the first jittered retry; its
+        # stream is the one seed 7 always gave.
+        budget = RetryBudget(
+            policy=RetryPolicy(max_attempts=8, backoff_base_s=1.0), seed=7
+        )
+        assert [budget.acquire(1) for _ in range(5)] == [
+            1.1562738666511667,
+            1.224303450242394,
+            1.1939214225612984,
+            1.0563017974976479,
+            1.0750415712278063,
+        ]
 
     def test_jitter_bounded_by_fraction(self):
         budget = RetryBudget(
