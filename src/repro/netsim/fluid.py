@@ -80,6 +80,11 @@ def completion_epsilon(size_bytes: float) -> float:
 #: Relative tolerance when comparing fair shares in the water-filling loop.
 _SHARE_EPSILON = 1e-12
 
+#: Relative slack by which a shared link's capacity must exceed its
+#: members' summed private bounds to be left out of the water-fill (it
+#: cannot bind; see ``FluidNetwork._recompute_rates``).
+_SLACK_MARGIN = 1e-9
+
 #: Active-flow count from which the stepper switches from the scalar
 #: per-flow advance/ETA loops to the vectorized numpy paths. Both paths
 #: are bit-identical; the threshold only picks whichever has less
@@ -267,12 +272,14 @@ class FluidNetwork:
         # list and ``_col_live`` its member count, both maintained on
         # register/unregister; columns are recycled through ``_free_cols``
         # when a use dies. ``_shared`` holds the columns with two or more
-        # members, in the order they became shared.
+        # members, in the order they became shared, and ``_repeating``
+        # the flows whose chain crosses a link more than once.
         self._uses: Dict[int, _LinkUse] = {}
         self._col_members: List[List[Flow]] = []
         self._col_live: List[int] = []
         self._free_cols: List[int] = []
         self._shared: Dict[int, None] = {}
+        self._repeating: Dict[Flow, None] = {}
 
         # Allocator setup (flow positions, live uses, shared columns): a
         # pure function of membership, rebuilt only when a
@@ -447,6 +454,7 @@ class FluidNetwork:
                 if col in seen:
                     flow._repeat_cols.append(col)
                 seen.add(col)
+            self._repeating[flow] = None
         self._flows.append(flow)
         self._rates_dirty = True
         self._alloc_dirty = True
@@ -479,6 +487,8 @@ class FluidNetwork:
                 del self._uses[id(link)]
                 self._free_cols.append(col)
             self.engine.links.release(link)
+        if flow._repeat_cols:
+            del self._repeating[flow]
         flow._private_cols = []
         flow._shared_cols = []
         flow._repeat_cols = []
@@ -541,18 +551,37 @@ class FluidNetwork:
         freeze changes it), so each flow's rate cap and private columns
         fold into one *private bound*, their minimum. The bounds never
         change during a call: they are sorted once and walked with a
-        pointer. Only the *shared* columns (two or more live members) sit
-        in a min-heap of ``(share, col)`` entries.
+        pointer. Only the *shared* columns (two or more live members)
+        that can bind sit in a min-heap of ``(share, col)`` entries.
+
+        A shared column *cannot bind* when its members' bounds (counted
+        once per chain occurrence) sum to at most ``capacity * (1 -
+        _SLACK_MARGIN)``: it is pruned, never enters the heap, and its
+        ``rem``/``live``/``share`` bookkeeping is skipped. Every flow
+        freezes at or below its bound (a round's bottleneck is at most
+        the first unfrozen bound), so the pruned column's remainder
+        stays at least the unfrozen members' bounds plus ``_SLACK_MARGIN
+        * capacity``, and its share at least the smallest of those
+        bounds plus ``_SLACK_MARGIN * capacity / live``. That clears any
+        round's threshold ``bottleneck * (1 + _SHARE_EPSILON)`` by far
+        more than the float error of thousands of clamped subtractions,
+        so the reference never pops it either. (A zero-capacity column
+        is pruned only when every member is bound at zero; those freeze
+        at zero in the first round either way.)
 
         A round takes the smaller of the first unfrozen bound and the
         smallest valid shared share as the bottleneck, takes every bound
         and pops every valid entry within ``bottleneck * (1 +
         _SHARE_EPSILON)``, freezes their active flows at the bottleneck
-        rate, subtracts that rate from the shared columns those flows
+        rate, subtracts that rate from the binding columns those flows
         cross and pushes only those columns' new shares. Entries a later
         change made stale are discarded when they surface: an entry is
         valid while its column has live members and its share is the
-        current one.
+        current one. Once no valid entry is left (at the start when no
+        shared column can bind, or after the last binding column is
+        spent) no column can gain one again, and the remaining flows
+        freeze in one walk over the sorted bounds, in the same threshold
+        groups the rounds would take, each group at its first bound.
 
         The arithmetic is that of brute-force progressive filling: the same
         ``rem / live`` shares, threshold product and clamped subtraction
@@ -591,14 +620,27 @@ class FluidNetwork:
         n = len(flows)
         order = sorted(range(n), key=bounds.__getitem__)
 
+        # What each shared column's members can take at most, counting
+        # a member once per chain occurrence.
         col_members = self._col_members
+        need = [0.0] * len(capacity)
+        for col in self._alloc_shared:
+            need[col] = sum([bounds[flow._pos] for flow in col_members[col]])
+        for flow in self._repeating:
+            for col in flow._repeat_cols:
+                need[col] += bounds[flow._pos]
+
         live = self._col_live.copy()
         rem = capacity.copy()
         share = rem.copy()
         heap: List[Tuple[float, int]] = []
+        slack = 1 - _SLACK_MARGIN
         for col in self._alloc_shared:
-            share[col] = rem[col] / live[col]
-            heap.append((share[col], col))
+            if need[col] <= rem[col] * slack:
+                live[col] = 0  # pruned: out of the water-fill
+            else:
+                share[col] = rem[col] / live[col]
+                heap.append((share[col], col))
         heapq.heapify(heap)
 
         heappop, heappush, heapreplace = (
@@ -621,6 +663,21 @@ class FluidNetwork:
                         bottleneck = entry_share
                     break
                 heappop(heap)
+            if not heap:
+                # No column can bind any more: the rest freeze at their
+                # bounds, each threshold group at its first bound.
+                threshold = -inf
+                for pos in order[walk:]:
+                    if frozen[pos]:
+                        continue
+                    bound = bounds[pos]
+                    if bound > threshold:
+                        if bound == inf:
+                            break  # unconstrained: stays at rate zero
+                        threshold = bound * (1 + _SHARE_EPSILON)
+                        rate = max(bound, 0.0)
+                    rates[pos] = rate
+                break
             if bottleneck == inf:
                 # No constraining link at all (all-frozen corner): active
                 # flows stay at rate zero.
@@ -653,12 +710,13 @@ class FluidNetwork:
             for pos in newly:
                 flow = flows[pos]
                 for col in flow._shared_cols:
-                    live[col] -= 1
-                    reduced = rem[col] - rate
-                    rem[col] = reduced if reduced > 0.0 else 0.0
-                    touched.add(col)
+                    if live[col]:  # a pruned column counts no members
+                        live[col] -= 1
+                        reduced = rem[col] - rate
+                        rem[col] = reduced if reduced > 0.0 else 0.0
+                        touched.add(col)
                 for col in flow._repeat_cols:
-                    if col in flow._shared_cols:
+                    if col in touched:
                         reduced = rem[col] - rate
                         rem[col] = reduced if reduced > 0.0 else 0.0
             for col in touched:

@@ -14,14 +14,18 @@ Lowering rules:
   cell index like ``("Q4", "GRD", 1)`` serializes as ``"Q4/GRD/1"``);
 * sequences and sets become lists;
 * numpy scalars and arrays become their Python equivalents.
+
+numpy is not imported here: a numpy value cannot exist unless numpy is
+already in ``sys.modules``, so the numpy cases are tested only then, and
+importing this module (the experiment registry and the CLI do) costs no
+numpy import.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 from typing import Any, Mapping, Sequence
-
-import numpy as np
 
 
 def _key(key: Any) -> str:
@@ -39,14 +43,16 @@ def jsonable(obj: Any) -> Any:
         return obj
     if isinstance(obj, float):
         return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [jsonable(value) for value in obj.tolist()]
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.bool_):
+            return bool(obj)
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.ndarray):
+            return [jsonable(value) for value in obj.tolist()]
     to_dict = getattr(obj, "to_dict", None)
     if callable(to_dict) and not dataclasses.is_dataclass(obj):
         return jsonable(to_dict())

@@ -5,7 +5,6 @@ import pytest
 from repro.experiments import (
     ext_churn,
     ext_dslam,
-    ext_duplication,
     ext_estimator,
     ext_lte,
     ext_mptcp,
@@ -121,21 +120,6 @@ class TestEstimatorAblation:
                 guarded.overrun_days_per_month
                 < no_guard.overrun_days_per_month
             )
-
-
-class TestDuplicationAblation:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return ext_duplication.run(seeds=(0, 1))
-
-    def test_duplication_rescues_degrading_path(self, result):
-        cell = result.cells["degrading path"]
-        assert cell.rescue_benefit > 0.5
-
-    def test_duplication_cheap_on_steady_paths(self, result):
-        cell = result.cells["steady paths"]
-        assert abs(cell.rescue_benefit) < 0.15
-        assert cell.waste_with_mb < 2.0
 
 
 class TestMinTuningAblation:

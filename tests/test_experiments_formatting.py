@@ -1,11 +1,13 @@
 """Table rendering and the report scaffolding."""
 
+import numpy as np
 import pytest
 
 from repro.experiments.formatting import fmt, fmt_mbps, render_table
 from repro.experiments.registry import Check, ExperimentSpec
 from repro.experiments.report import _section, _verdicts
 from repro.experiments.runner import ExperimentOutcome
+from repro.util.serialize import jsonable
 
 
 class TestRenderTable:
@@ -70,3 +72,23 @@ class TestReportScaffolding:
         ids = registry.experiment_ids()
         assert "ext-neighborhood" in ids
         assert "ext-playout" in ids
+
+
+class TestJsonable:
+    def test_numpy_values_become_python_values(self):
+        lowered = jsonable(
+            {
+                "flag": np.bool_(True),
+                "n": np.int64(3),
+                "x": np.float32(0.5),
+                "arr": np.array([[1, 2], [3, 4]]),
+            }
+        )
+        assert lowered == {
+            "flag": True,
+            "n": 3,
+            "x": 0.5,
+            "arr": [[1, 2], [3, 4]],
+        }
+        assert type(lowered["flag"]) is bool
+        assert type(lowered["n"]) is int

@@ -198,6 +198,12 @@ def test_cli_imports_topology_only_for_locations():
     assert "repro.netsim.topology" not in loaded_after("repro.cli")
 
 
+def test_cli_loads_no_numpy():
+    # ``repro-3gol --help`` pays for what ``repro.cli`` imports; the
+    # registry's serializer tests numpy types only once numpy is loaded.
+    assert not under(modules_after("repro.cli"), "numpy")
+
+
 def test_quickstart_names_resolve_on_access():
     loaded = loaded_after(
         "repro",

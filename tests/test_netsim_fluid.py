@@ -337,10 +337,65 @@ ALLOCATOR_EXAMPLES = max(200, settings().max_examples)
 
 
 @st.composite
+def near_slack_links(draw, tag, links):
+    """Flows over one shared link whose members' private bounds sum to
+    ``C * (1 + k * 1e-9)`` for a small ``k`` of either sign: the edge of
+    the allocator's cannot-bind pruning. Equal bounds may be nudged
+    within ``1e-12`` of each other; a zero-capacity link gets members
+    bound at zero. Each member's bound is a private link or a rate cap,
+    and it may also cross one of ``links``."""
+    capacity = draw(
+        st.one_of(
+            st.just(0.0),
+            st.sampled_from([1e6, 3e6]),
+            st.floats(min_value=1e3, max_value=1e8),
+        )
+    )
+    members = draw(st.integers(2, 5))
+    k = draw(st.integers(-3, 3))
+    total = capacity * (1.0 + k * 1e-9)
+    weights = draw(
+        st.one_of(
+            st.none(),
+            st.lists(
+                st.floats(min_value=0.5, max_value=2.0),
+                min_size=members,
+                max_size=members,
+            ),
+        )
+    )
+    if weights is None:
+        nudges = draw(
+            st.lists(
+                st.sampled_from([0.0, 5e-13, -5e-13]),
+                min_size=members,
+                max_size=members,
+            )
+        )
+        bounds = [total / members * (1.0 + nudge) for nudge in nudges]
+    else:
+        bounds = [total * w / sum(weights) for w in weights]
+    shared = Link(f"slack-{tag}", capacity)
+    flows = []
+    for i, bound in enumerate(bounds):
+        chain = [shared]
+        extra = draw(st.none() | st.sampled_from(range(len(links))))
+        if extra is not None:
+            chain.append(links[extra])
+        if draw(st.booleans()):
+            flows.append(make_flow(1e6, chain, rate_cap_bps=bound))
+        else:
+            chain.insert(0, Link(f"slack-{tag}-{i}", bound))
+            flows.append(make_flow(1e6, chain))
+    return flows
+
+
+@st.composite
 def allocation_topologies(draw):
     """Links (zero, infinite, tied or arbitrary capacity), flows over
     chains that may repeat a link, caps that may equal a link's fair
-    share or sit within the share tolerance of it, and an abort order."""
+    share or sit within the share tolerance of it, shared links at the
+    edge of binding (:func:`near_slack_links`), and an abort order."""
     capacities = draw(
         st.lists(
             st.one_of(
@@ -385,6 +440,8 @@ def allocation_topologies(draw):
             share = capacities[j] / k
             cap = None if math.isinf(share) else share * (1.0 + nudge)
         flows.append(make_flow(1e6, [links[j] for j in chain], rate_cap_bps=cap))
+    for tag in range(draw(st.integers(0, 2))):
+        flows.extend(draw(near_slack_links(tag, links)))
     aborts = draw(st.lists(st.integers(min_value=0, max_value=11), max_size=6))
     return flows, aborts
 
@@ -555,6 +612,38 @@ class TestPrivateBoundFold:
         net.abort_flow(pending)
         net.add_flow(make_flow(0.0, [Link("z", mbps(8))]))
         assert not net._alloc_dirty
+
+
+class TestCannotBindPruning:
+    """A shared link whose members' bounds sum below its capacity cannot
+    bind and is left out of the water-fill."""
+
+    def test_repeated_link_counts_its_flow_per_occurrence(self):
+        # A crosses the shared link twice, so its 3 takes 6 of the 9: the
+        # bounds sum to 3 + 3 + 5 = 11 > 9, and the link binds B at 3.
+        # Counting A once (3 + 5 = 8 <= 9) would leave B at 5.
+        shared = Link("s", 9.0)
+        a = make_flow(100.0, [Link("a", 3.0), shared, shared])
+        b = make_flow(100.0, [Link("b", 5.0), shared])
+        net = FluidNetwork()
+        net.add_flow(a)
+        net.add_flow(b)
+        assert_matches_reference(net, "repeated link")
+        assert (a.current_rate_bps, b.current_rate_bps) == (3.0, 3.0)
+
+    def test_slack_link_leaves_every_flow_at_its_bound(self):
+        shared = Link("s", mbps(200.0))
+        flows = [
+            make_flow(1e6, [Link(f"a{i}", mbps(1.0 + i / 8)), shared])
+            for i in range(30)
+        ]
+        net = FluidNetwork()
+        for flow in flows:
+            net.add_flow(flow)
+        assert_matches_reference(net, "slack")
+        assert [f.current_rate_bps for f in flows] == [
+            mbps(1.0 + i / 8) for i in range(30)
+        ]
 
 
 class TestVectorScalarBitEquality:
