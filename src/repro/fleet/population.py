@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -176,17 +175,6 @@ class Population:
         mask: NDArray[np.bool_] = self.adoption_rank < k
         return mask
 
-    @property
-    def total_demand_bytes(self) -> int:
-        """Whole-city daily demand, integer bytes."""
-        return int(self.demand.sum())
-
-    def sectors_of_shard(self, n_shards: int, shard: int) -> Tuple[int, ...]:
-        """Sectors owned by ``shard`` under round-robin partitioning."""
-        if not 0 <= shard < n_shards:
-            raise ValueError(f"shard {shard} outside [0, {n_shards})")
-        return tuple(range(shard, self.params.n_sectors, n_shards))
-
 
 def sample_population(params: FleetParameters) -> Population:
     """Sample the city from ``params.seed``; shard-partition invariant.
@@ -210,12 +198,9 @@ def sample_population(params: FleetParameters) -> Population:
     counts = np.where(video_user, raw_counts, 0)
     total = int(counts.sum())
 
-    # Request times mirror traces.dslam: hour bins weighted by the wired
-    # diurnal profile, uniform within the hour.
-    weights = np.array(WIRED_PROFILE.hourly, dtype=np.float64)
-    weights = weights / weights.sum()
-    hours = rng.choice(24, size=total, p=weights)
-    times = hours * 3600.0 + rng.uniform(0.0, 3600.0, size=total)
+    # Request times as in traces.dslam: wired diurnal hour bins, uniform
+    # within the hour.
+    times = dslam._sample_request_times(total, WIRED_PROFILE, rng)
     sizes = rng.lognormal(dslam._SIZE_MU, dslam._SIZE_SIGMA, size=total)
 
     owner = np.repeat(np.arange(n, dtype=np.int64), counts)
@@ -231,6 +216,11 @@ def sample_population(params: FleetParameters) -> Population:
     sector_peak_util = _SECTOR_PEAK_UTIL_LOW + spread * rng.random(
         params.n_sectors
     )
+    # Read-only: the city is cached per process, and its one-shard
+    # slice shares these arrays.
+    arrays = (dslam_of, sector_of, adoption_rank, demand, sector_peak_util)
+    for array in arrays:
+        array.flags.writeable = False
     return Population(
         params=params,
         dslam_of=dslam_of,

@@ -26,10 +26,11 @@ exchange):
    waste: onloaded bytes whose ADSL line share went unused (the §6
    critique — cap bytes burned while the fixed line had headroom).
 
-Each leg works on the rows its formulas can change: a mean third of
-households have a backlog in a round, and about one in a hundred
-offers 3G spill. Every skipped row would compute 0 and keep its state,
-so skipping it is exact (``docs/FLEET.md``, "Active rows").
+Settle and finish work on the rows their formulas can change: a mean
+third of households have a backlog in a round, and about one in a
+hundred offers 3G spill. Every skipped row would compute 0 and keep
+its state, so skipping it is exact (``docs/FLEET.md``, "Active
+rows").
 """
 
 from __future__ import annotations
@@ -81,11 +82,12 @@ _NO_BYTES.flags.writeable = False
 class ShardPopulation:
     """One shard's slice of the city, laid out for the round legs.
 
-    Rows are households stably ordered by (sector, DSLAM), so each
-    (sector, DSLAM) group is one contiguous *run*: per-DSLAM sums are
-    ``np.add.reduceat`` over the run starts (:func:`dslam_sums`).
-    Demand is round-major: row ``r`` holds round ``r``'s arrivals
-    contiguously.
+    Rows are the shard's households in ascending id order. A DSLAM is
+    a contiguous block of ids, so each DSLAM's rows are one contiguous
+    *run*: per-DSLAM sums are ``np.add.reduceat`` over the run starts
+    (:func:`dslam_sums`). Demand is round-major: row ``r`` holds round
+    ``r``'s arrivals contiguously. A slice that holds every household
+    shares the city's read-only demand matrix.
     """
 
     population: Population = field(repr=False)
@@ -99,9 +101,11 @@ class ShardPopulation:
     demand: NDArray[np.int64] = field(repr=False)
     #: Per-round total of ``demand``.
     round_arrivals: NDArray[np.int64] = field(repr=False)
-    #: First row of each (sector, DSLAM) run, and the run's DSLAM.
+    #: First row of each DSLAM's run, the run's DSLAM (ascending) and
+    #: its row count.
     run_starts: NDArray[np.intp] = field(repr=False)
     run_dslam: NDArray[np.int64] = field(repr=False)
+    run_lengths: NDArray[np.intp] = field(repr=False)
 
     @property
     def params(self) -> FleetParameters:
@@ -126,9 +130,9 @@ class ShardState:
     backlog: NDArray[np.int64]
     #: Daily onload cap already consumed.
     cap_used: NDArray[np.int64]
-    #: Rows that may still onload, ascending: adopters (3G ceiling
+    #: Row mask of those that may still onload: adopters (3G ceiling
     #: above 0) whose daily cap has not run dry.
-    eligible: NDArray[np.intp]
+    eligible: NDArray[np.bool_]
     #: Pending round: ADSL bytes the household wants this round.
     pending_want: NDArray[np.int64]
     #: Pending round: per-DSLAM ``pending_want`` sums as offered,
@@ -260,43 +264,41 @@ def shard_population(
 def _slice(
     population: Population, n_shards: int, shard: int
 ) -> ShardPopulation:
-    params = population.params
     ids = np.flatnonzero(population.sector_of % n_shards == shard)
-    group = (
-        population.sector_of[ids] * params.n_dslams
-        + population.dslam_of[ids]
-    )
-    order = np.argsort(group, kind="stable")
-    ids = ids[order].astype(np.int64)
-    group = group[order]
-    sector_of = population.sector_of[ids]
+    ids = ids.astype(np.int64, copy=False)
     dslam_of = population.dslam_of[ids]
-    # A run starts wherever its key changes, and at row 0.
-    run_starts = np.flatnonzero(np.diff(group, prepend=-1))
-    demand = np.take(population.demand, ids, axis=1)
+    # Ids ascend, so DSLAMs do: a run starts wherever the DSLAM
+    # changes, and at row 0.
+    run_starts = np.flatnonzero(np.diff(dslam_of, prepend=-1))
+    if ids.size == population.params.n_households:
+        demand = population.demand
+    else:
+        demand = np.take(population.demand, ids, axis=1)
     return ShardPopulation(
         population=population,
         n_shards=n_shards,
         shard=shard,
         household_ids=ids,
         dslam_of=dslam_of,
-        sector_of=sector_of,
+        sector_of=population.sector_of[ids],
         demand=demand,
         round_arrivals=demand.sum(axis=1),
         run_starts=run_starts,
         run_dslam=dslam_of[run_starts],
+        run_lengths=np.diff(run_starts, append=ids.size),
     )
 
 
 def dslam_sums(
     pop: ShardPopulation, values: NDArray[Any]
 ) -> NDArray[np.int64]:
-    """Exact int64 sums of per-row ``values`` by DSLAM: a sum over each
-    (sector, DSLAM) run, folded into the run's DSLAM."""
+    """Exact int64 sums of per-row ``values`` by DSLAM: one sum per
+    run, each DSLAM's only one."""
     out = np.zeros(pop.params.n_dslams, dtype=np.int64)
     if pop.size:
-        runs = np.add.reduceat(values, pop.run_starts, dtype=np.int64)
-        np.add.at(out, pop.run_dslam, runs)
+        out[pop.run_dslam] = np.add.reduceat(
+            values, pop.run_starts, dtype=np.int64
+        )
     return out
 
 
@@ -343,10 +345,9 @@ def initial_state(pop: ShardPopulation, adoption: float) -> ShardState:
     """
     params = pop.params
     n = pop.size
-    eligible = _NO_ROWS
+    eligible = np.zeros(n, dtype=np.bool_)
     if params.home_round_bytes > 0 and params.daily_cap_bytes > 0:
-        adopters = pop.population.adopters(adoption)[pop.household_ids]
-        eligible = adopters.nonzero()[0]
+        eligible = pop.population.adopters(adoption)[pop.household_ids]
 
     def zeros() -> NDArray[np.int64]:
         return np.zeros(n, dtype=np.int64)
@@ -391,21 +392,23 @@ def offer(
 
     # spill = min(backlog - est_adsl, 3G ceiling, cap left), kept where
     # positive. Only eligible rows can have any: every other row has a
-    # zero ceiling or no cap left.
-    rows = state.eligible
+    # zero ceiling or no cap left, and an eligible row's ceiling and
+    # cap left are positive.
+    rows = _NO_ROWS
     spill = _NO_BYTES
-    if onload_enabled and rows.size:
-        est_adsl = (line * est_factor).astype(np.int64)
-        spill = backlog[rows]
-        spill -= est_adsl[pop.dslam_of[rows]]
-        asking = (spill > 0).nonzero()[0]
-        rows = rows[asking]
-        spill = np.minimum(spill[asking], params.home_round_bytes)
+    if onload_enabled:
+        est_adsl = np.repeat(
+            (line * est_factor).astype(np.int64)[pop.run_dslam],
+            pop.run_lengths,
+        )
+        asking = backlog > est_adsl
+        asking &= state.eligible
+        rows = asking.nonzero()[0]
+        spill = backlog[rows] - est_adsl[rows]
+        np.minimum(spill, params.home_round_bytes, out=spill)
         np.minimum(
             spill, params.daily_cap_bytes - state.cap_used[rows], out=spill
         )
-    else:
-        rows = _NO_ROWS
     state.pending_requesters = rows
     state.pending_spill = spill
     sectors = pop.sector_of[rows]
@@ -453,15 +456,12 @@ def settle_onload(
         # A requester had cap left (its spill fits in it), so it runs
         # dry this round iff it reaches the cap now, and then leaves
         # the eligible set.
-        cap = params.daily_cap_bytes
         cap_used = state.cap_used[rows] + serve3g
         state.cap_used[rows] = cap_used
-        dry = rows[cap_used >= cap]
-        if dry.size:
-            cap_exhaustions = int(dry.size)
-            state.cap_exhausted[dry] = True
-            eligible = state.eligible
-            state.eligible = eligible[state.cap_used[eligible] < cap]
+        dry = rows[cap_used >= params.daily_cap_bytes]
+        cap_exhaustions = int(dry.size)
+        state.cap_exhausted[dry] = True
+        state.eligible[dry] = False
 
         # The DSLAM only carries what the 3G leg did not: relieved
         # demand (serve3g <= spill <= backlog, so it is not negative).

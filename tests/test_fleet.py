@@ -56,6 +56,17 @@ def _params(**overrides):
     return FleetParameters(**merged)
 
 
+#: Examples for the fleet property tests: 60 in tier-1, or the loaded
+#: hypothesis profile's count when it is above the default's
+#: (``--hypothesis-profile deep``, registered in ``tests/conftest.py``).
+_LOADED_EXAMPLES = settings().max_examples
+FLEET_EXAMPLES = (
+    _LOADED_EXAMPLES
+    if _LOADED_EXAMPLES > settings.get_profile("default").max_examples
+    else 60
+)
+
+
 class TestPopulation:
     def test_same_seed_identical(self):
         a = sample_population(_params(seed=7))
@@ -91,6 +102,20 @@ class TestPopulation:
         assert int(quarter.sum()) == round(0.25 * len(quarter))
         assert not (quarter & ~half).any()
         assert everyone.all()
+
+    def test_city_is_read_only_and_one_shard_shares_it(self):
+        params = _params()
+        population = fleet_shard.cached_population(params)
+        for f in dataclasses.fields(population):
+            array = getattr(population, f.name)
+            if isinstance(array, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+        one = shard_population(params, 1, 0)
+        assert np.shares_memory(one.demand, population.demand)
+        for shard in range(8):
+            eighth = shard_population(params, 8, shard)
+            assert not np.shares_memory(eighth.demand, population.demand)
 
 
 class TestDeterministicMerge:
@@ -168,7 +193,7 @@ class TestGroupSums:
         n_shards=st.integers(min_value=1, max_value=8),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=FLEET_EXAMPLES, deadline=None)
     def test_random_small_cities(
         self, n_households, per_sector, per_dslam, n_shards, seed
     ):
@@ -199,18 +224,22 @@ class TestGroupSums:
         assert params.n_sectors == 1
         _assert_group_sums_match(params, 1, 3)
 
-    def test_rows_are_sector_then_dslam_ordered(self):
+    def test_rows_are_household_id_ordered(self):
         params = _params()
         population = fleet_shard.cached_population(params)
         for n_shards in (1, 3, 8):
             arrivals = np.zeros(params.n_rounds, dtype=np.int64)
             for shard in range(n_shards):
                 pop = shard_population(params, n_shards, shard)
-                key = pop.sector_of * params.n_dslams + pop.dslam_of
-                assert (np.diff(key) >= 0).all()
-                # Stable: ids ascend within each (sector, DSLAM) run.
-                same = np.diff(key) == 0
-                assert (np.diff(pop.household_ids)[same] > 0).all()
+                assert (np.diff(pop.household_ids) > 0).all()
+                # Each run is one whole DSLAM, and the runs cover the
+                # slice.
+                assert (np.diff(pop.run_dslam) > 0).all()
+                assert (pop.run_lengths > 0).all()
+                assert int(pop.run_lengths.sum()) == pop.size
+                assert np.array_equal(
+                    np.repeat(pop.run_dslam, pop.run_lengths), pop.dslam_of
+                )
                 assert pop.demand.flags.c_contiguous
                 assert np.array_equal(
                     pop.demand, population.demand[:, pop.household_ids]
@@ -420,9 +449,10 @@ def _lockstep_day(params, policy, adoption, n_shards):
             result = fleet_shard.settle_onload(pop, f, verdict)
             _assert_same(result, dense.settle_onload(pop, d, verdict))
             dslam_want += result.dslam_want
-            # The eligible set: rows with a 3G ceiling and cap left.
+            # The eligible mask: rows with a 3G ceiling and cap left.
             expected = (d.ceiling > 0) & (d.cap_used < params.daily_cap_bytes)
-            assert np.array_equal(f.eligible, expected.nonzero()[0])
+            assert f.eligible.dtype == np.bool_
+            assert np.array_equal(f.eligible, expected)
         adsl_verdict = AdslVerdict(dslam_want_total=dslam_want)
         for pop, f, d in zip(pops, fast, slow):
             _assert_same(
@@ -458,7 +488,7 @@ class TestLegsMatchDenseReference:
         permit_capacity=st.integers(min_value=0, max_value=4),
         threshold=st.sampled_from([0.0, 0.5, 0.7, 1.0]),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=FLEET_EXAMPLES, deadline=None)
     def test_random_small_cities(
         self,
         n_households,
