@@ -1,47 +1,8 @@
-"""Analysis helpers: distribution statistics, the §2.1 capacity
-back-of-envelope, and the §6 trace-driven load analyses.
+"""Analysis helpers over the simulator's and traces' outputs.
+
+* :mod:`repro.analysis.stats` — empirical CDFs, violin summaries and
+  speedup/reduction arithmetic for the figures;
+* :mod:`repro.analysis.capacity` — the §2.1 capacity back-of-envelope;
+* :mod:`repro.analysis.economics` — cap economics of the guard (§6);
+* :mod:`repro.analysis.load` — the §6 trace-driven load analyses.
 """
-
-from repro.analysis.stats import (
-    Ecdf,
-    ViolinSummary,
-    speedup,
-    summarize_violin,
-)
-from repro.analysis.capacity import (
-    CapacityComparison,
-    CellAreaAssumptions,
-    compare_capacity,
-)
-from repro.analysis.economics import (
-    GuardEconomics,
-    cheapest_guard,
-    price_guard_settings,
-)
-from repro.analysis.load import (
-    AdoptionImpact,
-    OnloadLoadSeries,
-    UserSpeedup,
-    adoption_traffic_increase,
-    onloaded_load_series,
-    per_user_speedups,
-)
-
-__all__ = [
-    "Ecdf",
-    "ViolinSummary",
-    "speedup",
-    "summarize_violin",
-    "CapacityComparison",
-    "CellAreaAssumptions",
-    "compare_capacity",
-    "GuardEconomics",
-    "cheapest_guard",
-    "price_guard_settings",
-    "AdoptionImpact",
-    "OnloadLoadSeries",
-    "UserSpeedup",
-    "adoption_traffic_increase",
-    "onloaded_load_series",
-    "per_user_speedups",
-]

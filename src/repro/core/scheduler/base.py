@@ -49,11 +49,6 @@ class PathWorker:
     draining: bool = False
 
     @property
-    def is_idle(self) -> bool:
-        """True when the path has no transfer in flight."""
-        return self.current_item is None
-
-    @property
     def available(self) -> bool:
         """True when the runner may dispatch new work to this path."""
         return not self.disabled and not self.draining

@@ -25,8 +25,7 @@ from repro.netsim.fluid import FluidNetwork
 from repro.netsim.latency import RttModel
 from repro.netsim.link import Link, PiecewiseLink
 from repro.netsim.path import NetworkPath
-from repro.netsim.topology import Household, HouseholdConfig
-from repro.experiments.fig06_scheduler import TESTBED_LOCATION
+from repro.netsim.topology import TESTBED_LOCATION, Household, HouseholdConfig
 from repro.util.stats import RunningStats
 from repro.util.units import MB, bytes_to_megabytes, kbps, mbps
 from repro.web.hls import make_bipbop_video

@@ -25,10 +25,9 @@ from repro.core.items import Transaction, TransferItem
 from repro.core.scheduler import SchedulingPolicy, TransactionRunner
 from repro.core.scheduler.greedy import GreedyPolicy
 from repro.core.scheduler.mintime import MinTimePolicy
-from repro.experiments.fig06_scheduler import TESTBED_LOCATION
 from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import Check, experiment, jsonable
-from repro.netsim.topology import Household, HouseholdConfig
+from repro.netsim.topology import TESTBED_LOCATION, Household, HouseholdConfig
 from repro.util.stats import RunningStats
 from repro.util.units import mbps
 from repro.web.hls import make_bipbop_video

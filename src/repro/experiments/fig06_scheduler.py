@@ -18,26 +18,14 @@ from repro.core.items import Transaction, TransferItem
 from repro.core.scheduler import TransactionRunner, make_policy
 from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import Check, experiment, jsonable
-from repro.netsim.topology import Household, HouseholdConfig, LocationProfile
-from repro.util.stats import RunningStats
-from repro.util.units import mbps
-from repro.web.hls import make_bipbop_video
-
-#: The §5.1 testbed line. The quoted "2 Mbps" is the plan rate; effective
-#: TCP goodput on an ATM-framed ADSL line with the player's sequential
-#: request pattern is markedly lower (the paper's own ADSL-alone times
-#: imply ~1 Mbps effective), modelled by the goodput-efficiency factor.
-TESTBED_LOCATION = LocationProfile(
-    name="testbed",
-    description="Scheduler-comparison testbed (2 Mbps ADSL, night)",
-    adsl_down_bps=mbps(2.0),
-    adsl_up_bps=mbps(0.512),
-    signal_dbm=-79.0,
-    n_stations=2,
-    peak_utilization=0.30,
-    measurement_hour=1.0,
-    adsl_goodput_efficiency=0.55,
+from repro.netsim.topology import (
+    TESTBED_LOCATION,
+    Household,
+    HouseholdConfig,
+    LocationProfile,
 )
+from repro.util.stats import RunningStats
+from repro.web.hls import make_bipbop_video
 
 QUALITIES: Tuple[str, ...] = ("Q1", "Q2", "Q3", "Q4")
 SCHEDULERS: Tuple[str, ...] = ("MIN", "RR", "GRD")

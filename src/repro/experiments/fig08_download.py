@@ -5,7 +5,8 @@ phones, idle/connected start), the paper reports the percentage reduction
 in downloading the *entire* 200 s video, averaged over the four qualities:
 reductions span 38% to 72% (speedups ×1.5 to ×4.1), the second device
 always helps (+5.9% to +26%), and connected-mode starts bring mostly
-marginal gains.
+marginal gains. §5 pools these bars into "downloads up to ×4 faster" and
+"transactions take 47% less time on average".
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Dict, Sequence, Tuple
 
 from repro.analysis.stats import reduction_percent
 from repro.experiments import wild
-from repro.experiments.fig07_prebuffer import CONFIGS, QUALITIES, config_label
+from repro.experiments.wild import CONFIGS, QUALITIES, config_label
 from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.topology import EVALUATION_LOCATIONS, LocationProfile
@@ -44,12 +45,20 @@ class DownloadReductionResult:
             location, f"{mode}_1PH"
         )
 
+    def max_speedup(self) -> float:
+        """§5's "up to" download speedup: the best bar."""
+        return max(self.speedup(loc, cfg) for (loc, cfg) in self.reductions)
+
+    def mean_reduction(self) -> float:
+        """§5's average transaction-time reduction over every bar (%)."""
+        return sum(self.reductions.values()) / len(self.reductions)
+
     def to_dict(self) -> dict:
         """JSON-ready payload of every field (``repro run --json``)."""
         return jsonable(self)
 
     def render(self) -> str:
-        """One row per location."""
+        """One row per location, then the §5 pooled numbers."""
         locations = sorted({loc for loc, _ in self.reductions})
         rows = []
         for location in locations:
@@ -60,11 +69,21 @@ class DownloadReductionResult:
                     for config in self.configs
                 ]
             )
-        return render_table(
+        bars = render_table(
             ["location"] + list(self.configs),
             rows,
             title="Fig. 8 — total video download time reduction (%)",
         )
+        headline = render_table(
+            ["metric", "measured", "paper"],
+            [
+                ("max download speedup", fmt(self.max_speedup()), "x4"),
+                ("avg transaction reduction %",
+                 fmt(self.mean_reduction(), 1), "47%"),
+            ],
+            title="§5 — download speedup and transaction reduction",
+        )
+        return bars + "\n\n" + headline
 
 
 _LOCATIONS = ("loc1", "loc2", "loc3", "loc4", "loc5")
@@ -76,12 +95,14 @@ _LOCATIONS = ("loc1", "loc2", "loc3", "loc4", "loc5")
     description="download-time reductions (Fig. 8)",
     paper_ref="Fig. 8",
     claims=(
-        "Paper: 38-72% reductions (x1.5-x4.1).\n"
-        "Measured: ~28-58% (x1.4-x2.4) — same structure (every config "
+        "Paper: 38-72% reductions (x1.5-x4.1); §5 quotes downloads up "
+        "to x4 faster and a 47% average transaction reduction.\n"
+        "Measured: ~28-57% (x1.4-x2.3) — same structure (every config "
         "gains, 2nd phone always helps, H marginal, best location is "
         "the good-signal one) but compressed magnitudes: our HSPA "
         "model is calibrated to Tables 2-3, which caps what two "
-        "phones can add."
+        "phones can add. The average over every bar is a ~41% "
+        "reduction."
     ),
     bench_params={"repetitions": 4},
     quick_params={"repetitions": 1},
@@ -105,6 +126,12 @@ _LOCATIONS = ("loc1", "loc2", "loc3", "loc4", "loc5")
               "Fig. 8: speedups of x1.5-x4.1",
               lambda r: all(r.speedup(loc, "3G_2PH") > 1.5
                             for loc in _LOCATIONS)),
+        Check("max_download_speedup_1_5_to_5",
+              "§5: downloads up to x4 faster",
+              lambda r: 1.5 < r.max_speedup() < 5.0),
+        Check("avg_reduction_25_to_60pct",
+              "§5: transactions take 47% less time on average",
+              lambda r: 25.0 < r.mean_reduction() < 60.0),
     ),
     order=100,
 )

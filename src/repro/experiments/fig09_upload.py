@@ -4,7 +4,8 @@ The paper uploads a 30-photo set (2.5 MB ± 0.74 MB) at the five evaluation
 locations, phones starting from idle. The constrained ADSL uplinks
 (0.58-2.77 Mbps) make the gains large: one device cuts total upload time
 by 31-75% (×1.5-×4.0), two devices by 54-84% (×2.2-×6.2), and gains are
-not proportional to the device count.
+not proportional to the device count. §5 pools them into "uploads up to
+×6 faster".
 """
 
 from __future__ import annotations
@@ -41,23 +42,35 @@ class UploadTimesResult:
         base = self.time(location, 0)
         return 100.0 * (base - self.time(location, n_phones)) / base
 
+    def max_speedup(self) -> float:
+        """§5's "up to" upload speedup: the best 3GOL bar."""
+        return max(
+            self.speedup(loc, n) for (loc, n) in self.times if n > 0
+        )
+
     def to_dict(self) -> dict:
         """JSON-ready payload of every field (``repro run --json``)."""
         return jsonable(self)
 
     def render(self) -> str:
-        """One row per location."""
+        """One row per location, then the §5 maximum."""
         locations = sorted({loc for loc, _ in self.times})
         rows = [
             [location]
             + [fmt(self.times[(location, n)], 0) for n in PHONE_COUNTS]
             for location in locations
         ]
-        return render_table(
+        bars = render_table(
             ["location", "ADSL (s)", "1PH (s)", "2PH (s)"],
             rows,
             title="Fig. 9 — total upload time of 30 photos",
         )
+        headline = render_table(
+            ["metric", "measured", "paper"],
+            [("max upload speedup", fmt(self.max_speedup()), "x6")],
+            title="§5 — upload speedup",
+        )
+        return bars + "\n\n" + headline
 
 
 _LOCATIONS = ("loc1", "loc2", "loc3", "loc4", "loc5")
@@ -70,8 +83,9 @@ _LOCATIONS = ("loc1", "loc2", "loc3", "loc4", "loc5")
     paper_ref="Fig. 9",
     claims=(
         "Paper: ADSL 183-894 s; one device x1.5-x4.0, two devices "
-        "x2.2-x6.2; gains sublinear in devices.\n"
-        "Measured: ADSL ~210-1000 s; x1.4-x3.3 and x1.7-x5.5; "
+        "x2.2-x6.2; gains sublinear in devices; §5 quotes uploads up "
+        "to x6 faster.\n"
+        "Measured: ADSL ~210-1000 s; x1.4-x3.3 and x1.7-x5.3; "
         "sublinear. The closest quantitative match of the §5 "
         "experiments, since uplink is dominated by the (faithful) "
         "ADSL asymmetry."
@@ -94,6 +108,9 @@ _LOCATIONS = ("loc1", "loc2", "loc3", "loc4", "loc5")
         Check("slow_uplink_600_to_1200_s",
               "Fig. 9: 30 photos take hundreds of seconds on ~0.6 Mbps",
               lambda r: 600.0 < r.time("loc5", 0) < 1200.0),
+        Check("max_upload_speedup_2_to_7",
+              "§5: uploads up to x6 faster",
+              lambda r: 2.0 < r.max_speedup() < 7.0),
     ),
     order=110,
 )

@@ -15,15 +15,11 @@ as the real prototype's parallel GETs did).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Tuple
 
 from repro.core.mobile import OperatingMode
 from repro.core.session import OnloadSession
-from repro.netsim.topology import (
-    EVALUATION_LOCATIONS,
-    HouseholdConfig,
-    LocationProfile,
-)
+from repro.netsim.topology import HouseholdConfig, LocationProfile
 from repro.util.rng import RngFactory
 from repro.util.units import mbps
 
@@ -35,6 +31,21 @@ WIRED_FLOW_CAP_BPS = mbps(3.0)
 CELLULAR_FLOW_CAP_BPS = mbps(3.0)
 #: §5.2 runs start "around 9.00 am" on weekdays.
 EVAL_START_HOUR = 9.0
+
+QUALITIES: Tuple[str, ...] = ("Q1", "Q2", "Q3", "Q4")
+#: (n_phones, connected_start) configurations of Figs. 7-8, in the
+#: paper's order.
+CONFIGS: Tuple[Tuple[int, bool], ...] = (
+    (1, False),  # 3G_1PH
+    (1, True),   # H_1PH
+    (2, False),  # 3G_2PH
+    (2, True),   # H_2PH
+)
+
+
+def config_label(n_phones: int, connected: bool) -> str:
+    """The paper's series label for a configuration."""
+    return f"{'H' if connected else '3G'}_{n_phones}PH"
 
 
 def wild_config(
@@ -80,8 +91,3 @@ def make_session(
         for phone in session.household.phones:
             phone.radio.force_connected(now)
     return session
-
-
-def eval_locations() -> Sequence[LocationProfile]:
-    """The five Table 4 locations."""
-    return EVALUATION_LOCATIONS

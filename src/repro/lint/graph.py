@@ -107,11 +107,6 @@ class FunctionInfo:
         """The bare function name."""
         return self.qualname.rsplit(".", 1)[-1]
 
-    @property
-    def is_method(self) -> bool:
-        """Whether the definition sits inside a class body."""
-        return bool(self.class_qualname)
-
     def param_names(self) -> Tuple[str, ...]:
         """Positional + keyword-only parameter names, ``self``/``cls`` kept."""
         args = self.node.args  # type: ignore[attr-defined]
@@ -423,16 +418,6 @@ class SymbolTable:
     # ------------------------------------------------------------------
     # Class hierarchy
     # ------------------------------------------------------------------
-    def base_names(self, info: ClassInfo) -> Set[str]:
-        """Terminal identifiers of ``info``'s direct bases."""
-        names: Set[str] = set()
-        for base in info.base_nodes:
-            if isinstance(base, ast.Name):
-                names.add(base.id)
-            elif isinstance(base, ast.Attribute):
-                names.add(base.attr)
-        return names
-
     def ancestor_names(self, info: ClassInfo) -> Set[str]:
         """Terminal names of every ancestor reachable in the project.
 
@@ -515,10 +500,6 @@ class CallGraph:
         self._by_caller.setdefault(site.caller, []).append(site)
         if site.callee:
             self._by_callee.setdefault(site.callee, []).append(site)
-
-    def calls_from(self, qualname: str) -> Sequence[CallSite]:
-        """Every call site inside function ``qualname``."""
-        return self._by_caller.get(qualname, ())
 
     def callers_of(self, qualname: str) -> Sequence[CallSite]:
         """Every resolved call site targeting ``qualname``."""

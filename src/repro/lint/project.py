@@ -904,13 +904,6 @@ class ProjectContext:
                 yield method
 
     # ------------------------------------------------------------------
-    # Module lookup
-    # ------------------------------------------------------------------
-    def module_named(self, name: str) -> Optional[ModuleInfo]:
-        """The module with dotted name ``name`` (``None`` if absent)."""
-        return self.modules.get(name)
-
-    # ------------------------------------------------------------------
     # Obs catalogue
     # ------------------------------------------------------------------
     @property

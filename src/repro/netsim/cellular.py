@@ -157,18 +157,6 @@ class CellSector:
                 modulation=free_curve,
             )
 
-    def warm_fading(self, start: float, end: float) -> int:
-        """Batch-sample both channels' fading over ``[start, end]``.
-
-        Factors are pure functions of ``(seed, interval)``, so warming is
-        value-neutral; it just moves the sampling cost out of the stepper
-        (see :meth:`repro.netsim.stochastic.CapacityProcess.warm`).
-        Returns the number of intervals covered.
-        """
-        covered = self.downlink.process.warm(start, end)
-        covered += self.uplink.process.warm(start, end)
-        return covered
-
 
 def make_uplink_domain(
     name: str,
@@ -301,16 +289,6 @@ class CellularDevice:
     def signal_asu(self) -> int:
         """Signal strength in Android's ASU scale."""
         return dbm_to_asu(self.signal_dbm)
-
-    def warm_fading(self, start: float, end: float) -> int:
-        """Batch-sample this device's access-link fading over a window.
-
-        Value-neutral (factors are pure functions of seed and interval);
-        returns the number of intervals covered across both directions.
-        """
-        covered = self.access_down.process.warm(start, end)
-        covered += self.access_up.process.warm(start, end)
-        return covered
 
     def downlink_chain(self) -> Tuple[Link, ...]:
         """Links a download over this device traverses (3G half only)."""

@@ -12,17 +12,12 @@ free-capacity modulation of cellular links in the throughput experiments.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence, Tuple, Union
-
-import numpy as np
-from numpy.typing import NDArray
+from typing import Callable, Sequence, Tuple
 
 from repro.util.validate import check_fraction
 
 _SECONDS_PER_HOUR = 3600.0
 _HOURS_PER_DAY = 24
-
-_ArrayLike = Union[Sequence[float], NDArray[np.float64]]
 
 
 class DiurnalProfile:
@@ -46,7 +41,6 @@ class DiurnalProfile:
             raise ValueError("profile must have a positive peak")
         self.name = name
         self.hourly = tuple(v / peak for v in values)
-        self._hourly_arr = np.array(self.hourly)
 
     def value_at_hour(self, hour: float) -> float:
         """Interpolated normalized value at fractional ``hour`` of day."""
@@ -59,29 +53,6 @@ class DiurnalProfile:
     def value_at(self, time_seconds: float) -> float:
         """Interpolated normalized value at simulation time (s since 00:00)."""
         return self.value_at_hour(time_seconds / _SECONDS_PER_HOUR)
-
-    def values_at_hour(self, hours: _ArrayLike) -> NDArray[np.float64]:
-        """Batch :meth:`value_at_hour`: one array pass over many hours.
-
-        Elementwise bit-identical to the scalar method (same modulo,
-        floor, and lerp arithmetic on float64), so batch consumers —
-        figure rendering, day-scale sweeps — see exactly the values the
-        stepper would.
-        """
-        wrapped = np.asarray(hours, dtype=np.float64) % _HOURS_PER_DAY
-        low = np.floor(wrapped).astype(np.intp)
-        high = (low + 1) % _HOURS_PER_DAY
-        frac = wrapped - low
-        table = self._hourly_arr
-        result: NDArray[np.float64] = table[low] * (1.0 - frac) + (
-            table[high] * frac
-        )
-        return result
-
-    def values_at(self, times_seconds: _ArrayLike) -> NDArray[np.float64]:
-        """Batch :meth:`value_at` over an array of simulation times."""
-        times = np.asarray(times_seconds, dtype=np.float64)
-        return self.values_at_hour(times / _SECONDS_PER_HOUR)
 
     @property
     def peak_hour(self) -> int:
@@ -109,19 +80,6 @@ class DiurnalProfile:
             return 1.0 - peak_utilization * self.value_at(time_seconds)
 
         return free
-
-    def free_capacity_values(
-        self, peak_utilization: float, times_seconds: _ArrayLike
-    ) -> NDArray[np.float64]:
-        """Batch form of :meth:`free_capacity_curve`'s closure.
-
-        Elementwise bit-identical to calling the closure per time.
-        """
-        peak_utilization = check_fraction("peak_utilization", peak_utilization)
-        result: NDArray[np.float64] = 1.0 - peak_utilization * self.values_at(
-            times_seconds
-        )
-        return result
 
 
 def _bump(hour: float, center: float, width: float) -> float:

@@ -145,17 +145,6 @@ class Neighborhood:
             flow_rate_cap_bps=self.wired_flow_cap_bps,
         )
 
-    def wired_up_path(
-        self, home: NeighborHome, rtt: RttModel = ADSL_RTT
-    ) -> NetworkPath:
-        """A home's wired uplink."""
-        return NetworkPath(
-            f"{home.home_id}-wired-up",
-            (home.wifi, home.adsl_up, self.dslam_up, self.origin_up),
-            rtt=rtt,
-            flow_rate_cap_bps=self.wired_flow_cap_bps,
-        )
-
     def phone_down_path(
         self,
         home: NeighborHome,

@@ -88,23 +88,6 @@ class CapacityProcess:
         """Multiplicative factor in effect at ``time``."""
         return self.factor_for_interval(self.interval_index(time))
 
-    def warm(self, start: float, end: float) -> int:
-        """Pre-sample every interval overlapping ``[start, end]``.
-
-        Batch-fills the memo caches ahead of a run so the stepper's
-        per-boundary ``factor_at`` queries become dictionary hits; the
-        factors are pure functions of ``(seed, index)``, so warming never
-        changes values, only when they are computed. Returns the number
-        of intervals covered.
-        """
-        if end < start:
-            raise ValueError(f"warm window reversed: {start} > {end}")
-        first = self.interval_index(start)
-        last = self.interval_index(end)
-        for index in range(first, last + 1):
-            self.factor_for_interval(index)
-        return last - first + 1
-
 
 class ConstantProcess(CapacityProcess):
     """Degenerate process: the factor is always ``value``."""

@@ -52,11 +52,6 @@ class HouseholdPlan:
     events: Tuple[Event, ...]
 
     @property
-    def video_events(self) -> Tuple[VideoEvent, ...]:
-        """The plan's video sessions, time-ordered."""
-        return tuple(e for e in self.events if isinstance(e, VideoEvent))
-
-    @property
     def upload_events(self) -> Tuple[PhotoUploadEvent, ...]:
         """The plan's upload sessions, time-ordered."""
         return tuple(

@@ -189,11 +189,6 @@ class VideoAsset:
                 f"video {self.name!r} has no quality {quality_name!r}"
             ) from None
 
-    @property
-    def master_uri(self) -> str:
-        """URI of the master playlist listing all renditions."""
-        return f"/{self.name}/master.m3u8"
-
 
 def make_bipbop_video(
     duration_s: float = DEFAULT_VIDEO_SECONDS,

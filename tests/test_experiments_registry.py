@@ -1,6 +1,8 @@
 """The experiment registry: registration, lookup, result contract."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -31,9 +33,9 @@ class TestRegistration:
     def test_catalogue_is_discovered(self):
         ids = registry.experiment_ids()
         assert len(ids) >= 27
-        # Report order: figures first, extensions later, headline last.
+        # Report order: figures first, extensions last.
         assert ids[0] == "fig01"
-        assert ids[-1] == "headline"
+        assert ids[-1] == "ext-fleet"
 
     def test_duplicate_id_raises(self):
         with pytest.raises(DuplicateExperimentError, match="fig06"):
@@ -51,6 +53,34 @@ class TestRegistration:
             assert registry.get("tmp-exp") is spec
         with pytest.raises(UnknownExperimentError):
             registry.get("tmp-exp")
+
+    def test_no_experiment_imports_another(self):
+        # Each number has one computation path: an experiment never
+        # re-runs or borrows from another. Shared setup lives in the
+        # helper modules (wild, formatting, registry), which register
+        # nothing.
+        registered = {spec.module for spec in registry.all_experiments()}
+        package = Path(registry.__file__).parent
+        offenders = []
+        for path in sorted(package.glob("*.py")):
+            module = f"repro.experiments.{path.stem}"
+            if module not in registered:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                offenders += [
+                    (module, name)
+                    for name in names
+                    if name in registered and name != module
+                ]
+        assert offenders == []
 
     def test_decorator_attaches_spec(self):
         spec = registry.get("fig06")

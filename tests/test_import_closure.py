@@ -194,6 +194,15 @@ def test_service_serves_an_upload_without_numpy():
     }
 
 
+def test_analysis_stats_loads_no_other_analysis_module():
+    # fig05, fig08 and fig10 need only the statistics helpers.
+    loaded = loaded_after("repro.analysis.stats")
+    assert under(loaded, "repro.analysis") == [
+        "repro.analysis",
+        "repro.analysis.stats",
+    ]
+
+
 def test_cli_imports_topology_only_for_locations():
     assert "repro.netsim.topology" not in loaded_after("repro.cli")
 
