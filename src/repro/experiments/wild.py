@@ -29,8 +29,6 @@ WIRED_FLOW_CAP_BPS = mbps(3.0)
 #: The 3G proxy path is also a single TCP connection; HSPA RTTs are higher
 #: but the radio link is the tighter constraint, so the cap rarely binds.
 CELLULAR_FLOW_CAP_BPS = mbps(3.0)
-#: §5.2 runs start "around 9.00 am" on weekdays.
-EVAL_START_HOUR = 9.0
 
 QUALITIES: Tuple[str, ...] = ("Q1", "Q2", "Q3", "Q4")
 #: (n_phones, connected_start) configurations of Figs. 7-8, in the
@@ -48,9 +46,7 @@ def config_label(n_phones: int, connected: bool) -> str:
     return f"{'H' if connected else '3G'}_{n_phones}PH"
 
 
-def wild_config(
-    n_phones: int, seed: int, connected_start: bool = False
-) -> HouseholdConfig:
+def wild_config(n_phones: int, seed: int) -> HouseholdConfig:
     """Household configuration of the wild evaluation."""
     return HouseholdConfig(
         n_phones=n_phones,

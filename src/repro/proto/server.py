@@ -3,18 +3,20 @@ the onload service.
 
 :class:`LoopbackServer` owns what the three servers have in common: a
 listening socket on 127.0.0.1 at an ephemeral port, the running flag,
-and an accept loop that serves each connection on its own daemon
-thread. A subclass sets :attr:`LoopbackServer.BACKLOG` and implements
-``_serve_connection(conn)``.
+and an accept loop that hands each connection to an idle worker
+thread, starting a new worker only when none is idle. A subclass sets
+:attr:`LoopbackServer.BACKLOG` and implements ``_serve_connection(conn)``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import queue
 import socket
+import sys
 import threading
 import time
-from typing import Tuple, TypeVar
+from typing import List, Optional, Tuple, TypeVar
 
 __all__ = ["ACCEPT_TICK_S", "LoopbackServer"]
 
@@ -24,9 +26,21 @@ ACCEPT_TICK_S = 0.5
 
 _S = TypeVar("_S", bound="LoopbackServer")
 
+#: A worker's inbox: the next connection it serves, or ``None`` to exit.
+_Inbox = queue.SimpleQueue[Optional[socket.socket]]
+
 
 class LoopbackServer:
-    """A threaded TCP server on 127.0.0.1, one daemon thread per connection."""
+    """A threaded TCP server on 127.0.0.1 that reuses its worker threads.
+
+    Each accepted connection goes to an idle worker if one is waiting;
+    otherwise a new daemon worker starts for it. Nothing ever queues
+    behind a busy worker, so concurrency stays unbounded, and the idle
+    workers never outnumber the most connections the server has served
+    at once. A worker that finishes a connection goes back to the idle
+    set; :meth:`stop` wakes every idle worker so it exits, and a busy
+    one exits after its connection.
+    """
 
     #: listen() backlog; each server sizes it for its own load.
     BACKLOG = 64
@@ -41,6 +55,11 @@ class LoopbackServer:
         self._server.settimeout(ACCEPT_TICK_S)
         self.host, self.port = self._server.getsockname()
         self._running = False
+        #: Guards the running flag's clearing and the idle set together,
+        #: so a worker going idle while stop() runs is either woken by
+        #: stop() or sees the server stopped and exits.
+        self._pool_lock = threading.Lock()
+        self._idle: List[_Inbox] = []
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -60,8 +79,12 @@ class LoopbackServer:
         return self
 
     def stop(self) -> None:
-        """Stop accepting and release the port."""
-        self._running = False
+        """Stop accepting, release the port and wake the idle workers."""
+        with self._pool_lock:
+            self._running = False
+            idle, self._idle = self._idle, []
+        for inbox in idle:
+            inbox.put(None)
         with contextlib.suppress(OSError):
             self._server.close()
 
@@ -72,8 +95,9 @@ class LoopbackServer:
         self.stop()
 
     def _accept_loop(self) -> None:
-        # Both the listener and the handler are looked up per accept, so
-        # a wrapper installed on either after construction takes effect.
+        # The listener is looked up per accept and the handler per
+        # connection (in _work), so a wrapper installed on either after
+        # construction takes effect.
         while self._running:
             try:
                 conn, _ = self._server.accept()
@@ -81,9 +105,42 @@ class LoopbackServer:
                 continue  # tick: re-check the running flag
             except OSError:
                 return
-            threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            ).start()
+            with self._pool_lock:
+                inbox = self._idle.pop() if self._idle else None
+            if inbox is not None:
+                inbox.put(conn)
+            else:
+                threading.Thread(
+                    target=self._work,
+                    args=(queue.SimpleQueue(), conn),
+                    name=f"{self.name}-worker",
+                    daemon=True,
+                ).start()
+
+    def _work(self, inbox: _Inbox, conn: Optional[socket.socket]) -> None:
+        """A worker: serve ``conn``, then each connection ``inbox`` brings."""
+        while conn is not None:
+            try:
+                self._serve_connection(conn)
+            except Exception:
+                # Reported as an uncaught exception in a thread would
+                # be; the worker lives on to serve the next connection.
+                threading.excepthook(
+                    threading.ExceptHookArgs(
+                        (*sys.exc_info(), threading.current_thread())
+                    )
+                )
+            conn = None  # an idle worker keeps no socket alive
+            if not self._park(inbox):
+                return
+            conn = inbox.get()
+
+    def _park(self, inbox: _Inbox) -> bool:
+        """Put a worker back in the idle set; False once stopped."""
+        with self._pool_lock:
+            if self._running:
+                self._idle.append(inbox)
+            return self._running
 
     def _serve_connection(self, conn: socket.socket) -> None:
         """Serve one accepted connection until it ends; closes it."""

@@ -1,9 +1,10 @@
 """The shared loopback server core and the readers built on it.
 
 Covers what the origin, the phone proxy and the onload service share
-(one accept loop, one strict request-head reader) and how the prototype
-client reads responses and cancels losing duplicate copies. Every race
-here is driven by hand with events, never by sleeps.
+(one accept loop with reused worker threads, one strict request-head
+reader) and how the prototype client reads responses and cancels
+losing duplicate copies. Every race here is driven by hand with events,
+never by sleeps.
 """
 
 import contextlib
@@ -53,6 +54,24 @@ class ScriptedPolicy(SchedulingPolicy):
 
     def on_item_failed(self, worker, item, now):
         pass
+
+
+def parking(server):
+    """A semaphore released each time one of ``server``'s workers goes idle.
+
+    The worker has returned from the handler by then, so anything the
+    handler raised has already reached ``threading.excepthook``.
+    """
+    parked = threading.Semaphore(0)
+    park = server._park
+
+    def signalling(inbox):
+        idle = park(inbox)
+        parked.release()
+        return idle
+
+    server._park = signalling
+    return parked
 
 
 def _post(address, path, headers, body):
@@ -127,6 +146,100 @@ class TestAcceptSkeleton:
         assert served == accepted
 
 
+class _Gate(LoopbackServer):
+    """Echoes one read and notes each connection's thread.
+
+    ``b"hold"`` holds the connection until :attr:`release` is set;
+    ``b"boom"`` makes the handler raise.
+    """
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.idents = []
+        self.holding = threading.Event()
+        self.release = threading.Event()
+
+    def _serve_connection(self, conn):
+        self.idents.append(threading.get_ident())
+        with contextlib.closing(conn):
+            conn.settimeout(WAIT_S)
+            data = conn.recv(64)
+            if data == b"hold":
+                self.holding.set()
+                assert self.release.wait(WAIT_S)
+            elif data == b"boom":
+                raise RuntimeError("boom")
+            conn.sendall(data)
+
+
+def _exchange(address, data):
+    sock = socket.create_connection(address, WAIT_S)
+    sock.sendall(data)
+    return _read_to_close(sock)
+
+
+def _workers(name):
+    return [t for t in threading.enumerate() if t.name == f"{name}-worker"]
+
+
+class TestWorkerPool:
+    def test_sequential_connections_share_one_worker(self):
+        server = _Gate("pool-reuse")
+        parked = parking(server)
+        with running(server):
+            assert _exchange(server.address, b"one") == b"one"
+            assert parked.acquire(timeout=WAIT_S)
+            assert _exchange(server.address, b"two") == b"two"
+        assert len(server.idents) == 2
+        assert server.idents[0] == server.idents[1]
+
+    def test_held_connection_does_not_delay_another(self):
+        server = _Gate("pool-held")
+        with running(server):
+            held = socket.create_connection(server.address, WAIT_S)
+            held.sendall(b"hold")
+            assert server.holding.wait(WAIT_S)
+            assert _exchange(server.address, b"free") == b"free"
+            server.release.set()
+            assert _read_to_close(held) == b"hold"
+        assert server.idents[0] != server.idents[1]
+
+    def test_stop_ends_idle_and_busy_workers(self):
+        server = _Gate("pool-stop")
+        parked = parking(server)
+        with running(server):
+            held = socket.create_connection(server.address, WAIT_S)
+            held.sendall(b"hold")
+            assert server.holding.wait(WAIT_S)
+            assert _exchange(server.address, b"idle") == b"idle"
+            assert parked.acquire(timeout=WAIT_S)
+            workers = _workers("pool-stop")
+            assert len(workers) == 2
+        # One worker was idle at stop(), the other still held its
+        # connection; both exit.
+        server.release.set()
+        assert _read_to_close(held) == b"hold"
+        for worker in workers:
+            worker.join(WAIT_S)
+        assert not any(worker.is_alive() for worker in workers)
+        assert _workers("pool-stop") == []
+
+    def test_handler_exception_is_reported_and_the_worker_serves_on(
+        self, monkeypatch
+    ):
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        server = _Gate("pool-raise")
+        parked = parking(server)
+        with running(server):
+            assert _exchange(server.address, b"boom") == b""
+            assert parked.acquire(timeout=WAIT_S)
+            assert _exchange(server.address, b"after") == b"after"
+        assert [args.exc_type for args in uncaught] == [RuntimeError]
+        assert uncaught[0].thread.name == "pool-raise-worker"
+        assert server.idents[0] == server.idents[1]
+
+
 # ---------------------------------------------------------------------------
 # The origin reads requests through the strict reader
 # ---------------------------------------------------------------------------
@@ -146,17 +259,16 @@ class TestOriginFraming:
             threading, "excepthook", lambda args: uncaught.append(args)
         )
         origin = LoopbackOrigin()
+        parked = parking(origin)
         with running(origin):
-            before = set(threading.enumerate())
             bad = _post(
                 origin.address, "/upload/bad",
                 {"Content-Length": length}, b"abc",
             )
             assert _read_to_close(bad) == b""
-            # The handler thread is done once the connection closed and
-            # it returned; join it so an uncaught exception has surfaced.
-            for thread in set(threading.enumerate()) - before:
-                thread.join(WAIT_S)
+            # Wait for the handler to return, so that an uncaught
+            # exception in it has surfaced.
+            assert parked.acquire(timeout=WAIT_S)
             assert origin.uploads == {}
             good = _post(
                 origin.address, "/upload/good",
