@@ -21,32 +21,12 @@ given arbitrary bytes either succeeds or raises a typed
 * :mod:`repro.fuzz.session` — the :class:`~repro.fuzz.session.FuzzSession`
   target of the shared search core (:mod:`repro.util.search`): seeded
   scheduling, crash triage by (exception type, raise site), payload
-  minimisation; and the checked-in regression corpus under
-  ``tests/corpus/``, each case pinned to the bug it caught;
-* :mod:`repro.fuzz.cli` — the ``repro-fuzz`` console entry point,
-  mirroring ``repro-lint``.
+  minimisation.
 
-Everything is deterministic given ``--seed``: the same seed, iteration
-budget and target list reproduce byte-identical mutation streams and
-therefore identical crash sets.
+``repro-hunt run --target NAME`` runs these campaigns, and the
+campaign table (:mod:`repro.hunt.targets`) replays the regression
+corpus under ``tests/corpus/``, each case pinned to the bug it caught.
+Everything is deterministic given ``--seed``: the same seed, budget and
+target list reproduce byte-identical mutation streams and therefore
+identical crash sets.
 """
-
-from repro.fuzz.mutators import MUTATORS, mutate_bytes
-from repro.fuzz.session import CorpusCase, load_corpus, replay_case, save_case
-from repro.fuzz.session import FuzzReport, FuzzSession
-from repro.fuzz.targets import FakeSocket, FuzzTarget, all_targets, get_target
-
-__all__ = [
-    "CorpusCase",
-    "FakeSocket",
-    "FuzzReport",
-    "FuzzSession",
-    "FuzzTarget",
-    "MUTATORS",
-    "all_targets",
-    "get_target",
-    "load_corpus",
-    "mutate_bytes",
-    "replay_case",
-    "save_case",
-]

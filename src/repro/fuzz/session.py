@@ -18,15 +18,10 @@ loop is the shared :func:`repro.util.search.search`; the session
 supplies the draw, the check, the pool and the shrink.
 
 Every payload that ever escaped the taxonomy is pinned in the
-regression corpus — one ``.bin`` file per case, one ``MANIFEST.json``
-per target directory mapping case ids to the bug each caught::
-
-    tests/corpus/<target>/MANIFEST.json
-    tests/corpus/<target>/<case_id>.bin
-
-The tier-1 suite replays every case: it "replays clean" when the target
-parses it or raises a typed ``ProtocolError``; any other exception is
-the old bug resurfacing.
+regression corpus (:mod:`repro.hunt.targets`) as a ``.bin`` file under
+``tests/corpus/<target>/``. It "replays clean" when the target parses
+it or raises a typed ``ProtocolError``; any other exception is the old
+bug resurfacing.
 """
 
 from __future__ import annotations
@@ -34,24 +29,18 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fuzz.mutators import MAX_MUTANT_BYTES, MUTATORS, mutate_bytes
 from repro.fuzz.targets import FuzzTarget, get_target
 from repro.proto.errors import ProtocolError
 from repro.util.search import (
-    MANIFEST_NAME,
-    Case,
     Codec,
     Finding,
     Key,
     Report,
     Verdict,
     failure_site,
-    load_cases,
-    replay,
-    save_case as _save_case,
     search,
 )
 
@@ -66,6 +55,12 @@ MINIMIZE_ROUNDS = 8
 
 #: A check's detail: what the payload raised (``None`` if it parsed).
 Raised = Optional[BaseException]
+
+#: Payloads per wire target when a campaign gives no budget.
+DEFAULT_BUDGET = 2000
+
+#: Corpus witnesses are the payloads, stored verbatim.
+CODEC: Codec[bytes] = Codec(".bin", bytes, bytes)
 
 
 @dataclass
@@ -112,6 +107,29 @@ class FuzzReport(Report[bytes]):
                 for crash in self.crashes
             ],
         }
+
+    def render_text(self) -> List[str]:
+        """Human-readable lines: the tallies, then each crash."""
+        verdict = "clean" if self.clean else (
+            f"{len(self.crashes)} distinct crash(es)"
+        )
+        lines = [
+            f"{self.target}: {self.budget} iterations, {self.ok} ok, "
+            f"{self.handled} rejected cleanly — {verdict}"
+        ]
+        for crash in self.crashes:
+            exception_type, site = crash.keys[0]
+            lines.append(
+                f"  CRASH {exception_type} at {site} "
+                f"(iteration {crash.iteration}, "
+                f"{crash.duplicates} duplicate(s)): "
+                f"{str(crash.detail)[:200]}"
+            )
+            lines.append(
+                f"    payload ({len(crash.case)} bytes): "
+                f"{crash.case[:64]!r}"
+            )
+        return lines
 
 
 def crash_site(exc: BaseException) -> str:
@@ -215,40 +233,13 @@ class FuzzSession:
         )
 
 
-# ---------------------------------------------------------------------------
-# The checked-in regression corpus
-# ---------------------------------------------------------------------------
+def session(
+    target: str, seed: int = 0, oracles: Optional[Sequence[str]] = None
+) -> FuzzSession:
+    """A fresh session fuzzing the wire target named ``target``.
 
-#: One pinned regression payload.
-CorpusCase = Case[bytes]
-
-#: Payloads are stored verbatim.
-PAYLOADS: Codec[bytes] = Codec(".bin", bytes, bytes)
-
-
-def save_case(case: CorpusCase, root: Path) -> Path:
-    """Pin one case under ``root/<target>/``; returns the payload path."""
-    return _save_case(case, root / case.target, PAYLOADS)
-
-
-def load_corpus(root: Path) -> Tuple[CorpusCase, ...]:
-    """Every case pinned under ``root``, one subdirectory per target.
-
-    The scenario hunter's ``scenarios/`` corpus shares the root; it is
-    the one subdirectory passed over.
+    The campaign table's hook (:mod:`repro.hunt.targets`). ``oracles``
+    subsets the scenario target's suite; a wire target checks its one
+    contract and ignores it.
     """
-    return tuple(
-        case
-        for manifest in sorted(root.glob(f"*/{MANIFEST_NAME}"))
-        if manifest.parent.name != "scenarios"
-        for case in load_cases(manifest.parent, PAYLOADS)
-    )
-
-
-def replay_case(case: CorpusCase) -> Optional[str]:
-    """Replay one case against its target (unknown target: ``KeyError``).
-
-    ``None`` when it replays clean; otherwise a failure naming the
-    escaping exception type and its raise site.
-    """
-    return replay(FuzzSession(get_target(case.target)).check, case)
+    return FuzzSession(get_target(target), seed=seed)

@@ -68,7 +68,6 @@ class FuzzTarget:
     """One parser under test, with its seeds and structured mutators."""
 
     name: str
-    description: str
     execute: Callable[[bytes], object]
     seeds: Tuple[bytes, ...]
     structured_mutators: Tuple[Mutator, ...] = field(default=())
@@ -162,28 +161,24 @@ def _build_targets() -> Dict[str, FuzzTarget]:
     targets = (
         FuzzTarget(
             name="http-head",
-            description="header-block parsing (parse_head / framing / status)",
             execute=_run_http_head,
             seeds=_http_head_seeds(),
             structured_mutators=structured.HTTP_HEAD_MUTATORS,
         ),
         FuzzTarget(
             name="wire-stream",
-            description="full HTTP response reads over an in-memory socket",
             execute=_run_wire_stream,
             seeds=_wire_stream_seeds(),
             structured_mutators=structured.WIRE_STREAM_MUTATORS,
         ),
         FuzzTarget(
             name="m3u8",
-            description="m3u8 media-playlist parsing (repro.web.hls)",
             execute=_run_m3u8,
             seeds=_m3u8_seeds(),
             structured_mutators=structured.M3U8_MUTATORS,
         ),
         FuzzTarget(
             name="multipart",
-            description="multipart/form-data decoding (repro.web.upload)",
             execute=_run_multipart,
             seeds=_multipart_seeds(),
             structured_mutators=structured.MULTIPART_MUTATORS,

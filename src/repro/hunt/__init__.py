@@ -10,47 +10,12 @@ scenarios deterministically, executes each through the full stack
 invariant oracles (:mod:`repro.hunt.oracles`). Violations are
 deduplicated, greedily minimised, and pinned as human-readable specs in
 the replayable corpus under ``tests/corpus/scenarios/``. The campaign
-loop, finding record and corpus codec are the ones the wire fuzzer uses
-too (:mod:`repro.util.search`). The ``repro-hunt`` CLI fronts the whole
-loop.
+loop and finding record are the ones the wire fuzzer uses too
+(:mod:`repro.util.search`).
+
+The ``repro-hunt`` CLI (:mod:`repro.hunt.cli`) fronts every seeded
+search in the repository: this scenario target and the four wire fuzz
+targets of :mod:`repro.fuzz`, all named in one campaign table
+(:mod:`repro.hunt.targets`) that also loads and replays the whole
+regression corpus.
 """
-
-from repro.hunt.oracles import (
-    ORACLES,
-    Oracle,
-    Violation,
-    check_outcome,
-    oracle_ids,
-)
-from repro.hunt.run import HUNT_LOCATION, ScenarioOutcome, run_scenario
-from repro.hunt.scenario import (
-    FaultSpec,
-    Scenario,
-    generate_scenario,
-    generous_cutoff_s,
-    mutate_scenario,
-)
-from repro.hunt.session import HuntReport, HuntSession
-from repro.hunt.session import ScenarioCase, load_corpus, replay_case, save_case
-
-__all__ = [
-    "FaultSpec",
-    "HUNT_LOCATION",
-    "HuntReport",
-    "HuntSession",
-    "ORACLES",
-    "Oracle",
-    "Scenario",
-    "ScenarioCase",
-    "ScenarioOutcome",
-    "Violation",
-    "check_outcome",
-    "generate_scenario",
-    "generous_cutoff_s",
-    "load_corpus",
-    "mutate_scenario",
-    "oracle_ids",
-    "replay_case",
-    "run_scenario",
-    "save_case",
-]

@@ -53,6 +53,7 @@ __all__ = [
     "ORACLES",
     "Oracle",
     "Violation",
+    "check_oracle_ids",
     "check_outcome",
     "oracle_ids",
 ]
@@ -484,18 +485,23 @@ def oracle_ids() -> List[str]:
     return [oracle.oracle_id for oracle in ORACLES]
 
 
+def check_oracle_ids(ids: Sequence[str]) -> None:
+    """Raise ``KeyError`` naming every id the registry does not hold."""
+    unknown = set(ids) - set(oracle_ids())
+    if unknown:
+        raise KeyError(
+            f"unknown oracle id(s): {sorted(unknown)}; "
+            f"known: {oracle_ids()}"
+        )
+
+
 def check_outcome(
     outcome: ScenarioOutcome,
     only: Optional[Sequence[str]] = None,
 ) -> List[Violation]:
     """Run the registry (or the ``only`` subset) against one outcome."""
     if only is not None:
-        unknown = set(only) - set(oracle_ids())
-        if unknown:
-            raise KeyError(
-                f"unknown oracle id(s): {sorted(unknown)}; "
-                f"known: {oracle_ids()}"
-            )
+        check_oracle_ids(only)
     out: List[Violation] = []
     for oracle in ORACLES:
         if only is not None and oracle.oracle_id not in only:

@@ -18,27 +18,24 @@ violation behind a stub stack and assert the driver finds, dedups and
 minimises it deterministically.
 
 Every scenario that ever violated an invariant oracle is pinned, after
-minimisation, in the scenario corpus — one human-readable ``.json``
-spec per case plus a ``MANIFEST.json`` mapping case ids to the bug each
-caught::
-
-    tests/corpus/scenarios/MANIFEST.json
-    tests/corpus/scenarios/<case_id>.json
-
-The tier-1 suite replays every case: it "replays clean" when the full
-oracle suite comes back empty, so a fixed bug that resurfaces fails the
-build with its original witness scenario.
+minimisation, in the regression corpus (:mod:`repro.hunt.targets`) as
+a human-readable ``.json`` spec under ``tests/corpus/scenarios/``. It
+"replays clean" when the full oracle suite comes back empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hunt.oracles import Violation, check_outcome, oracle_ids
+from repro.hunt.oracles import (
+    Violation,
+    check_oracle_ids,
+    check_outcome,
+    oracle_ids,
+)
 from repro.hunt.run import ScenarioOutcome, run_scenario
 from repro.hunt.scenario import (
     Scenario,
@@ -46,26 +43,9 @@ from repro.hunt.scenario import (
     generous_cutoff_s,
     mutate_scenario,
 )
-from repro.util.search import (
-    Case,
-    Codec,
-    Key,
-    Report,
-    Verdict,
-    load_cases,
-    replay,
-    save_case as _save_case,
-    search,
-)
+from repro.util.search import Codec, Key, Report, Verdict, search
 
-__all__ = [
-    "HuntReport",
-    "HuntSession",
-    "ScenarioCase",
-    "load_corpus",
-    "replay_case",
-    "save_case",
-]
+__all__ = ["CODEC", "DEFAULT_BUDGET", "HuntReport", "HuntSession", "session"]
 
 #: How many recent scenarios the session keeps as mutation bases.
 MAX_POOL = 32
@@ -79,6 +59,16 @@ Executor = Callable[[Scenario], ScenarioOutcome]
 #: A check's detail: the violations the oracle suite reported.
 Violations = Tuple[Violation, ...]
 
+#: Scenarios per campaign when none is given.
+DEFAULT_BUDGET = 40
+
+#: Corpus witnesses are scenario specs, stored as their canonical JSON.
+CODEC: Codec[Scenario] = Codec(
+    ".json",
+    lambda scenario: (scenario.to_json() + "\n").encode("utf-8"),
+    lambda raw: Scenario.from_json(raw.decode("utf-8")),
+)
+
 
 class HuntReport(Report[Scenario]):
     """Outcome of one :meth:`HuntSession.run` campaign.
@@ -90,6 +80,7 @@ class HuntReport(Report[Scenario]):
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form — byte-identical for identical campaigns."""
         return {
+            "target": "scenario",
             "seed": self.seed,
             "budget": self.budget,
             "runs": self.runs,
@@ -109,6 +100,30 @@ class HuntReport(Report[Scenario]):
                 for finding in self.findings
             ],
         }
+
+    def render_text(self) -> List[str]:
+        """Human-readable lines: the tallies, then each finding."""
+        lines = [
+            f"scenario: seed={self.seed} budget={self.budget} "
+            f"runs={self.runs} clean={self.clean_runs} "
+            f"executor_runs={self.executor_runs}"
+        ]
+        for finding in self.findings:
+            keys = ", ".join(
+                f"{oracle}[{extra}]" if extra else oracle
+                for oracle, extra in finding.keys
+            )
+            lines.append(
+                f"  FINDING {keys} (iteration {finding.iteration}, "
+                f"{finding.duplicates} duplicate(s), minimised in "
+                f"{finding.shrink_runs} run(s))"
+            )
+            for violation in finding.detail:
+                lines.append(f"    {violation.oracle}: {violation.detail}")
+            lines.append(
+                "    scenario: " + " ".join(finding.case.to_json().split())
+            )
+        return lines
 
 
 def _complexity(scenario: Scenario) -> float:
@@ -192,6 +207,8 @@ class HuntSession:
         self.executor: Executor = executor or run_scenario
         #: Oracle-id subset to check (``None``: the whole registry).
         self.only = list(only) if only is not None else None
+        if self.only is not None:
+            check_oracle_ids(self.only)
         self._rng = np.random.default_rng(self.seed & 0xFFFFFFFF)
         self._pool: List[Scenario] = []
 
@@ -264,37 +281,12 @@ class HuntSession:
         return HuntReport(**vars(search(self, self.seed, budget)))
 
 
-# ---------------------------------------------------------------------------
-# The checked-in scenario corpus
-# ---------------------------------------------------------------------------
+def session(
+    target: str, seed: int = 0, oracles: Optional[Sequence[str]] = None
+) -> HuntSession:
+    """A fresh scenario hunt checking ``oracles`` (``None``: all).
 
-#: One pinned regression scenario (its manifest names no target).
-ScenarioCase = Case[Scenario]
-
-#: Specs are stored as their canonical JSON.
-SCENARIOS: Codec[Scenario] = Codec(
-    ".json",
-    lambda scenario: (scenario.to_json() + "\n").encode("utf-8"),
-    lambda raw: Scenario.from_json(raw.decode("utf-8")),
-)
-
-
-def save_case(case: ScenarioCase, root: Path) -> Path:
-    """Pin one case in the corpus directory ``root``; returns its path."""
-    return _save_case(case, root, SCENARIOS)
-
-
-def load_corpus(root: Path) -> Tuple[ScenarioCase, ...]:
-    """Every case pinned in ``root``, sorted by case id."""
-    return load_cases(root, SCENARIOS)
-
-
-def replay_case(
-    case: ScenarioCase, executor: Optional[Executor] = None
-) -> Optional[str]:
-    """Replay one pinned scenario through the full oracle suite.
-
-    ``None`` when no oracle fires; otherwise a failure naming every
-    ``(oracle, extra)`` that fired — the old bug resurfacing.
+    The campaign table's hook (:mod:`repro.hunt.targets`); ``target``
+    is always ``"scenario"``.
     """
-    return replay(HuntSession(executor=executor).check, case)
+    return HuntSession(seed=seed, only=oracles)

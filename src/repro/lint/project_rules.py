@@ -72,8 +72,8 @@ class SeedProvenanceRule(ProjectRule):
     code = "RL008"
     title = "RNG seeds must derive from a seeded RngFactory root"
     rationale = (
-        "RL001 catches an unseeded default_rng() spelled inline, but not "
-        "one laundered through a helper — `make_rng(seed=None)` looks "
+        "An unseeded default_rng() spelled inline is easy to see, but "
+        "not one laundered through a helper — `make_rng(seed=None)` looks "
         "seeded at the construction site and is OS entropy at the call "
         "site. Tracing provenance through the call graph closes that "
         "hole: a seed is either a literal, an RngFactory derivation, or "

@@ -88,6 +88,12 @@ _DETERMINISM_PACKAGES = (
 #: ``datetime``-ish attributes that read the wall clock.
 _WALL_CLOCK_ATTRS = frozenset({"now", "utcnow", "today"})
 
+#: RNG constructors that RL008 proves unseeded when called with no
+#: arguments, so RL001 leaves those calls to it: one finding per plant.
+_UNSEEDED_CONSTRUCTORS = frozenset(
+    {"Random", "RandomState", "SystemRandom", "default_rng"}
+)
+
 
 @rule
 class DeterminismRule(Rule):
@@ -98,8 +104,9 @@ class DeterminismRule(Rule):
     scope = "core, netsim, traces, pilot, experiments, bench, hunt, fleet"
     rationale = (
         "Experiments promise byte-identical results at any --jobs count; "
-        "one call to time.time(), the global random module, os.urandom or "
-        "an unseeded default_rng() silently breaks that replay guarantee."
+        "one call to time.time(), the global random module or os.urandom "
+        "silently breaks that replay guarantee (RL008 catches unseeded "
+        "RNG constructors)."
     )
 
     def applies_to(self, context: ModuleContext) -> bool:
@@ -134,20 +141,14 @@ class DeterminismRule(Rule):
                     "an RngFactory stream instead",
                     node,
                 )
-            elif name.startswith("random."):
+            elif name.startswith("random.") and not (
+                terminal_identifier(node.func) in _UNSEEDED_CONSTRUCTORS
+                and not (node.args or node.keywords)
+            ):
                 yield context.finding(
                     self.code,
                     f"{name}() uses the global, unseeded random module; "
                     "derive a stream via repro.util.rng.RngFactory",
-                    node,
-                )
-            elif name.endswith("random.default_rng") and not (
-                node.args or node.keywords
-            ):
-                yield context.finding(
-                    self.code,
-                    "default_rng() without a seed is OS entropy; pass a "
-                    "seed derived from RngFactory",
                     node,
                 )
 

@@ -454,8 +454,20 @@ class OnloadService(LoopbackServer):
             with contextlib.suppress(OSError):
                 client.close()
             return
-        leg = self._choose_leg()
-        if leg is None:
+        # Choosing a leg with authority and becoming visible to
+        # revocation are one step: a revocation that lands after
+        # may_onload said yes waits here, then finds this flow. Lock
+        # order: _active_lock, then _leg_lock, then the ledger's and
+        # the permit server's. The permit server fires revocation
+        # listeners only after releasing its lock, and request_permit
+        # fires none, so _on_permit_revoked never runs on a thread
+        # that already holds _active_lock.
+        flow: Optional[_Flow] = None
+        with self._active_lock:
+            leg = self._choose_leg()
+            if leg is not None:
+                flow = self._active[flow_id] = _Flow(flow_id, client, leg)
+        if flow is None:
             # Admitted but no leg currently has authority to carry the
             # flow (caps dry / permits refused on every cellular leg
             # and no ADSL fallback wired).
@@ -485,9 +497,7 @@ class OnloadService(LoopbackServer):
                 self.admission.release()
                 self._gauge_pool()
             return
-        flow = _Flow(flow_id, client, leg)
-        with self._active_lock:
-            self._active[flow_id] = flow
+        leg = flow.leg
         self._journal_event(
             "service.flow.admit", flow=flow_id, leg=leg.name
         )

@@ -1,7 +1,7 @@
 """Shared console-script plumbing for the ``repro-*`` tools.
 
-Every CLI in the repository (``repro-lint``, ``repro-fuzz``,
-``repro-trace``, ``repro-hunt``) speaks the same dialect: a text report
+Every CLI in the repository (``repro-lint``, ``repro-trace``,
+``repro-hunt``, …) speaks the same dialect: a text report
 for humans or a ``--format json`` payload for CI, and a three-value
 exit-code contract —
 

@@ -1,20 +1,19 @@
-"""The seeded search core shared by ``repro-fuzz`` and ``repro-hunt``.
+"""The seeded search core behind every ``repro-hunt`` target.
 
 One campaign loop (:func:`search`): draw a case, check it, deduplicate
 a failure by *where* it happened (:func:`failure_site`) rather than by
 the noisy input behind it, shrink the first witness of each new bug and
 count the rest as duplicates. Plus the records it fills and the
-checked-in regression corpus codec. What a case *is* — a byte payload,
-a whole scenario — stays with the caller's :class:`SearchTarget`, which
-also owns the RNG, the pool of mutation bases and the shrink strategy.
+regression-corpus records (:class:`Case`, :class:`Codec`,
+:func:`replay`). What a case *is* — a byte payload, a whole scenario —
+stays with the caller's :class:`SearchTarget`, which also owns the RNG,
+the pool of mutation bases and the shrink strategy.
 """
 
 from __future__ import annotations
 
-import json
 import traceback
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -33,14 +32,11 @@ __all__ = [
     "Codec",
     "Finding",
     "Key",
-    "MANIFEST_NAME",
     "Report",
     "SearchTarget",
     "Verdict",
     "failure_site",
-    "load_cases",
     "replay",
-    "save_case",
     "search",
 ]
 
@@ -51,8 +47,6 @@ Key = Tuple[str, str]
 Verdict = Tuple[Tuple[Key, ...], Any]
 
 C = TypeVar("C")
-
-MANIFEST_NAME = "MANIFEST.json"
 
 
 def failure_site(
@@ -78,7 +72,7 @@ def failure_site(
 
 
 class SearchTarget(Protocol[C]):
-    """What :func:`search` needs from a fuzz or hunt session."""
+    """What :func:`search` needs from a campaign target's session."""
 
     def draw(self, iteration: int) -> C:
         """The campaign's next case."""
@@ -178,7 +172,7 @@ def search(target: SearchTarget[C], seed: int, budget: int) -> Report[C]:
 class Case(Generic[C]):
     """One pinned regression witness and the bug it caught."""
 
-    #: The manifest's ``target`` (``""`` when it names none).
+    #: The manifest's ``target``: the campaign that checks the witness.
     target: str
     case_id: str
     description: str
@@ -194,46 +188,12 @@ class Codec(Generic[C]):
     decode: Callable[[bytes], C]
 
 
-def save_case(case: Case[C], directory: Path, codec: Codec[C]) -> Path:
-    """Pin one case in ``directory``; returns the witness file's path."""
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest_path = directory / MANIFEST_NAME
-    manifest: dict = {"cases": {}}
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if case.target:
-        manifest["target"] = case.target
-    manifest["cases"][case.case_id] = case.description
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    path = directory / f"{case.case_id}{codec.suffix}"
-    path.write_bytes(codec.encode(case.witness))
-    return path
-
-
-def load_cases(directory: Path, codec: Codec[C]) -> Tuple[Case[C], ...]:
-    """Every case pinned in ``directory``, sorted by case id."""
-    manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.exists():
-        return ()
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    target = manifest.get("target", "")
-    return tuple(
-        Case(target, case_id, description, codec.decode(
-            (directory / f"{case_id}{codec.suffix}").read_bytes()
-        ))
-        for case_id, description in sorted(manifest["cases"].items())
-    )
-
-
 def replay(check: Callable[[C], Verdict], case: Case[C]) -> Optional[str]:
     """Re-check one pinned case: ``None`` if clean, else what failed."""
     keys, _detail = check(case.witness)
     if not keys:
         return None
-    label = f"{case.target}/{case.case_id}" if case.target else case.case_id
+    label = f"{case.target}/{case.case_id}"
     fired = "; ".join(
         f"{kind} at {site}" if site else kind for kind, site in keys
     )

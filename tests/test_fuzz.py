@@ -1,10 +1,11 @@
-"""The fuzz framework: mutators, sessions, triage, corpus replay, CLI.
+"""The wire fuzz targets: mutators, sessions, triage, corpus, CLI.
 
 Determinism is the load-bearing property — every test that runs the same
-seed twice must see byte-identical behaviour — and the checked-in corpus
-under ``tests/corpus/`` is replayed case by case: each payload once
-escaped the ProtocolError taxonomy, so a replay failure is a fixed bug
-resurfacing.
+seed twice must see byte-identical behaviour — and the checked-in wire
+corpus under ``tests/corpus/`` is replayed case by case: each payload
+once escaped the ProtocolError taxonomy, so a replay failure is a fixed
+bug resurfacing. The CLI tests drive the wire targets through
+``repro-hunt``, the one search CLI.
 """
 
 import hashlib
@@ -14,26 +15,25 @@ from pathlib import Path
 
 import pytest
 
-from repro.fuzz import (
-    MUTATORS,
-    CorpusCase,
-    FakeSocket,
-    FuzzSession,
-    FuzzTarget,
-    all_targets,
-    get_target,
-    load_corpus,
-    mutate_bytes,
-    replay_case,
-    save_case,
-)
-from repro.fuzz.cli import main as fuzz_main
-from repro.fuzz.mutators import MAX_MUTANT_BYTES
-from repro.fuzz.session import crash_site
+from repro.fuzz import targets as fuzz_targets
+from repro.fuzz.mutators import MAX_MUTANT_BYTES, MUTATORS, mutate_bytes
+from repro.fuzz.session import FuzzSession, crash_site
+from repro.fuzz.targets import FakeSocket, FuzzTarget, all_targets, get_target
+from repro.hunt.cli import main as hunt_main
+from repro.hunt.oracles import ORACLES
+from repro.hunt.targets import TARGETS, load_corpus, replay_case, save_case
 from repro.proto.errors import ProtocolError
-from repro.util.search import replay
+from repro.util.search import Case, replay
 
 CORPUS_ROOT = Path(__file__).resolve().parent / "corpus"
+
+WIRE_TARGETS = ("http-head", "wire-stream", "m3u8", "multipart")
+
+
+def wire_run(*args):
+    """``repro-hunt run`` over the four wire targets plus ``args``."""
+    targets = [flag for name in WIRE_TARGETS for flag in ("--target", name)]
+    return hunt_main(["run", *targets, *args])
 
 SEED_PAYLOAD = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nabc"
 
@@ -137,7 +137,6 @@ def _buggy_target():
 
     return FuzzTarget(
         name="planted",
-        description="deliberately buggy",
         execute=execute,
         seeds=(b"\x00seed", b"benign"),
     )
@@ -171,7 +170,6 @@ def _two_bug_target():
     exec(code, namespace)  # noqa: S102 - a fixed, test-owned source
     return FuzzTarget(
         name="planted-two",
-        description="two planted escapes",
         execute=namespace["parse"],
         seeds=(
             b"\x00seed", b"GET / HTTP/1.1\r\nHost: x\r\n\r\n", b"benign",
@@ -259,15 +257,19 @@ class TestCampaignClean:
 # Corpus: every pinned regression payload replays clean
 # ---------------------------------------------------------------------------
 
-_CORPUS = load_corpus(CORPUS_ROOT)
+_CORPUS = tuple(
+    case for case in load_corpus(CORPUS_ROOT) if case.target in WIRE_TARGETS
+)
 
 
 class TestCorpus:
     def test_corpus_is_checked_in_and_big_enough(self):
         assert len(_CORPUS) >= 20
-        assert {case.target for case in _CORPUS} == {
-            "http-head", "wire-stream", "m3u8", "multipart",
-        }
+        assert {case.target for case in _CORPUS} == set(WIRE_TARGETS)
+        # One loader reads every manifest, the scenario corpus included.
+        assert {case.target for case in load_corpus(CORPUS_ROOT)} == set(
+            TARGETS
+        )
 
     def test_every_case_is_pinned_to_a_bug(self):
         for case in _CORPUS:
@@ -281,16 +283,23 @@ class TestCorpus:
         assert failure is None, failure
 
     def test_save_and_load_round_trip(self, tmp_path):
-        case = CorpusCase("m3u8", "tmp-001", "round-trip check", b"\x00\xff")
-        save_case(case, tmp_path)
+        case = Case("m3u8", "tmp-001", "round-trip check", b"\x00\xff")
+        save_case(case, tmp_path / "m3u8")
         loaded = load_corpus(tmp_path)
         assert loaded == (case,)
+        with pytest.raises(ValueError, match="pins 'm3u8' cases"):
+            save_case(
+                Case("multipart", "tmp-002", "wrong dir", b"x"),
+                tmp_path / "m3u8",
+            )
 
-    def test_replay_reports_a_taxonomy_escape(self, tmp_path):
+    def test_replay_reports_a_taxonomy_escape(
+        self, tmp_path, monkeypatch, capsys
+    ):
         # Inverse control: replay must fail loudly on a payload that
         # escapes, so green corpus runs are evidence.
         target = _buggy_target()
-        case = CorpusCase(target.name, "x", "control", b"\x00")
+        case = Case(target.name, "x", "control", b"\x00")
         failure = replay(FuzzSession(target).check, case)
         with pytest.raises(IndexError) as raised:
             target.execute(b"\x00")
@@ -299,23 +308,34 @@ class TestCorpus:
         assert "planted/x (control)" in failure
         with pytest.raises(KeyError):
             replay_case(case)  # unknown target fails loudly, not silently
-        clean = CorpusCase(
+        clean = Case(
             "http-head", "inverse", "control", b"GET / HTTP/1.1\r\n\r\n"
         )
         assert replay_case(clean) is None
+        # The CLI gate: a pinned m3u8 witness that escapes again.
+        save_case(Case("m3u8", "escape", "planted", b"\x00"), tmp_path)
+        monkeypatch.setattr(
+            fuzz_targets, "parse_m3u8", _buggy_target().execute
+        )
+        assert hunt_main(["replay", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "m3u8/escape: FAILED" in out
+        assert "IndexError at" in out
 
     def test_unregistered_target_directory_is_not_skipped(self, tmp_path):
-        # Only the scenario hunter's directory may be passed over: a
-        # wire-corpus directory naming an unknown target must fail loudly.
-        save_case(CorpusCase("no-such-target", "c1", "d", b"x"), tmp_path)
-        (tmp_path / "scenarios").mkdir()
-        (tmp_path / "scenarios" / "MANIFEST.json").write_text(
-            '{"cases": {"s1": "a scenario"}}', encoding="utf-8"
-        )
-        cases = load_corpus(tmp_path)
-        assert [case.target for case in cases] == ["no-such-target"]
-        with pytest.raises(KeyError):
-            replay_case(cases[0])
+        # No directory is passed over: a manifest naming an unknown
+        # target, or naming none, fails loudly.
+        for name, manifest in (
+            ("wire", '{"cases": {"c1": "d"}, "target": "no-such-target"}'),
+            ("scenarios", '{"cases": {"s1": "a scenario"}}'),
+        ):
+            directory = tmp_path / name
+            directory.mkdir()
+            (directory / "MANIFEST.json").write_text(
+                manifest, encoding="utf-8"
+            )
+            with pytest.raises(KeyError, match="unknown target"):
+                load_corpus(directory)
 
 
 # ---------------------------------------------------------------------------
@@ -325,34 +345,37 @@ class TestCorpus:
 
 class TestCli:
     def test_clean_run_exits_zero(self, capsys):
-        assert fuzz_main(["--seed", "0", "--iterations", "60"]) == 0
+        assert wire_run("--seed", "0", "--budget", "60") == 0
         out = capsys.readouterr().out
         assert "all clean" in out
 
     def test_json_format(self, capsys):
-        code = fuzz_main(
-            ["--seed", "0", "--iterations", "40", "--format", "json"]
-        )
+        code = wire_run("--seed", "0", "--budget", "40", "--format", "json")
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["clean"] is True
-        assert len(payload["reports"]) == 4
+        assert [report["target"] for report in payload["reports"]] == list(
+            WIRE_TARGETS
+        )
 
     def test_target_subset(self, capsys):
-        code = fuzz_main(
-            ["--seed", "1", "--iterations", "40", "--target", "m3u8"]
+        code = hunt_main(
+            ["run", "--seed", "1", "--budget", "40", "--target", "m3u8"]
         )
         assert code == 0
         assert "m3u8" in capsys.readouterr().out
 
     def test_unknown_target_is_usage_error(self, capsys):
-        assert fuzz_main(["--target", "nope"]) == 2
+        assert hunt_main(["run", "--target", "nope"]) == 2
+        assert "unknown target 'nope'" in capsys.readouterr().err
 
     def test_bad_iteration_budget_is_usage_error(self):
-        assert fuzz_main(["--iterations", "0"]) == 2
+        assert wire_run("--budget", "0") == 2
 
     def test_list_targets(self, capsys):
-        assert fuzz_main(["--list-targets"]) == 0
+        assert hunt_main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in ("http-head", "wire-stream", "m3u8", "multipart"):
-            assert name in out
+        for name in TARGETS:
+            assert f"{name}: " in out
+        for oracle in ORACLES:
+            assert oracle.oracle_id in out

@@ -18,27 +18,31 @@ import numpy as np
 import pytest
 
 from repro.core.scheduler.runner import DegradationEvent
-from repro.hunt import (
+from repro.hunt.cli import main as hunt_main
+from repro.hunt.oracles import ORACLES, check_outcome, oracle_ids
+from repro.hunt.run import ScenarioOutcome, run_scenario
+from repro.hunt.scenario import (
     FaultSpec,
-    HuntSession,
-    ORACLES,
     Scenario,
-    ScenarioOutcome,
-    check_outcome,
     generate_scenario,
     generous_cutoff_s,
-    load_corpus,
     mutate_scenario,
-    oracle_ids,
-    ScenarioCase,
-    replay_case,
-    run_scenario,
-    save_case,
 )
-from repro.hunt.cli import main as hunt_main
+from repro.hunt.session import HuntSession
+from repro.hunt.targets import TARGETS, load_corpus, replay_case, save_case
+from repro.util.search import Case, replay
 from tests.test_trace_golden import _traced_lines
 
 CORPUS_ROOT = Path(__file__).resolve().parent / "corpus" / "scenarios"
+
+
+def golden_dict(report):
+    """``report.to_dict()`` without the ``target`` key the digest predates."""
+    return {
+        key: value
+        for key, value in report.to_dict().items()
+        if key != "target"
+    }
 
 
 def spec(**overrides):
@@ -431,7 +435,7 @@ class TestOracleCleanControls:
 
 
 #: sha256 of the planted campaign in
-#: ``test_planted_campaign_matches_golden_digest``, ``to_dict()``
+#: ``test_planted_campaign_matches_golden_digest``, ``golden_dict()``
 #: rendered with sorted keys.
 PLANTED_CAMPAIGN_SHA256 = (
     "ee6057d80c1a459e4a55da326c84897de2096eb1a64a4bdfddb23d57069d9533"
@@ -540,7 +544,8 @@ class TestHuntSession:
         assert (
             ("clock-monotonic", "copy.start"), ("completion", "")
         ) in [finding.keys for finding in report.findings]
-        rendered = json.dumps(report.to_dict(), sort_keys=True)
+        assert report.to_dict()["target"] == "scenario"
+        rendered = json.dumps(golden_dict(report), sort_keys=True)
         assert (
             hashlib.sha256(rendered.encode("utf-8")).hexdigest()
             == PLANTED_CAMPAIGN_SHA256
@@ -582,8 +587,8 @@ class TestCorpus:
         assert replay_case(case) is None
 
     def test_save_and_load_round_trip(self, tmp_path):
-        case = ScenarioCase(
-            target="",
+        case = Case(
+            target="scenario",
             case_id="roundtrip",
             description="a bug description",
             witness=spec(name="roundtrip"),
@@ -593,8 +598,8 @@ class TestCorpus:
         assert loaded == (case,)
 
     def test_replay_reports_a_resurfaced_bug(self, tmp_path):
-        case = ScenarioCase(
-            target="",
+        case = Case(
+            target="scenario",
             case_id="resurfaced",
             description="planted",
             witness=spec(name="resurfaced"),
@@ -605,7 +610,7 @@ class TestCorpus:
                 scenario=scenario, error="x", error_site="s"
             )
 
-        failure = replay_case(case, executor=executor)
+        failure = replay(HuntSession(executor=executor).check, case)
         assert failure is not None
         assert "resurfaced" in failure
         assert "crash" in failure
@@ -667,25 +672,35 @@ class TestCli:
     def test_clean_run_exits_zero(self, capsys):
         assert hunt_main(["run", "--seed", "0", "--budget", "5"]) == 0
         out = capsys.readouterr().out
+        for name in TARGETS:
+            assert out.count(f"{name}: ") == 1
         assert "all clean" in out
 
     def test_json_format_is_parseable(self, capsys):
         assert (
             hunt_main(
-                ["run", "--seed", "0", "--budget", "5", "--format", "json"]
+                [
+                    "run", "--target", "scenario", "--seed", "0",
+                    "--budget", "5", "--format", "json",
+                ]
             )
             == 0
         )
         payload = json.loads(capsys.readouterr().out)
-        assert payload["seed"] == 0
-        assert payload["budget"] == 5
-        assert payload["findings"] == []
+        assert payload["clean"] is True
+        (report,) = payload["reports"]
+        assert report["target"] == "scenario"
+        assert report["seed"] == 0
+        assert report["budget"] == 5
+        assert report["findings"] == []
 
     def test_oracle_subset(self, capsys):
         assert (
             hunt_main(
                 [
                     "run",
+                    "--target",
+                    "scenario",
                     "--seed",
                     "0",
                     "--budget",
@@ -704,6 +719,15 @@ class TestCli:
             )
             == 2
         )
+        # --oracles subsets the scenario suite; wire targets alone
+        # cannot take it.
+        assert (
+            hunt_main(
+                ["run", "--target", "m3u8", "--oracles", "crash"]
+            )
+            == 2
+        )
+        assert "needs the scenario target" in capsys.readouterr().err
 
     def test_bad_budget_is_usage_error(self):
         assert hunt_main(["run", "--budget", "0"]) == 2
@@ -712,12 +736,18 @@ class TestCli:
         assert hunt_main(["replay", str(CORPUS_ROOT)]) == 0
         out = capsys.readouterr().out
         assert "clean" in out
+        # The whole corpus, wire and scenario cases alike.
+        assert hunt_main(["replay", str(CORPUS_ROOT.parent)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 34
+        assert all(line.endswith(": clean") for line in lines)
+        assert {line.split("/")[0] for line in lines} == set(TARGETS)
 
     def test_replay_single_spec(self, tmp_path, capsys):
         path = tmp_path / "one.json"
         path.write_text(spec(name="one").to_json(), encoding="utf-8")
         assert hunt_main(["replay", str(path)]) == 0
-        assert "one: clean" in capsys.readouterr().out
+        assert "scenario/one: clean" in capsys.readouterr().out
 
     def test_replay_unreadable_spec_is_usage_error(self, tmp_path):
         assert hunt_main(["replay", str(tmp_path / "missing.json")]) == 2
@@ -728,8 +758,10 @@ class TestCli:
         assert hunt_main(["minimize", str(path)]) == 0
 
     def test_list_oracles(self, capsys):
-        assert hunt_main(["list-oracles"]) == 0
+        assert hunt_main(["list"]) == 0
         out = capsys.readouterr().out
+        for name in TARGETS:
+            assert f"{name}: " in out
         for oracle in ORACLES:
             assert oracle.oracle_id in out
 

@@ -232,3 +232,19 @@ def test_dir_lists_the_quickstart_names():
     for name in repro.__all__:
         assert name in names
     assert "OnloadSession" in names and "EVALUATION_LOCATIONS" in names
+
+
+def test_wire_campaign_loads_no_numpy_or_scenario_executor():
+    # The campaign table imports a target's module only when that
+    # target is selected, so a wire campaign stays off the simulator.
+    loaded = modules_after(
+        "repro.hunt.cli",
+        extra=(
+            "import contextlib, io\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = sys.modules['repro.hunt.cli'].main(\n"
+            "        ['run', '--target', 'm3u8', '--budget', '20'])\n"
+            "assert code == 0, code"
+        ),
+    )
+    assert not under(loaded, "numpy", "repro.hunt.run", "repro.netsim")

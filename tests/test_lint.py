@@ -190,7 +190,25 @@ class TestDeterminismRule:
 
     def test_flags_every_entropy_source_in_core(self):
         findings = lint(self.BAD, "repro/core/clock.py", codes=["RL001"])
-        assert codes_of(findings) == ["RL001"] * 5
+        # The unseeded default_rng() (line 12) is RL008's to report.
+        assert [(f.code, f.line) for f in findings] == [
+            ("RL001", 9), ("RL001", 10), ("RL001", 11), ("RL001", 13),
+        ]
+
+    @pytest.mark.parametrize(
+        ("plant", "codes"),
+        [
+            ("rng = np.random.default_rng()", []),
+            ("rng = random.Random()", []),
+            ("rng = random.Random(7)", ["RL001"]),
+            ("x = random.choice([1, 2])", ["RL001"]),
+        ],
+    )
+    def test_argless_rng_constructors_left_to_rl008(self, plant, codes):
+        src = f"import random\nimport numpy as np\n{plant}\n"
+        assert codes_of(
+            lint(src, "repro/netsim/wifi.py", codes=["RL001"])
+        ) == codes
 
     @pytest.mark.parametrize(
         "package", ["core", "netsim", "traces", "pilot", "experiments"]

@@ -293,6 +293,29 @@ class TestSeedProvenanceRule:
         })
         assert codes_of(run) == []
 
+    def test_each_unseeded_plant_reported_once(self):
+        # RL001 and RL008 overlap on RNG constructors: across both
+        # rules, every plant is exactly one finding.
+        sources = {
+            "src/repro/netsim/wifi.py": textwrap.dedent("""\
+                import random
+
+                import numpy as np
+
+                def plants(xs):
+                    a = np.random.default_rng()
+                    b = random.Random()
+                    c = random.choice(xs)
+                    return a, b, c
+                """),
+        }
+        run = lint_sources(
+            sources, rules=select_rules(select=["RL001", "RL008"])
+        )
+        assert sorted((f.line, f.code) for f in run.findings) == [
+            (6, "RL008"), (7, "RL008"), (8, "RL001"),
+        ]
+
     def test_blessed_root_module_exempt(self):
         # util/rng.py IS the seeded root; it may touch raw constructors.
         run = run_rule("RL008", {

@@ -685,6 +685,63 @@ class TestOnloadService:
         assert report.stranded() == 0
         assert service.degradations.of_kind("permit-revoked")
 
+    def test_revocation_between_authority_check_and_registration(
+        self, origin
+    ):
+        # The ledger parks the flow after may_onload said yes and before
+        # the flow is visible to revocation; the backend revokes while
+        # it is parked. Events only: the revocation must still abort it.
+        permits = PermitServer(lambda cell, now: 0.1, obs=None)
+        checked = threading.Event()
+        release = threading.Event()
+        revoking = threading.Event()
+
+        class ParkingLedger(FlowLedger):
+            def may_onload(self, device, cell, now):
+                allowed = super().may_onload(device, cell, now)
+                checked.set()
+                release.wait(5.0)
+                return allowed
+
+            def subscribe_revocations(self, callback):
+                def announce(device_name):
+                    revoking.set()
+                    callback(device_name)
+
+                return super().subscribe_revocations(announce)
+
+        service = _service(
+            origin,
+            legs=[
+                ServiceLeg(
+                    "ph1", origin.address, device="ph1", cell="c0"
+                )
+            ],
+            ledger=ParkingLedger({}, permit_server=permits, obs=None),
+            idle_timeout=10.0,
+        )
+        with service:
+            victim = socket.create_connection(
+                service.address, timeout=5.0
+            )
+            revoker = threading.Thread(
+                target=permits.revoke, args=("ph1",), daemon=True
+            )
+            try:
+                assert checked.wait(5.0)
+                revoker.start()
+                assert revoking.wait(5.0)
+                release.set()
+                assert service.admission.wait_idle(5.0)
+            finally:
+                release.set()
+                victim.close()
+                revoker.join(5.0)
+        report = service.report()
+        assert report.outcome_counts() == {"aborted": 1}
+        assert report.flows[0].reason == "permit-revoked"
+        assert report.stranded() == 0
+
     def test_drain_aborts_stragglers_within_deadline(self, origin):
         service = _service(
             origin,
