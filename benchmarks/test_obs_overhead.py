@@ -13,15 +13,11 @@ with numbers instead of faith:
    uninstrumented wall time.
 """
 
-import importlib
 import time
 
+import repro.obs.capture as capture_module
 from repro.experiments.registry import get
 from repro.obs.capture import Instrumentation
-
-# `repro.obs` re-exports the capture() function under the submodule's
-# name, so `import repro.obs.capture as m` would bind the function.
-capture_module = importlib.import_module("repro.obs.capture")
 
 #: Iterations for micro-timing the ``if obs is not None`` fast path.
 GUARD_REPS = 2_000_000

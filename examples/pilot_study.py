@@ -11,7 +11,8 @@ transaction.
 
 from collections import defaultdict
 
-from repro.pilot import PilotStudy, generate_household_workloads
+from repro.pilot.simulation import PilotStudy
+from repro.pilot.workload import generate_household_workloads
 
 
 def main() -> None:

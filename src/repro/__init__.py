@@ -19,9 +19,9 @@ Quickstart::
     print(f"downloaded in {assisted.total_time:.1f}s")
 
 The quickstart names load on first access (PEP 562), so ``import repro``
-loads no other module of the package; the ``__init__``s of ``core``,
-``netsim``, ``util``, ``web``, ``traces``, ``fleet`` and ``service``
-re-export nothing, so an entry point loads only the modules it imports.
+loads no other module of the package; every subpackage ``__init__``
+but the lazy ``repro.proto`` re-exports nothing, so an entry point
+loads only the modules it imports.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.

@@ -23,21 +23,3 @@ also stores a *calibration* time (a fixed pure-Python workload measured
 in the same session) and the dimensionless ``normalized`` ratio
 ``median / calibration`` the regression gate actually compares.
 """
-
-from repro.bench.harness import (
-    BENCH_FILENAMES,
-    BENCHMARKS,
-    REGRESSION_THRESHOLD,
-    calibration_seconds,
-    check_records,
-    measure_benchmark,
-)
-
-__all__ = [
-    "BENCH_FILENAMES",
-    "BENCHMARKS",
-    "REGRESSION_THRESHOLD",
-    "calibration_seconds",
-    "check_records",
-    "measure_benchmark",
-]

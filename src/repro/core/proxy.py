@@ -14,8 +14,8 @@ from typing import List, Optional, Sequence
 
 from repro.core.items import Direction, Transaction, TransferItem
 from repro.core.resilience import RetryPolicy, TransferGuard
-from repro.core.scheduler import TransactionRunner, make_policy
-from repro.core.scheduler.runner import TransactionResult
+from repro.core.scheduler import make_policy
+from repro.core.scheduler.runner import TransactionResult, TransactionRunner
 from repro.netsim.fluid import FluidNetwork
 from repro.netsim.path import NetworkPath
 from repro.web.client import SequentialHttpClient

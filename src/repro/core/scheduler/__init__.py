@@ -22,23 +22,11 @@ per-flow stall watchdog, and structured
 
 from typing import Any, Dict, Type
 
-from repro.core.scheduler.base import (
-    PathWorker,
-    SchedulingPolicy,
-    WorkAssignment,
-)
-from repro.core.scheduler.deadline import DeadlinePolicy, attach_deadlines
+from repro.core.scheduler.base import SchedulingPolicy
+from repro.core.scheduler.deadline import DeadlinePolicy
 from repro.core.scheduler.greedy import GreedyPolicy
 from repro.core.scheduler.roundrobin import RoundRobinPolicy
 from repro.core.scheduler.mintime import MinTimePolicy
-from repro.core.scheduler.ledger import ItemRecord
-from repro.core.scheduler.runner import (
-    DegradationEvent,
-    IMMEDIATE_RETRY,
-    RetryPolicy,
-    TransactionResult,
-    TransactionRunner,
-)
 
 POLICIES: Dict[str, Type[SchedulingPolicy]] = {
     "GRD": GreedyPolicy,
@@ -59,22 +47,3 @@ def make_policy(name: str, **kwargs: Any) -> SchedulingPolicy:
         ) from None
     return cls(**kwargs)
 
-
-__all__ = [
-    "PathWorker",
-    "SchedulingPolicy",
-    "WorkAssignment",
-    "DeadlinePolicy",
-    "attach_deadlines",
-    "GreedyPolicy",
-    "RoundRobinPolicy",
-    "MinTimePolicy",
-    "DegradationEvent",
-    "IMMEDIATE_RETRY",
-    "ItemRecord",
-    "RetryPolicy",
-    "TransactionResult",
-    "TransactionRunner",
-    "POLICIES",
-    "make_policy",
-]

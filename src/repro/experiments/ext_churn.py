@@ -28,14 +28,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.items import Transaction, TransferItem
-from repro.core.resilience import bind_fault_schedule
-from repro.core.scheduler import (
-    RetryPolicy,
-    TransactionRunner,
-    attach_deadlines,
-    make_policy,
-)
-from repro.core.scheduler.runner import TransactionResult
+from repro.core.resilience import RetryPolicy, bind_fault_schedule
+from repro.core.scheduler import make_policy
+from repro.core.scheduler.deadline import attach_deadlines
+from repro.core.scheduler.runner import TransactionResult, TransactionRunner
 from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.faults import FaultSchedule, PathFlapProcess, RadioDropProcess

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from repro.core.items import Transaction, TransferItem
-from repro.core.scheduler import TransactionRunner
+from repro.core.scheduler.runner import TransactionRunner
 from repro.core.scheduler.greedy import GreedyPolicy
 from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import Check, experiment, jsonable

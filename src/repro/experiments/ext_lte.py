@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from repro.core.items import Transaction, TransferItem
-from repro.core.scheduler import TransactionRunner, make_policy
+from repro.core.scheduler import make_policy
+from repro.core.scheduler.runner import TransactionRunner
 from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import Check, experiment, jsonable
 from repro.netsim.cellular import (

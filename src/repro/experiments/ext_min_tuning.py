@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
 from repro.core.items import Transaction, TransferItem
-from repro.core.scheduler import SchedulingPolicy, TransactionRunner
+from repro.core.scheduler.base import SchedulingPolicy
+from repro.core.scheduler.runner import TransactionRunner
 from repro.core.scheduler.greedy import GreedyPolicy
 from repro.core.scheduler.mintime import MinTimePolicy
 from repro.experiments.formatting import fmt, render_table

@@ -19,7 +19,8 @@ from typing import Dict, Sequence
 
 from repro.core.items import Transaction, TransferItem
 from repro.core.playback import PlayoutSimulator, completion_times_from_result
-from repro.core.scheduler import TransactionRunner, make_policy
+from repro.core.scheduler import make_policy
+from repro.core.scheduler.runner import TransactionRunner
 from repro.core.scheduler.deadline import attach_deadlines
 from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import Check, experiment, jsonable

@@ -54,7 +54,8 @@ if TYPE_CHECKING:
 )
 def run(n_households: int = 30, seed: int = 1) -> PilotReport:
     """Simulate the pilot fleet for one day."""
-    from repro.pilot import PilotStudy, generate_household_workloads
+    from repro.pilot.simulation import PilotStudy
+    from repro.pilot.workload import generate_household_workloads
 
     plans = generate_household_workloads(
         n_households=n_households, seed=seed

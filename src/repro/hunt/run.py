@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import obs
 from repro.core.captracker import CapTracker
 from repro.core.discovery import DiscoveryRegistry
 from repro.core.items import Transaction, TransferItem
@@ -27,17 +26,16 @@ from repro.core.resilience import (
     TransferGuard,
     bind_fault_schedule,
 )
-from repro.core.scheduler import (
-    TransactionRunner,
-    attach_deadlines,
-    make_policy,
-)
+from repro.core.scheduler import make_policy
+from repro.core.scheduler.deadline import attach_deadlines
+from repro.core.scheduler.runner import TransactionRunner
 from repro.hunt.scenario import Scenario
 from repro.netsim.topology import (
     Household,
     HouseholdConfig,
     LocationProfile,
 )
+from repro.obs.capture import capture
 from repro.obs.export import TraceParseError, parse_lines
 from repro.util.search import failure_site
 from repro.util.units import mbps
@@ -261,7 +259,7 @@ def run_scenario(scenario: Scenario) -> ScenarioOutcome:
     outside the hunt package — the triage/dedup key). The partial trace
     collected up to the crash is still attached.
     """
-    with obs.capture(strict=True) as instrumentation:
+    with capture(strict=True) as instrumentation:
         try:
             outcome = _execute(scenario)
         except Exception as exc:  # noqa: BLE001 — the oracle reports it

@@ -9,8 +9,8 @@ AST at a time:
 * **RL003** — experiment modules honour the ``@experiment`` contract;
 * **RL004** — recovery paths never swallow exceptions;
 * **RL005** — no exact ``==`` on simulated clocks or byte volumes;
-* **RL006** — wire parse paths raise only ProtocolError subclasses;
-* **RL007** — public surfaces carry one-line docstring summaries.
+* **RL007** — public surfaces carry one-line docstring summaries;
+* **RL012** — blocking socket operations carry explicit timeouts.
 
 Project rules see the whole tree at once — symbol table, call graph
 and dataflow summaries (:mod:`repro.lint.graph`,
@@ -22,64 +22,13 @@ and dataflow summaries (:mod:`repro.lint.graph`,
   names and fields (obs/schema.py);
 * **RL010** — CapTracker/PermitServer mutations happen only in the
   guard layer (the static twin of the hunt's authority oracle);
-* **RL011** — only ProtocolError escapes wire parse paths, proven
-  across call boundaries.
+* **RL011** — only ProtocolError escapes wire parse paths, raised
+  there or proven across call boundaries.
 
 Run it with the ``repro-lint`` console script (see
-:mod:`repro.lint.cli`), or programmatically via :func:`lint_source` /
-:func:`lint_paths` / :func:`lint_sources`. Suppress a justified
-exception inline with ``# repro-lint: disable=<code>``; dead comments
-are flagged by ``--warn-unused-suppressions``.
+:mod:`repro.lint.cli`), or programmatically via the
+:mod:`repro.lint.core` functions ``lint_source`` / ``lint_paths`` /
+``lint_sources``. Suppress a justified exception inline with
+``# repro-lint: disable=<code>``; dead comments are flagged by
+``--warn-unused-suppressions``.
 """
-
-from repro.lint.core import (
-    PARSE_ERROR_CODE,
-    UNUSED_SUPPRESSION_CODE,
-    DuplicateRuleError,
-    Finding,
-    LintError,
-    LintRun,
-    ModuleContext,
-    ProjectRule,
-    Rule,
-    UnknownRuleError,
-    all_rules,
-    get_rule,
-    lint_paths,
-    lint_source,
-    lint_sources,
-    module_root,
-    parse_suppressions,
-    repro_relative_parts,
-    rule,
-    select_rules,
-)
-from repro.lint.project import ProjectContext
-from repro.lint.reporters import render_json, render_text, run_payload
-
-__all__ = [
-    "PARSE_ERROR_CODE",
-    "UNUSED_SUPPRESSION_CODE",
-    "DuplicateRuleError",
-    "Finding",
-    "LintError",
-    "LintRun",
-    "ModuleContext",
-    "ProjectContext",
-    "ProjectRule",
-    "Rule",
-    "UnknownRuleError",
-    "all_rules",
-    "get_rule",
-    "lint_paths",
-    "lint_source",
-    "lint_sources",
-    "module_root",
-    "parse_suppressions",
-    "repro_relative_parts",
-    "render_json",
-    "render_text",
-    "rule",
-    "run_payload",
-    "select_rules",
-]

@@ -1,9 +1,9 @@
 """Module graph, symbol table and call graph for project-level lint.
 
-The per-module rules (RL001-RL007) see one file at a time; the
-cross-module rules (RL008-RL011) need to know *who calls whom* across
-the whole ``src/repro`` tree. This module builds that picture from the
-ASTs the engine already parsed:
+The per-module rules (RL001-RL005, RL007, RL012) see one file at a
+time; the cross-module rules (RL008-RL011) need to know *who calls
+whom* across the whole ``src/repro`` tree. This module builds that
+picture from the ASTs the engine already parsed:
 
 * :class:`ModuleInfo` — one module's bindings: its imports (plain,
   aliased, ``from``-imports, ``import *``), top-level functions,

@@ -3,10 +3,10 @@
 These run on the :class:`~repro.lint.project.ProjectContext` — the
 whole-tree symbol table, call graph and function summaries — instead of
 one module's AST, so they can see what the per-module rules (RL001-
-RL007) structurally cannot: an unseeded value laundered through a
-helper, an event name the obs catalogue never defined, an authority
-mutation from outside the guard layer, a ``ValueError`` escaping a
-parse path two calls down.
+RL005, RL007, RL012) structurally cannot: an unseeded value laundered
+through a helper, an event name the obs catalogue never defined, an
+authority mutation from outside the guard layer, a ``ValueError``
+escaping a parse path two calls down.
 
 The same design principle applies as in :mod:`repro.lint.rules`, only
 more so: cross-module inference is approximate, and a project rule that
@@ -21,7 +21,6 @@ from typing import Iterator, Set, Tuple
 
 from repro.lint.core import Finding, ProjectRule, rule
 from repro.lint.project import EscapedRaise, ProjectContext, Provenance
-from repro.lint.rules import PROTOCOL_ERROR_NAMES, is_parse_path
 
 # ---------------------------------------------------------------------------
 # Shared helpers
@@ -312,9 +311,33 @@ class AuthorityDisciplineRule(ProjectRule):
 # RL011 — exception escape across call boundaries
 # ---------------------------------------------------------------------------
 
-#: Data-dependent exception types hostile input can trigger. Escapes of
-#: these through a parse path are the bug class RL006 cannot see;
-#: programming-error types (TypeError, AssertionError) stay exempt.
+#: The taxonomy defined in repro/proto/errors.py.
+PROTOCOL_ERROR_NAMES = frozenset(
+    {
+        "ProtocolError",
+        "WireError",
+        "FramingError",
+        "StallError",
+        "PlaylistError",
+        "MultipartError",
+    }
+)
+
+#: A function is a parse path when its name (underscores stripped)
+#: starts with one of these verbs.
+_PARSE_PREFIXES = ("parse", "decode", "read", "recv", "check")
+
+
+def is_parse_path(name: str) -> bool:
+    """Whether a function named ``name`` is a wire parse path."""
+    stripped = name.lstrip("_")
+    return any(stripped.startswith(prefix) for prefix in _PARSE_PREFIXES)
+
+
+#: Data-dependent exception types hostile input can trigger. A parse
+#: path's own named raises must all be in the taxonomy; escapes from
+#: further down the call chain are judged by these (programming-error
+#: types such as TypeError and AssertionError stay exempt there).
 _DATA_ERROR_NAMES = frozenset(
     {
         "ValueError",
@@ -334,19 +357,20 @@ class ExceptionEscapeRule(ProjectRule):
     """Parse paths leak only ProtocolError, proven through the call graph."""
 
     code = "RL011"
-    title = "only ProtocolError may escape wire parse paths, transitively"
+    title = "only ProtocolError may escape wire parse paths, at any depth"
     rationale = (
-        "RL006 checks the raises a parse function spells out itself; a "
-        "helper two calls down raising ValueError on hostile bytes "
-        "still escapes every `except ProtocolError` and takes the "
-        "proxy down. The call-graph escape analysis proves confinement "
-        "across boundaries: an exception is clean only if some handler "
-        "on the path actually catches it."
+        "The fuzz harness and every caller on the data path rely on one "
+        "contract: feeding a parser arbitrary bytes either succeeds or "
+        "raises a typed ProtocolError. A ValueError raised by the parse "
+        "function itself, or by a helper two calls down, escapes every "
+        "`except ProtocolError` and takes the proxy down. The call-graph "
+        "escape analysis proves confinement across boundaries: an "
+        "exception is clean only if some handler on the path catches it."
     )
     scope = "src/repro/proto, src/repro/web (parse/decode/read/recv/check)"
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        """Flag data errors that propagate uncaught out of parse paths."""
+        """Flag non-taxonomy raises that escape parse paths uncaught."""
         seen: Set[Tuple[str, int, str]] = set()
         for qualname, summary in sorted(project.summaries.items()):
             if _package_of(summary.info.module) not in ("proto", "web"):
@@ -366,23 +390,28 @@ class ExceptionEscapeRule(ProjectRule):
         escaped: EscapedRaise,
         seen: Set[Tuple[str, int, str]],
     ) -> "Finding | None":
-        if len(escaped.chain) < 2:
-            return None  # direct raises are RL006's finding, not ours
         if name in PROTOCOL_ERROR_NAMES:
             return None
         ancestors = project.exception_ancestors(name)
         if "ProtocolError" in ancestors:
             return None
-        project_class = project.symbols.find_class(name)
-        is_data_error = name in _DATA_ERROR_NAMES or bool(
-            _DATA_ERROR_NAMES & ancestors
-        )
-        is_project_exception = project_class is not None and (
-            name.endswith(("Error", "Exception"))
-            or "Exception" in ancestors
-        )
-        if not is_data_error and not is_project_exception:
-            return None
+        if len(escaped.chain) == 1:
+            # The parse path's own raise: any named type outside the
+            # taxonomy is a finding; a bare re-raise of the handler's
+            # exception is not.
+            if not escaped.site.name:
+                return None
+        else:
+            project_class = project.symbols.find_class(name)
+            is_data_error = name in _DATA_ERROR_NAMES or bool(
+                _DATA_ERROR_NAMES & ancestors
+            )
+            is_project_exception = project_class is not None and (
+                name.endswith(("Error", "Exception"))
+                or "Exception" in ancestors
+            )
+            if not is_data_error and not is_project_exception:
+                return None
         origin_path = project.path_of(escaped.origin)
         key = (origin_path, getattr(escaped.site.node, "lineno", 1), name)
         if key in seen:

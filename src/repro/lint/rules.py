@@ -1,4 +1,4 @@
-"""The domain rules: RL001-RL007.
+"""The domain rules: RL001-RL005, RL007 and RL012.
 
 Each rule encodes one convention the reproduction's correctness rests
 on. They are deliberately narrow: a rule that cries wolf gets disabled,
@@ -631,89 +631,6 @@ class FloatEqualityRule(Rule):
                     "or an epsilon",
                     node,
                 )
-
-
-# ---------------------------------------------------------------------------
-# RL006 — wire parse paths raise the typed ProtocolError taxonomy
-# ---------------------------------------------------------------------------
-
-#: The taxonomy defined in repro/proto/errors.py.
-PROTOCOL_ERROR_NAMES = frozenset(
-    {
-        "ProtocolError",
-        "WireError",
-        "FramingError",
-        "StallError",
-        "PlaylistError",
-        "MultipartError",
-    }
-)
-
-#: A function is a parse path when its name (underscores stripped)
-#: starts with one of these verbs.
-_PARSE_PREFIXES = ("parse", "decode", "read", "recv", "check")
-
-
-def is_parse_path(name: str) -> bool:
-    """Whether a function named ``name`` is a wire parse path."""
-    stripped = name.lstrip("_")
-    return any(stripped.startswith(prefix) for prefix in _PARSE_PREFIXES)
-
-
-@rule
-class ProtocolTaxonomyRule(Rule):
-    """Parsers in proto/ and web/ raise only ProtocolError subclasses."""
-
-    code = "RL006"
-    title = "wire parse paths must raise ProtocolError subclasses"
-    scope = "proto, web (parse/decode/read/recv/check functions)"
-    rationale = (
-        "The fuzz harness and every caller on the data path rely on one "
-        "contract: feeding a parser arbitrary bytes either succeeds or "
-        "raises a typed ProtocolError. A parse function that raises a "
-        "bare ValueError/KeyError escapes every `except ProtocolError` "
-        "and takes the proxy down on hostile input."
-    )
-
-    def applies_to(self, context: ModuleContext) -> bool:
-        return _in_packages(context, ("proto", "web"))
-
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) and is_parse_path(node.name):
-                yield from self._check_function(context, node)
-
-    def _check_function(
-        self, context: ModuleContext, func: ast.FunctionDef
-    ) -> Iterator[Finding]:
-        # Walk the body without descending into nested defs: a nested
-        # parse-named helper is visited by the outer walk on its own.
-        stack: List[ast.AST] = list(func.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                raised = (
-                    node.exc.func
-                    if isinstance(node.exc, ast.Call)
-                    else node.exc
-                )
-                name = terminal_identifier(raised)
-                if name and name not in PROTOCOL_ERROR_NAMES:
-                    yield context.finding(
-                        self.code,
-                        f"parse path {func.name!r} raises {name}; wire "
-                        "parsers must raise a ProtocolError subclass "
-                        "(repro.proto.errors) so callers can catch the "
-                        "taxonomy",
-                        node,
-                    )
-            stack.extend(ast.iter_child_nodes(node))
 
 
 # ---------------------------------------------------------------------------

@@ -24,21 +24,3 @@ Instrumentation` handle instrumented components hold, plus the
 * :mod:`repro.obs.export` — JSONL export, parse, summary and diff;
 * :mod:`repro.obs.cli` — the ``repro-trace`` console entry point.
 """
-
-from repro.obs.capture import Instrumentation, capture, current
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.schema import SCHEMA_VERSION
-from repro.obs.tracer import TraceEvent, Tracer
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Instrumentation",
-    "MetricsRegistry",
-    "SCHEMA_VERSION",
-    "TraceEvent",
-    "Tracer",
-    "capture",
-    "current",
-]

@@ -7,9 +7,9 @@ collection on is scoped:
 
 .. code-block:: python
 
-    from repro import obs
+    from repro.obs.capture import capture
 
-    with obs.capture() as instrumentation:
+    with capture() as instrumentation:
         runner.run(transaction)
     lines = instrumentation.export_lines()
 

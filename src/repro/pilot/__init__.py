@@ -15,25 +15,3 @@ Entry points:
 * :class:`repro.pilot.simulation.PilotStudy` — runs the fleet and
   aggregates the report a pilot operator would read.
 """
-
-from repro.pilot.workload import (
-    HouseholdPlan,
-    PhotoUploadEvent,
-    VideoEvent,
-    generate_household_workloads,
-)
-from repro.pilot.simulation import (
-    HouseholdOutcome,
-    PilotReport,
-    PilotStudy,
-)
-
-__all__ = [
-    "HouseholdPlan",
-    "PhotoUploadEvent",
-    "VideoEvent",
-    "generate_household_workloads",
-    "HouseholdOutcome",
-    "PilotReport",
-    "PilotStudy",
-]

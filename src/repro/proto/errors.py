@@ -23,8 +23,8 @@ protocol error — never as a stray ``ValueError`` / ``IndexError`` /
 that predate the taxonomy — and tests pinned to the old behaviour —
 keep catching them; new code catches :class:`ProtocolError`.
 
-Lint rule RL006 enforces the taxonomy: parse paths under
-``repro/proto/`` and ``repro/web/`` may only raise these types.
+Lint rule RL011 enforces the taxonomy: parse paths under
+``repro/proto/`` and ``repro/web/`` may only let these types escape.
 """
 
 from __future__ import annotations

@@ -89,11 +89,6 @@ def transfer_seconds(nbytes: float, rate_bps: float) -> float:
     return bytes_to_bits(nbytes) / rate_bps
 
 
-#: Historical name of :func:`transfer_seconds`, kept for callers that
-#: predate the repro-lint RL002 sweep.
-seconds_to_transfer = transfer_seconds
-
-
 def transfer_rate(nbytes: float, seconds: float) -> float:
     """Rate in bits/second that moves ``nbytes`` in ``seconds`` seconds.
 

@@ -86,7 +86,8 @@ class TestItemsFromFile:
 
     def test_scheduler_can_run_range_items(self):
         from repro.core.items import Transaction, items_from_file
-        from repro.core.scheduler import TransactionRunner, make_policy
+        from repro.core.scheduler import make_policy
+        from repro.core.scheduler.runner import TransactionRunner
         from repro.netsim.fluid import FluidNetwork
         from repro.netsim.latency import RttModel
         from repro.netsim.link import Link

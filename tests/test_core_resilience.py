@@ -115,10 +115,10 @@ class TestGuardMechanics:
 
     def test_bind_fault_schedule_drives_membership(self, quiet_location):
         from repro.core.items import Direction, Transaction
-        from repro.core.scheduler import (
+        from repro.core.scheduler import make_policy
+        from repro.core.scheduler.runner import (
             IMMEDIATE_RETRY,
             TransactionRunner,
-            make_policy,
         )
         from repro.core.uploader import photos_to_items
 
@@ -166,10 +166,10 @@ class TestRejoinVeto:
 
     def run_guarded(self, session, n=6):
         from repro.core.items import Direction, Transaction
-        from repro.core.scheduler import (
+        from repro.core.scheduler import make_policy
+        from repro.core.scheduler.runner import (
             IMMEDIATE_RETRY,
             TransactionRunner,
-            make_policy,
         )
         from repro.core.uploader import photos_to_items
 

@@ -85,7 +85,7 @@ class TestLintCatalogueDoc:
         assert table in readme
 
     def test_every_rule_code_documented(self, readme):
-        from repro.lint import all_rules
+        from repro.lint.core import all_rules
 
         for registered in all_rules():
             assert registered.code in readme

@@ -49,7 +49,8 @@ def test_video_powerboost_pieces():
 
 
 def test_pilot_example_pieces():
-    from repro.pilot import PilotStudy, generate_household_workloads
+    from repro.pilot.simulation import PilotStudy
+    from repro.pilot.workload import generate_household_workloads
 
     plans = generate_household_workloads(n_households=3, seed=9)
     report = PilotStudy(plans, seed=9).run()

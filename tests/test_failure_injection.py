@@ -10,7 +10,8 @@ the survivors.
 import pytest
 
 from repro.core.items import Transaction, TransferItem, items_from_sizes
-from repro.core.scheduler import TransactionRunner, make_policy
+from repro.core.scheduler import make_policy
+from repro.core.scheduler.runner import TransactionRunner
 from repro.core.scheduler.deadline import attach_deadlines
 from repro.netsim.fluid import FluidNetwork
 from repro.netsim.latency import RttModel

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.scheduler.runner import DegradationEvent
+from repro.core.resilience import DegradationEvent
 from repro.hunt.cli import main as hunt_main
 from repro.hunt.oracles import ORACLES, check_outcome, oracle_ids
 from repro.hunt.run import ScenarioOutcome, run_scenario

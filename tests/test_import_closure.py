@@ -5,14 +5,59 @@ names load on first access, so each entry point's ``repro`` closure is
 what its own imports need. Each case imports in a new interpreter and
 reads ``sys.modules``; nothing here is timed. One case serves an upload
 with numpy blocked, which also catches imports made lazily on the way.
+The re-export convention itself is checked on each ``__init__``'s AST.
 """
 
+import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: The two packages whose inits export names lazily, by design.
+LAZY_EXPORTERS = ("repro", "repro.proto")
+
+SUBPACKAGE_INITS = {
+    ".".join(init.parent.relative_to(SRC).parts): init
+    for init in sorted((SRC / "repro").rglob("__init__.py"))
+}
+for _package in LAZY_EXPORTERS:
+    del SUBPACKAGE_INITS[_package]
+
+
+@pytest.mark.parametrize("package", sorted(SUBPACKAGE_INITS))
+def test_subpackage_init_reexports_nothing(package):
+    # Every imported name is used by the init itself, and ``__all__``
+    # names only what the init defines: one import path per name.
+    tree = ast.parse(SUBPACKAGE_INITS[package].read_text(encoding="utf-8"))
+    imported = set()
+    used = set()
+    defined = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(
+                alias.asname or alias.name.split(".")[0]
+                for alias in node.names
+            )
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.AnnAssign):
+            defined.add(node.target.id)
+        elif isinstance(node, ast.Assign):
+            names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                exported = set(ast.literal_eval(node.value))
+    assert sorted(imported - used) == []
+    assert sorted(exported - defined) == []
 
 _PROBE = """
 import importlib, json, sys

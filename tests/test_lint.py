@@ -3,9 +3,10 @@
 Each rule is exercised on small fixture modules with synthetic
 ``repro/...`` paths (scoping works on the parts after the last ``repro``
 directory), and the suite ends with the gate the CI job relies on: the
-real ``src/`` tree must lint clean. The project-level rules
-(RL008-RL011) and the call-graph machinery behind them live in
-``tests/test_lint_project.py``.
+real ``src/`` tree must lint clean. RL011's single-module cases (the
+ProtocolError taxonomy at a parse path's own raises) sit here too; the
+project-level rules (RL008-RL011) across modules and the call-graph
+machinery behind them live in ``tests/test_lint_project.py``.
 """
 
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
+from repro.lint.core import (
     PARSE_ERROR_CODE,
     DuplicateRuleError,
     Finding,
@@ -25,13 +26,13 @@ from repro.lint import (
     get_rule,
     lint_paths,
     lint_source,
+    lint_sources,
     parse_suppressions,
-    render_json,
-    render_text,
     repro_relative_parts,
     rule,
     select_rules,
 )
+from repro.lint.reporters import render_json, render_text
 from repro.lint.cli import main as lint_main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -55,8 +56,8 @@ def codes_of(findings):
 class TestRegistry:
     def test_rules_registered_in_order(self):
         assert [r.code for r in all_rules()] == [
-            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-            "RL008", "RL009", "RL010", "RL011", "RL012",
+            "RL001", "RL002", "RL003", "RL004", "RL005", "RL007", "RL008",
+            "RL009", "RL010", "RL011", "RL012",
         ]
 
     def test_every_rule_has_title_and_rationale(self):
@@ -502,8 +503,16 @@ class TestFloatEqualityRule:
 
 
 # ---------------------------------------------------------------------------
-# RL006 — wire parse paths raise the ProtocolError taxonomy
+# RL011 at the parse path itself — raises outside the ProtocolError taxonomy
 # ---------------------------------------------------------------------------
+
+
+def taxonomy_findings(source: str, path: str):
+    """RL011 findings for dedented ``source`` linted alone at ``path``."""
+    run = lint_sources(
+        {path: textwrap.dedent(source)}, rules=select_rules(select=["RL011"])
+    )
+    return run.findings
 
 
 class TestProtocolTaxonomyRule:
@@ -515,8 +524,8 @@ class TestProtocolTaxonomyRule:
                 return raw
             """
         path = "repro/proto/x.py"
-        findings = lint(src, path, codes=["RL006"])
-        assert codes_of(findings) == ["RL006"]
+        findings = taxonomy_findings(src, path)
+        assert codes_of(findings) == ["RL011"]
         assert "ValueError" in findings[0].message
 
     @pytest.mark.parametrize(
@@ -525,7 +534,7 @@ class TestProtocolTaxonomyRule:
     def test_all_parse_prefixes_covered(self, name):
         src = f"def {name}(raw):\n    raise KeyError(raw)\n"
         path = "repro/web/x.py"
-        assert codes_of(lint(src, path, codes=["RL006"])) == ["RL006"]
+        assert codes_of(taxonomy_findings(src, path)) == ["RL011"]
 
     @pytest.mark.parametrize(
         "error",
@@ -544,11 +553,11 @@ class TestProtocolTaxonomyRule:
             "def parse_thing(raw):\n"
             f"    raise {error}('bad')\n"
         )
-        assert lint(src, "repro/proto/x.py", codes=["RL006"]) == []
+        assert taxonomy_findings(src, "repro/proto/x.py") == []
 
     def test_non_parse_function_may_raise_builtins(self):
         src = "def render_thing(x):\n    raise ValueError('bad')\n"
-        assert lint(src, "repro/web/x.py", codes=["RL006"]) == []
+        assert taxonomy_findings(src, "repro/web/x.py") == []
 
     def test_bare_reraise_is_fine(self):
         src = """\
@@ -558,7 +567,7 @@ class TestProtocolTaxonomyRule:
                 except Exception:
                     raise
             """
-        assert lint(src, "repro/proto/x.py", codes=["RL006"]) == []
+        assert taxonomy_findings(src, "repro/proto/x.py") == []
 
     def test_nested_helper_checked_independently(self):
         # The nested def is itself parse-named, so the raise is
@@ -569,20 +578,20 @@ class TestProtocolTaxonomyRule:
                     raise IndexError(piece)
                 return parse_inner(raw)
             """
-        findings = lint(src, "repro/proto/x.py", codes=["RL006"])
-        assert codes_of(findings) == ["RL006"]
+        findings = taxonomy_findings(src, "repro/proto/x.py")
+        assert codes_of(findings) == ["RL011"]
         assert "parse_inner" in findings[0].message
 
     def test_does_not_apply_outside_proto_and_web(self):
         src = "def parse_thing(raw):\n    raise ValueError('bad')\n"
-        assert lint(src, "repro/core/x.py", codes=["RL006"]) == []
+        assert taxonomy_findings(src, "repro/core/x.py") == []
 
     def test_inline_suppression_for_control_flow(self):
         src = (
             "def read_thing(raw):\n"
-            "    raise StopIteration  # repro-lint: disable=RL006\n"
+            "    raise StopIteration  # repro-lint: disable=RL011\n"
         )
-        assert lint(src, "repro/proto/x.py", codes=["RL006"]) == []
+        assert taxonomy_findings(src, "repro/proto/x.py") == []
 
 
 class TestPublicDocstringRule:
@@ -815,8 +824,9 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006"):
+        for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL011"):
             assert code in out
+        assert "RL006" not in out
 
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
         assert lint_main([str(tmp_path / "missing")]) == 2
@@ -934,6 +944,24 @@ class TestCleanTreeGate:
         )
         assert run.files_checked > 30
         assert [f.location() + " " + f.code for f in run.findings] == []
+
+    @pytest.mark.parametrize("error", ["ValueError", "RuntimeError"])
+    def test_planted_parse_path_raise_reported_once(self, error):
+        # A raise outside the taxonomy at the top of a real parse path
+        # is exactly one finding, data error or not.
+        sources = {
+            str(path): path.read_text(encoding="utf-8")
+            for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        }
+        target = str(REPO_ROOT / "src" / "repro" / "proto" / "httpwire.py")
+        anchor = '    lines = head.decode("latin-1")'
+        assert sources[target].count(anchor) == 1
+        sources[target] = sources[target].replace(
+            anchor, f"    raise {error}('planted')\n{anchor}"
+        )
+        findings = lint_sources(sources).findings
+        assert [(f.path, f.code) for f in findings] == [(target, "RL011")]
+        assert error in findings[0].message
 
     def test_gate_catches_a_planted_violation(self, tmp_path):
         # The inverse control: the same gate fails when a violation

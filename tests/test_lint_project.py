@@ -11,7 +11,7 @@ exercise the same path CI does.
 import ast
 import textwrap
 
-from repro.lint import lint_sources, select_rules
+from repro.lint.core import lint_sources, select_rules
 from repro.lint.graph import ModuleInfo, SymbolTable, module_name_from_rel_parts
 from repro.lint.project import ProjectContext
 
@@ -543,15 +543,15 @@ class TestExceptionEscapeRule:
         })
         assert codes_of(run) == []
 
-    def test_direct_raise_left_to_rl006(self):
-        # Chain length 1 is the per-module rule's finding, not RL011's.
+    def test_direct_raise_flagged(self):
+        # Chain length 1: the parse path's own raise is reported too.
         run = run_rule("RL011", {
             "src/repro/proto/httpwire.py": """
                 def parse_head(data):
                     raise ValueError("bad")
                 """,
         })
-        assert codes_of(run) == []
+        assert codes_of(run) == ["RL011"]
 
     def test_non_parse_entry_points_exempt(self):
         run = run_rule("RL011", {

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.items import Transaction, items_from_sizes
-from repro.core.scheduler import TransactionRunner, make_policy
+from repro.core.scheduler import make_policy
+from repro.core.scheduler.runner import TransactionRunner
 from repro.netsim.neighborhood import Neighborhood
 from repro.netsim.topology import LocationProfile
 from repro.util.units import MB, mbps

@@ -12,22 +12,16 @@ import json
 import pytest
 
 from repro.core.items import Transaction, TransferItem, items_from_sizes
-from repro.core.scheduler import TransactionRunner, make_policy
+from repro.core.scheduler import make_policy
+from repro.core.scheduler.runner import TransactionRunner
 from repro.netsim.fluid import FluidNetwork
 from repro.netsim.latency import RttModel
 from repro.netsim.link import Link
 from repro.netsim.path import NetworkPath
-from repro.obs import (
-    SCHEMA_VERSION,
-    Counter,
-    Gauge,
-    Histogram,
-    Instrumentation,
-    MetricsRegistry,
-    Tracer,
-    capture,
-    current,
-)
+from repro.obs.capture import Instrumentation, capture, current
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.schema import SCHEMA_VERSION
+from repro.obs.tracer import Tracer
 from repro.obs.export import (
     TraceParseError,
     diff_lines,

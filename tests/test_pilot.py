@@ -4,10 +4,10 @@ import pytest
 
 from repro.core.mobile import OperatingMode
 from repro.core.permits import PermitServer
-from repro.pilot import (
+from repro.pilot.simulation import PilotStudy
+from repro.pilot.workload import (
     HouseholdPlan,
     PhotoUploadEvent,
-    PilotStudy,
     VideoEvent,
     generate_household_workloads,
 )

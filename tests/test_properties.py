@@ -10,7 +10,8 @@ from repro.analysis.load import split_transfer
 from repro.analysis.stats import Ecdf
 from repro.core.allowance import AllowanceEstimator
 from repro.core.items import Transaction, items_from_sizes
-from repro.core.scheduler import TransactionRunner, make_policy
+from repro.core.scheduler import make_policy
+from repro.core.scheduler.runner import TransactionRunner
 from repro.netsim.fluid import Flow, FluidNetwork
 from repro.netsim.latency import RttModel
 from repro.netsim.link import Link

@@ -7,11 +7,8 @@ import time
 import pytest
 
 from repro.core.items import Transaction, TransferItem
-from repro.core.scheduler import (
-    SchedulingPolicy,
-    WorkAssignment,
-    make_policy,
-)
+from repro.core.scheduler import make_policy
+from repro.core.scheduler.base import SchedulingPolicy, WorkAssignment
 from repro.proto import LoopbackOrigin, MobileProxy, PrototypeClient
 from repro.proto.httpwire import read_response, render_request
 from repro.proto.shaping import TokenBucket

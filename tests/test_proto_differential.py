@@ -17,7 +17,8 @@ than on the simulator and its maps legitimately differ.
 import pytest
 
 from repro.core.items import Transaction, TransferItem
-from repro.core.scheduler import TransactionRunner, make_policy
+from repro.core.scheduler import make_policy
+from repro.core.scheduler.runner import TransactionRunner
 from repro.netsim.fluid import FluidNetwork
 from repro.netsim.latency import RttModel
 from repro.netsim.link import Link

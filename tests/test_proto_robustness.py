@@ -14,9 +14,9 @@ import threading
 import pytest
 
 from repro.core.items import Transaction, TransferItem
-from repro.core.resilience import DegradationLog
-from repro.core.scheduler import GreedyPolicy, make_policy
-from repro.core.scheduler.runner import DegradationEvent
+from repro.core.resilience import DegradationEvent, DegradationLog
+from repro.core.scheduler import make_policy
+from repro.core.scheduler.greedy import GreedyPolicy
 from repro.fuzz.targets import FakeSocket
 from repro.proto import LoopbackOrigin, MobileProxy, PrototypeClient
 from repro.proto.httpwire import (

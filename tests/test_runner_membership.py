@@ -3,12 +3,9 @@
 import pytest
 
 from repro.core.items import Transaction, items_from_sizes
-from repro.core.scheduler import (
-    IMMEDIATE_RETRY,
-    RetryPolicy,
-    TransactionRunner,
-    make_policy,
-)
+from repro.core.resilience import RetryPolicy
+from repro.core.scheduler import make_policy
+from repro.core.scheduler.runner import IMMEDIATE_RETRY, TransactionRunner
 from repro.core.scheduler.deadline import attach_deadlines
 from repro.netsim.fluid import FluidNetwork
 from repro.netsim.latency import RttModel

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.items import Transaction, TransferItem
-from repro.core.scheduler import TransactionRunner, make_policy
+from repro.core.scheduler import make_policy
+from repro.core.scheduler.runner import TransactionRunner
 from repro.core.scheduler.base import PathWorker
 from repro.core.scheduler.deadline import (
     DeadlinePolicy,

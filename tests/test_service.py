@@ -433,13 +433,17 @@ def _request(
         return httpwire.read_response(sock, timeout=timeout)
 
 
-def _wait_active(service, count, timeout=5.0):
+def _wait_until(condition, timeout=5.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if service.admission.active == count:
+        if condition():
             return True
         time.sleep(0.01)
     return False
+
+
+def _wait_active(service, count, timeout=5.0):
+    return _wait_until(lambda: service.admission.active == count, timeout)
 
 
 def _dead_address():
@@ -674,7 +678,9 @@ class TestOnloadService:
                 service.address, timeout=5.0
             )
             try:
-                assert _wait_active(service, 1)
+                # Admission counts the flow before it holds a leg; only
+                # a registered flow is visible to the revocation.
+                assert _wait_until(lambda: service.report().active == 1)
                 permits.revoke("ph1")
                 assert service.admission.wait_idle(5.0)
             finally:

@@ -17,8 +17,7 @@ import pytest
 
 from repro.core.captracker import CapTracker
 from repro.core.permits import PermitServer
-from repro.core.resilience import FlowLedger, RetryBudget
-from repro.core.scheduler.runner import RetryPolicy
+from repro.core.resilience import FlowLedger, RetryBudget, RetryPolicy
 from repro.obs.capture import capture
 from repro.obs.export import export_lines, parse_lines
 from repro.obs.schema import EVENTS
