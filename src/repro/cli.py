@@ -7,7 +7,6 @@
     python -m repro run --all --jobs 4    # everything, in parallel
     python -m repro run fig10 --json      # structured result on stdout
     python -m repro locations             # the location presets
-    python -m repro pilot --households 30
     python -m repro report [PATH]         # regenerate EXPERIMENTS.md
 
 Experiments run at their registered benchmark sizes (``--quick`` for the
@@ -29,7 +28,7 @@ import json
 import sys
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
-from repro.experiments import pilot_study, registry, runner
+from repro.experiments import registry, runner
 from repro.util.units import rate_to_mbps
 
 if TYPE_CHECKING:
@@ -212,12 +211,6 @@ def _cmd_locations(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pilot(args: argparse.Namespace) -> int:
-    report = pilot_study.run(n_households=args.households, seed=args.seed)
-    print(report.render())
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import write_report
 
@@ -301,22 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "locations", help="print the location presets"
     ).set_defaults(func=_cmd_locations)
-
-    pilot_parser = sub.add_parser(
-        "pilot", help="simulate the 30-household pilot"
-    )
-    # The registered experiment's parameters, so `repro pilot` and
-    # `repro run pilot` simulate the same pilot.
-    spec: registry.ExperimentSpec = (
-        pilot_study.run.experiment_spec  # type: ignore[attr-defined]
-    )
-    pilot_parser.add_argument(
-        "--households", type=int, default=spec.bench_params["n_households"]
-    )
-    pilot_parser.add_argument(
-        "--seed", type=int, default=spec.bench_params["seed"]
-    )
-    pilot_parser.set_defaults(func=_cmd_pilot)
 
     report_parser = sub.add_parser(
         "report", help="regenerate EXPERIMENTS.md"

@@ -45,7 +45,6 @@ from typing import (
 from repro.core.captracker import CapTracker
 from repro.core.permits import PermitServer
 from repro.obs.capture import Instrumentation, current as obs_current
-from repro.obs.schema import canonical_degradation_kind
 
 if TYPE_CHECKING:
     import numpy as np
@@ -155,15 +154,14 @@ class DegradationLog:
     ) -> DegradationEvent:
         """Append one event (returns it, for callers that also log).
 
-        ``kind`` is canonicalised against the schema's degradation
-        vocabulary (legacy spellings such as ``peer-stall`` map to
-        their canonical kind) so every consumer — hunt oracles,
-        trace-diff, ``of_kind`` filters — sees one name per failure
-        mode regardless of which layer recorded it.
+        ``kind`` is stored as given. Every emitter names one of the
+        schema's ``DEGRADATION_KINDS``, so hunt oracles, trace-diff and
+        ``of_kind`` filters see one name per failure mode whichever
+        layer recorded it.
         """
         event = DegradationEvent(
             time=time,
-            kind=canonical_degradation_kind(kind),
+            kind=kind,
             path_name=path_name,
             item_label=item_label,
             detail=detail,

@@ -3,8 +3,8 @@
 The pilot lives in :mod:`repro.pilot`; this wrapper gives it a place in
 the experiment catalogue so the report and the CLI reach it, and gate
 its checks, the same way as every table/figure reproduction. The pilot
-itself loads when ``run()`` is called, so ``repro pilot`` can read the
-registered parameters for its defaults without loading the simulator.
+itself loads when ``run()`` is called, so reading the catalogue (``repro
+list``) does not load the simulator.
 """
 
 from __future__ import annotations

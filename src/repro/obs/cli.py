@@ -10,12 +10,11 @@ Usage::
 
 ``export`` runs one registered experiment with instrumentation captured
 and writes the deterministic JSONL trace (see ``docs/TRACE_SCHEMA.md``).
-The same experiment always exports byte-identical lines — across runs
-and across ``--jobs`` counts — so saved traces diff clean unless the
-code changed. ``summary`` aggregates a trace for human reading; when it
-ran the experiment itself it also shows the wall-clock profile, which is
-deliberately *not* part of the export. ``diff`` compares two saved
-traces record by record.
+The same experiment always exports byte-identical lines, so saved
+traces diff clean unless the code changed. ``summary`` aggregates a
+trace for human reading; when it ran the experiment itself it also
+shows the wall-clock profile, which is deliberately *not* part of the
+export. ``diff`` compares two saved traces record by record.
 
 Exit codes: 0 clean/identical, 1 experiment error or trace deltas,
 2 usage error (unknown experiment, unreadable file, bad trace).
@@ -64,9 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true", help="reduced-size parameter set"
     )
     export.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default: 1)"
-    )
-    export.add_argument(
         "-o",
         "--output",
         metavar="FILE",
@@ -82,9 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     summary.add_argument(
         "--quick", action="store_true", help="reduced-size parameter set"
     )
-    summary.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default: 1)"
-    )
 
     diff = sub.add_parser("diff", help="compare two saved traces")
     diff.add_argument("a", help="first trace file")
@@ -93,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_traced(
-    experiment_id: str, quick: bool, jobs: int
+    experiment_id: str, quick: bool
 ) -> Tuple[Optional[List[str]], Optional[Dict[str, float]], Optional[str]]:
     """Run one experiment traced: (trace lines, profile, error)."""
     from repro.experiments import registry
@@ -104,7 +97,7 @@ def _run_traced(
     except registry.UnknownExperimentError as exc:
         return None, None, f"usage: {exc}"
     outcome = run_experiments(
-        [experiment_id], jobs=jobs, quick=quick, cache=None, trace=True
+        [experiment_id], quick=quick, cache=None, trace=True
     )[0]
     if not outcome.ok:
         return None, None, outcome.error or "experiment failed"
@@ -124,7 +117,7 @@ def _fail(message: str, code: int) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     """``repro-trace export``: run traced, write the JSONL lines."""
-    lines, _, error = _run_traced(args.experiment, args.quick, args.jobs)
+    lines, _, error = _run_traced(args.experiment, args.quick)
     if lines is None:
         assert error is not None
         if error.startswith("usage: "):
@@ -191,9 +184,7 @@ def _cmd_summary(args: argparse.Namespace) -> int:
         except OSError as exc:
             return _fail(str(exc), EXIT_USAGE)
     else:
-        lines, profile, error = _run_traced(
-            args.target, args.quick, args.jobs
-        )
+        lines, profile, error = _run_traced(args.target, args.quick)
         if lines is None:
             assert error is not None
             if error.startswith("usage: "):

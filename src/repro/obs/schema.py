@@ -26,13 +26,11 @@ from typing import Dict, List, Mapping, Tuple
 __all__ = [
     "AUTHORITY_LOSS_KINDS",
     "DEGRADATION_KINDS",
-    "DEGRADATION_KIND_ALIASES",
     "DISRUPTION_KINDS",
     "DURATION_BUCKETS_S",
     "EVENTS",
     "METRICS",
     "SCHEMA_VERSION",
-    "canonical_degradation_kind",
     "markdown_tables",
 ]
 
@@ -51,9 +49,6 @@ DURATION_BUCKETS_S: Tuple[float, ...] = (
 #: runner, guard, proxy, client, service — records degradations using
 #: exactly these kinds, so hunt oracles and trace-diff can treat the
 #: same failure mode uniformly regardless of which layer observed it.
-#: Emitters with a legacy spelling go through
-#: :func:`canonical_degradation_kind` (see
-#: :data:`DEGRADATION_KIND_ALIASES`).
 DEGRADATION_KINDS: Dict[str, str] = {
     "path-fault": "a path failed mid-transfer (I/O error, reset, fault "
                   "schedule)",
@@ -80,13 +75,6 @@ DEGRADATION_KINDS: Dict[str, str] = {
                      "bytes trued up",
 }
 
-#: Legacy kind spellings -> canonical kind. ``peer-stall`` was the
-#: proxy's private spelling of ``stall``; the log canonicalises on
-#: record so consumers never see both.
-DEGRADATION_KIND_ALIASES: Dict[str, str] = {
-    "peer-stall": "stall",
-}
-
 #: Kinds that represent *loss of authority* to use the cellular leg
 #: (the hunt authority-discipline oracle keys off these).
 AUTHORITY_LOSS_KINDS = frozenset({"cap-exhausted", "permit-revoked"})
@@ -96,11 +84,6 @@ AUTHORITY_LOSS_KINDS = frozenset({"cap-exhausted", "permit-revoked"})
 DISRUPTION_KINDS = frozenset(
     {"path-fault", "path-drain", "stall", "path-rejoin", "path-join"}
 )
-
-
-def canonical_degradation_kind(kind: str) -> str:
-    """Map a possibly-legacy degradation kind to its canonical name."""
-    return DEGRADATION_KIND_ALIASES.get(kind, kind)
 
 
 #: Every trace event: name -> {field: description (with unit)}.
@@ -417,12 +400,6 @@ def markdown_tables() -> str:
     lines.append("|---|---|")
     for kind in sorted(DEGRADATION_KINDS):
         lines.append(f"| `{kind}` | {DEGRADATION_KINDS[kind]} |")
-    for legacy in sorted(DEGRADATION_KIND_ALIASES):
-        canonical = DEGRADATION_KIND_ALIASES[legacy]
-        lines.append(
-            f"| `{legacy}` | legacy alias, canonicalised to "
-            f"`{canonical}` on record |"
-        )
     lines.append("")
     lines.append("### Metrics")
     lines.append("")

@@ -4,8 +4,8 @@ The pool is bounded twice: ``max_active`` flows may be in flight and at
 most ``max_queued`` more may *wait* for a slot, for at most
 ``queue_timeout_s``. Everything beyond that is shed immediately with an
 explicit decision — the service never queues unboundedly, so overload
-degrades to fast 503s instead of collapsing into ever-growing latency
-(the ISSUE's "explicit shedding, never unbounded queueing" rule).
+degrades to fast 503s instead of collapsing into ever-growing latency:
+explicit shedding, never unbounded queueing.
 
 Shed reasons form a tiny vocabulary of their own (they label the
 ``service.shed`` metric and the detail of ``overload-shed``
@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict
+from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "AdmissionController",
@@ -41,18 +41,6 @@ class AdmissionDecision:
     admitted: bool
     #: Shed reason when refused (empty when admitted).
     reason: str = ""
-    #: Seconds the flow waited in the admission queue.
-    queued_s: float = 0.0
-
-
-@dataclass
-class AdmissionStats:
-    """Counters the controller keeps (snapshot via ``stats()``)."""
-
-    admitted: int = 0
-    shed: Dict[str, int] = field(default_factory=dict)
-    peak_active: int = 0
-    peak_queued: int = 0
 
 
 class AdmissionController:
@@ -80,7 +68,6 @@ class AdmissionController:
         self._active = 0
         self._queued = 0
         self._draining = False
-        self._stats = AdmissionStats()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -97,32 +84,12 @@ class AdmissionController:
         with self._lock:
             return self._queued
 
-    def stats(self) -> AdmissionStats:
-        """A copy of the counters (safe to read after the fact)."""
-        with self._lock:
-            return AdmissionStats(
-                admitted=self._stats.admitted,
-                shed=dict(self._stats.shed),
-                peak_active=self._stats.peak_active,
-                peak_queued=self._stats.peak_queued,
-            )
-
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def _shed(self, reason: str, queued_s: float) -> AdmissionDecision:
-        self._stats.shed[reason] = self._stats.shed.get(reason, 0) + 1
-        return AdmissionDecision(
-            admitted=False, reason=reason, queued_s=queued_s
-        )
-
-    def _grant(self, queued_s: float) -> AdmissionDecision:
+    def _grant(self) -> AdmissionDecision:
         self._active += 1
-        self._stats.admitted += 1
-        self._stats.peak_active = max(
-            self._stats.peak_active, self._active
-        )
-        return AdmissionDecision(admitted=True, queued_s=queued_s)
+        return AdmissionDecision(admitted=True)
 
     def try_admit(self) -> AdmissionDecision:
         """Decide one flow; may block up to ``queue_timeout_s``.
@@ -130,32 +97,24 @@ class AdmissionController:
         Never blocks longer: a flow either gets a slot, or an explicit
         shed decision with a reason.
         """
-        started = self._clock()
+        deadline = self._clock() + self.queue_timeout_s
         with self._freed:
             if self._draining:
-                return self._shed(SHED_DRAINING, 0.0)
+                return AdmissionDecision(False, SHED_DRAINING)
             if self._active < self.max_active:
-                return self._grant(0.0)
+                return self._grant()
             if self._queued >= self.max_queued:
-                return self._shed(SHED_OVERLOAD, 0.0)
+                return AdmissionDecision(False, SHED_OVERLOAD)
             self._queued += 1
-            self._stats.peak_queued = max(
-                self._stats.peak_queued, self._queued
-            )
-            deadline = started + self.queue_timeout_s
             try:
                 while True:
                     if self._draining:
-                        return self._shed(
-                            SHED_DRAINING, self._clock() - started
-                        )
+                        return AdmissionDecision(False, SHED_DRAINING)
                     if self._active < self.max_active:
-                        return self._grant(self._clock() - started)
+                        return self._grant()
                     remaining = deadline - self._clock()
                     if remaining <= 0.0:
-                        return self._shed(
-                            SHED_QUEUE_TIMEOUT, self._clock() - started
-                        )
+                        return AdmissionDecision(False, SHED_QUEUE_TIMEOUT)
                     self._freed.wait(remaining)
             finally:
                 self._queued -= 1

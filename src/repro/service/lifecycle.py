@@ -6,18 +6,19 @@ The long-running onload service moves through exactly four states::
         \\__________________________/^
          (a service that fails to start stops directly)
 
-:class:`Lifecycle` enforces those edges under a lock and lets other
-threads wait for a state. :class:`Deadline` is the service's time
-budget primitive: a monotonic expiry that clamps per-read socket
-timeouts (via :func:`repro.proto.httpwire.clamp_timeout`) and renders
-itself into the propagated deadline header.
+:class:`Lifecycle` enforces those edges under a lock; the service
+journals every transition it makes as a ``service.state`` event.
+:class:`Deadline` is the service's time budget primitive: a monotonic
+expiry that clamps per-read socket timeouts (via
+:func:`repro.proto.httpwire.clamp_timeout`) and renders itself into the
+propagated deadline header.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.proto import httpwire
 
@@ -50,28 +51,17 @@ class LifecycleError(RuntimeError):
 
 
 class Lifecycle:
-    """Thread-safe service state machine with waitable transitions."""
+    """Thread-safe service state machine."""
 
-    def __init__(
-        self, clock: Callable[[], float] = time.monotonic
-    ) -> None:
-        self._clock = clock
-        self._started = clock()
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._changed = threading.Condition(self._lock)
         self._state = STARTING
-        #: Every state entered, with seconds-since-construction stamps.
-        self.history: List[Tuple[str, float]] = [(STARTING, 0.0)]
 
     @property
     def state(self) -> str:
         """The current lifecycle state."""
         with self._lock:
             return self._state
-
-    def elapsed(self) -> float:
-        """Seconds since the lifecycle was constructed."""
-        return self._clock() - self._started
 
     def transition(self, to: str) -> str:
         """Move to state ``to``; returns the state left.
@@ -81,7 +71,7 @@ class Lifecycle:
         lifecycle bug fails loudly instead of leaving a half-stopped
         service.
         """
-        with self._changed:
+        with self._lock:
             allowed = _TRANSITIONS.get(self._state, frozenset())
             if to not in allowed:
                 raise LifecycleError(
@@ -89,29 +79,15 @@ class Lifecycle:
                 )
             previous = self._state
             self._state = to
-            self.history.append((to, self.elapsed()))
-            self._changed.notify_all()
             return previous
-
-    def wait_for(self, state: str, timeout: float) -> bool:
-        """Block until the machine reaches ``state``; False on timeout."""
-        deadline = self._clock() + timeout
-        with self._changed:
-            while self._state != state:
-                remaining = deadline - self._clock()
-                if remaining <= 0.0:
-                    return False
-                self._changed.wait(remaining)
-            return True
 
 
 class Deadline:
     """A monotonic time budget, propagated hop to hop.
 
     ``Deadline(None)`` is the unbounded budget: never expired, clamps
-    nothing, renders no header. Built either from a local budget or
-    from a peer's propagated header value
-    (:meth:`from_header_value`).
+    nothing, renders no header. The budget is a local one or a peer's
+    propagated header value (:func:`repro.proto.httpwire.parse_deadline`).
     """
 
     def __init__(
@@ -123,15 +99,6 @@ class Deadline:
         self._expires_at = (
             None if budget_s is None else clock() + budget_s
         )
-
-    @classmethod
-    def from_header_value(
-        cls,
-        budget_s: Optional[float],
-        clock: Callable[[], float] = time.monotonic,
-    ) -> "Deadline":
-        """Budget parsed by :func:`repro.proto.httpwire.parse_deadline`."""
-        return cls(budget_s, clock=clock)
 
     def remaining(self) -> Optional[float]:
         """Seconds left in the budget (``None``: unbounded)."""

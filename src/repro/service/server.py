@@ -40,7 +40,7 @@ import itertools
 import socket
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.resilience import DegradationLog, FlowLedger, RetryBudget
 from repro.obs.capture import Instrumentation, current as obs_current
@@ -69,6 +69,11 @@ __all__ = [
 COMPLETED = "completed"
 SHED = "shed"
 ABORTED = "aborted"
+
+_UPSTREAM_UNAVAILABLE = httpwire.render_response(
+    503, "Service Unavailable", b"upstream"
+)
+_EXPIRED = httpwire.render_response(504, "Deadline Expired")
 
 
 @dataclass(frozen=True)
@@ -149,6 +154,20 @@ class ServiceReport:
         return bad + self.active
 
 
+class _Cancelled(Exception):
+    """A flow's cancel event fired; it ends ``aborted`` with its reason."""
+
+
+class _End(NamedTuple):
+    """A flow's terminal ``(outcome, reason, status)`` and its reply."""
+
+    outcome: str
+    reason: str
+    status: int
+    #: Sent to the client after the end is journaled (empty: none).
+    reply: bytes = b""
+
+
 class _Flow:
     """In-flight state for one admitted flow."""
 
@@ -160,21 +179,29 @@ class _Flow:
         self.leg = leg
         self.cancel = threading.Event()
         self.abort_reason = ""
+        #: The last upstream status, and every byte relayed so far.
+        self.status = 0
+        self.moved = 0
 
     def abort(self, reason: str) -> None:
         """Cancel the flow; the worker observes it at its next step.
 
-        Closing the socket is part of the cancel: a worker blocked in
-        ``recv`` holds no lock and checks no flag, so the close is what
-        actually unblocks it.
+        The shutdown is what unblocks a worker in ``recv`` on the
+        client socket: the read returns end-of-stream. The socket stays
+        open, because only its worker closes it; a close from here
+        would free the descriptor number while the worker may still be
+        about to wait on it.
         """
         if not self.cancel.is_set():
             self.abort_reason = reason
             self.cancel.set()
         with contextlib.suppress(OSError):
             self.client.shutdown(socket.SHUT_RDWR)
-        with contextlib.suppress(OSError):
-            self.client.close()
+
+    def check(self) -> None:
+        """A cancellation point: raise :class:`_Cancelled` once aborted."""
+        if self.cancel.is_set():
+            raise _Cancelled
 
 
 class OnloadService(LoopbackServer):
@@ -247,10 +274,7 @@ class OnloadService(LoopbackServer):
     # ------------------------------------------------------------------
     def start(self) -> "OnloadService":
         """Move to ``serving`` and begin accepting flows."""
-        previous = self.lifecycle.transition(SERVING)
-        self._journal_event(
-            "service.state", state=SERVING, previous=previous
-        )
+        self._enter(SERVING)
         if self.ledger is not None:
             self._unsubscribe_revocations = (
                 self.ledger.subscribe_revocations(
@@ -266,18 +290,12 @@ class OnloadService(LoopbackServer):
         abort_grace_s`` and leaves the lifecycle in ``stopped``.
         """
         if self.lifecycle.state == STARTING:
-            previous = self.lifecycle.transition(STOPPED)
+            self._enter(STOPPED)
             super().stop()
-            self._journal_event(
-                "service.state", state=STOPPED, previous=previous
-            )
             self._drain_report = DrainReport(0, 0, 0, 0.0, True)
             return self._drain_report
         began = self._now()
-        previous = self.lifecycle.transition(DRAINING)
-        self._journal_event(
-            "service.state", state=DRAINING, previous=previous
-        )
+        self._enter(DRAINING)
         in_flight = self.admission.active
         self._journal_event(
             "service.drain.begin",
@@ -289,20 +307,11 @@ class OnloadService(LoopbackServer):
         drained_in_time = self.admission.wait_idle(self.drain_deadline_s)
         aborted = 0
         if not drained_in_time:
-            with self._active_lock:
-                stragglers = list(self._active.values())
-            for flow in stragglers:
-                self.degradations.record(
-                    kind="drain-aborted",
-                    time=self._now(),
-                    path_name=flow.leg.name,
-                    item_label=flow.flow_id,
-                    detail="drain deadline expired",
-                )
-                flow.abort("drain-aborted")
-                aborted += 1
-            # The closes above unblock every straggler's socket op;
-            # give the workers a bounded grace to run their terminal
+            aborted = self._abort_flows(
+                "drain-aborted", "drain deadline expired", lambda flow: True
+            )
+            # The shutdowns unblock every straggler's socket op; give
+            # the workers a bounded grace to run their terminal
             # accounting (journal, settle, release).
             self.admission.wait_idle(self.abort_grace_s)
         elapsed = self._now() - began
@@ -312,10 +321,7 @@ class OnloadService(LoopbackServer):
             aborted=aborted,
             elapsed_s=elapsed,
         )
-        previous = self.lifecycle.transition(STOPPED)
-        self._journal_event(
-            "service.state", state=STOPPED, previous=previous
-        )
+        self._enter(STOPPED)
         unsubscribe = self._unsubscribe_revocations
         if unsubscribe is not None:
             unsubscribe()
@@ -330,6 +336,11 @@ class OnloadService(LoopbackServer):
         )
         self.flush_trace()
         return self._drain_report
+
+    def _enter(self, state: str) -> None:
+        """Take one lifecycle edge and journal it (``service.state``)."""
+        previous = self.lifecycle.transition(state)
+        self._journal_event("service.state", state=state, previous=previous)
 
     def __exit__(self, *exc: object) -> None:
         if self.lifecycle.state not in (STOPPED,):
@@ -382,143 +393,124 @@ class OnloadService(LoopbackServer):
                 "service.queue_depth", float(self.admission.queued)
             )
 
-    def _record_end(
-        self,
-        flow_id: str,
-        leg_name: str,
-        admitted: bool,
-        outcome: str,
-        reason: str,
-        status: int,
-        transferred: int,
-        started: float,
-    ) -> None:
-        latency = self._now() - started
-        record = FlowRecord(
-            flow_id=flow_id,
-            leg=leg_name,
-            admitted=admitted,
-            outcome=outcome,
-            reason=reason,
-            status=status,
-            transferred_bytes=transferred,
-            latency_s=latency,
-        )
-        with self._records_lock:
-            self._records.append(record)
-        self._journal_event(
-            "service.flow.end",
-            flow=flow_id,
-            outcome=outcome,
-            reason=reason,
-            status=status,
-            transferred_bytes=transferred,
-            latency_s=latency,
-        )
-        if self._obs is not None:
-            self._obs.count("service.flows", outcome=outcome)
-            self._obs.observe("service.flow_latency_s", latency)
-
     def _serve_flow(self, client: socket.socket, flow_id: str) -> None:
         """One connection, admission to terminal outcome.
 
-        Terminal accounting runs in ``finally`` *before* the pool slot
-        is released, so ``admission.wait_idle()`` returning True
-        implies every admitted flow has journaled its end — the drain
-        relies on that ordering.
+        Every flow leaves through the one ``finally`` below. It settles
+        the ledger, journals the end, sends the terminal reply, closes
+        the client (no other thread closes it) and releases the pool
+        slot, in that order: terminal accounting comes *before* the
+        release, so ``admission.wait_idle()`` returning True implies
+        every admitted flow has journaled its end — the drain relies on
+        that ordering.
         """
         started = self._now()
         client.settimeout(self.idle_timeout)
         decision = self.admission.try_admit()
         self._gauge_pool()
-        if not decision.admitted:
-            if self._obs is not None:
-                self._obs.count("service.shed", reason=decision.reason)
-            self.degradations.record(
-                kind="overload-shed",
-                time=self._now(),
-                path_name=self.name,
-                item_label=flow_id,
-                detail=f"admission refused: {decision.reason}",
+        flow: Optional[_Flow] = None
+        end = _End(ABORTED, "internal", 0)
+        try:
+            if not decision.admitted:
+                end = self._shed(
+                    flow_id, decision.reason, decision.reason, b"shed"
+                )
+                return
+            # Choosing a leg with authority and becoming visible to
+            # revocation are one step: a revocation that lands after
+            # may_onload said yes waits here, then finds this flow.
+            # Lock order: _active_lock, then _leg_lock, then the
+            # ledger's and the permit server's. The permit server fires
+            # revocation listeners only after releasing its lock, and
+            # request_permit fires none, so _on_permit_revoked never
+            # runs on a thread that already holds _active_lock.
+            with self._active_lock:
+                leg = self._choose_leg()
+                if leg is not None:
+                    flow = self._active[flow_id] = _Flow(
+                        flow_id, client, leg
+                    )
+            if flow is None:
+                # Admitted, but no leg has authority to carry the flow
+                # (caps dry or permits refused on every cellular leg,
+                # and no ADSL fallback wired).
+                end = self._shed(
+                    flow_id, "authority", "no authorized leg", b"no leg"
+                )
+                return
+            self._journal_event(
+                "service.flow.admit", flow=flow_id, leg=flow.leg.name
             )
-            self._record_end(
-                flow_id, "", False, SHED, decision.reason, 503, 0,
-                started,
-            )
-            with contextlib.suppress(OSError):
-                client.sendall(
-                    httpwire.render_response(
-                        503, "Service Unavailable", b"shed"
+            if self.ledger is not None and flow.leg.device is not None:
+                self.ledger.open_flow(flow_id, flow.leg.device)
+            try:
+                end = self._relay_flow(flow)
+            except _Cancelled:
+                end = _End(ABORTED, flow.abort_reason, flow.status)
+        finally:
+            moved = 0
+            if flow is not None:
+                # Once the flow leaves _active no abort can reach its
+                # socket, so the close below never races a shutdown.
+                with self._active_lock:
+                    del self._active[flow_id]
+                moved = flow.moved
+                if self.ledger is not None and flow.leg.device is not None:
+                    self.ledger.settle(flow_id, float(moved), self._now())
+            latency = self._now() - started
+            with self._records_lock:
+                self._records.append(
+                    FlowRecord(
+                        flow_id=flow_id,
+                        leg=flow.leg.name if flow is not None else "",
+                        admitted=decision.admitted,
+                        outcome=end.outcome,
+                        reason=end.reason,
+                        status=end.status,
+                        transferred_bytes=moved,
+                        latency_s=latency,
                     )
                 )
+            self._journal_event(
+                "service.flow.end",
+                flow=flow_id,
+                outcome=end.outcome,
+                reason=end.reason,
+                status=end.status,
+                transferred_bytes=moved,
+                latency_s=latency,
+            )
+            if self._obs is not None:
+                self._obs.count("service.flows", outcome=end.outcome)
+                self._obs.observe("service.flow_latency_s", latency)
+            if end.reply:
+                with contextlib.suppress(OSError):
+                    client.sendall(end.reply)
             with contextlib.suppress(OSError):
                 client.close()
-            return
-        # Choosing a leg with authority and becoming visible to
-        # revocation are one step: a revocation that lands after
-        # may_onload said yes waits here, then finds this flow. Lock
-        # order: _active_lock, then _leg_lock, then the ledger's and
-        # the permit server's. The permit server fires revocation
-        # listeners only after releasing its lock, and request_permit
-        # fires none, so _on_permit_revoked never runs on a thread
-        # that already holds _active_lock.
-        flow: Optional[_Flow] = None
-        with self._active_lock:
-            leg = self._choose_leg()
-            if leg is not None:
-                flow = self._active[flow_id] = _Flow(flow_id, client, leg)
-        if flow is None:
-            # Admitted but no leg currently has authority to carry the
-            # flow (caps dry / permits refused on every cellular leg
-            # and no ADSL fallback wired).
-            try:
-                if self._obs is not None:
-                    self._obs.count("service.shed", reason="authority")
-                self.degradations.record(
-                    kind="overload-shed",
-                    time=self._now(),
-                    path_name=self.name,
-                    item_label=flow_id,
-                    detail="admission refused: no authorized leg",
-                )
-                self._record_end(
-                    flow_id, "", True, SHED, "authority", 503, 0,
-                    started,
-                )
-                with contextlib.suppress(OSError):
-                    client.sendall(
-                        httpwire.render_response(
-                            503, "Service Unavailable", b"no leg"
-                        )
-                    )
-                with contextlib.suppress(OSError):
-                    client.close()
-            finally:
+            if decision.admitted:
                 self.admission.release()
                 self._gauge_pool()
-            return
-        leg = flow.leg
-        self._journal_event(
-            "service.flow.admit", flow=flow_id, leg=leg.name
+
+    def _shed(
+        self, flow_id: str, reason: str, detail: str, body: bytes
+    ) -> _End:
+        """Refuse a flow before it relays anything: a 503, unserved."""
+        if self._obs is not None:
+            self._obs.count("service.shed", reason=reason)
+        self.degradations.record(
+            kind="overload-shed",
+            time=self._now(),
+            path_name=self.name,
+            item_label=flow_id,
+            detail=f"admission refused: {detail}",
         )
-        if self.ledger is not None and leg.device is not None:
-            self.ledger.open_flow(flow_id, leg.device)
-        outcome, reason, status, moved = ABORTED, "internal", 0, 0
-        try:
-            outcome, reason, status, moved = self._relay_flow(flow)
-        finally:
-            if self.ledger is not None and leg.device is not None:
-                self.ledger.settle(flow_id, float(moved), self._now())
-            with contextlib.suppress(OSError):
-                client.close()
-            with self._active_lock:
-                self._active.pop(flow_id, None)
-            self._record_end(
-                flow_id, leg.name, True, outcome, reason, status,
-                moved, started,
-            )
-            self.admission.release()
-            self._gauge_pool()
+        return _End(
+            SHED,
+            reason,
+            503,
+            httpwire.render_response(503, "Service Unavailable", body),
+        )
 
     # ------------------------------------------------------------------
     # Relaying
@@ -540,21 +532,33 @@ class OnloadService(LoopbackServer):
 
     def _on_permit_revoked(self, device_name: str) -> None:
         """Backend order: abort this device's in-flight flows now."""
+        self._abort_flows(
+            "permit-revoked",
+            f"backend revoked {device_name}'s permit",
+            lambda flow: flow.leg.device == device_name,
+        )
+
+    def _abort_flows(
+        self, reason: str, detail: str, match: Callable[[_Flow], bool]
+    ) -> int:
+        """Abort every registered flow ``match`` picks; returns how many.
+
+        Runs under ``_active_lock``: a worker unregisters its flow
+        before it closes the client socket, so no abort here can reach
+        a socket that is already closed.
+        """
         with self._active_lock:
-            victims = [
-                flow
-                for flow in self._active.values()
-                if flow.leg.device == device_name
-            ]
-        for flow in victims:
-            self.degradations.record(
-                kind="permit-revoked",
-                time=self._now(),
-                path_name=flow.leg.name,
-                item_label=flow.flow_id,
-                detail=f"backend revoked {device_name}'s permit",
-            )
-            flow.abort("permit-revoked")
+            victims = [f for f in self._active.values() if match(f)]
+            for flow in victims:
+                self.degradations.record(
+                    kind=reason,
+                    time=self._now(),
+                    path_name=flow.leg.name,
+                    item_label=flow.flow_id,
+                    detail=detail,
+                )
+                flow.abort(reason)
+        return len(victims)
 
     def _meter(self, flow: _Flow, nbytes: int, direction: str) -> None:
         if nbytes <= 0:
@@ -566,6 +570,36 @@ class OnloadService(LoopbackServer):
         if self.ledger is not None and flow.leg.device is not None:
             self.ledger.meter(flow.flow_id, float(nbytes), self._now())
 
+    def _backoff(
+        self, flow: _Flow, attempt: int, kind: str, detail: str
+    ) -> bool:
+        """Record failed attempt ``attempt`` and wait out its backoff.
+
+        False when the shared retry budget refuses another attempt.
+        Either way this is a cancellation point, and the jittered wait
+        ends early on a cancel.
+        """
+        self.degradations.record(
+            kind=kind,
+            time=self._now(),
+            path_name=flow.leg.name,
+            item_label=flow.flow_id,
+            detail=detail,
+        )
+        delay = self.retry_budget.acquire(attempt)
+        if delay is None:
+            self.degradations.record(
+                kind="retry-budget-exhausted",
+                time=self._now(),
+                path_name=flow.leg.name,
+                item_label=flow.flow_id,
+                detail=f"no retry token after attempt {attempt}",
+            )
+        else:
+            flow.cancel.wait(delay)
+        flow.check()
+        return delay is not None
+
     def _dial(
         self, flow: _Flow, deadline: Deadline
     ) -> Optional[socket.socket]:
@@ -576,7 +610,8 @@ class OnloadService(LoopbackServer):
         """
         attempt = 0
         while True:
-            if flow.cancel.is_set() or deadline.expired:
+            flow.check()
+            if deadline.expired:
                 return None
             try:
                 upstream = socket.create_connection(
@@ -587,74 +622,38 @@ class OnloadService(LoopbackServer):
                 return upstream
             except OSError as exc:
                 attempt += 1
-                self.degradations.record(
-                    kind="peer-unreachable",
-                    time=self._now(),
-                    path_name=flow.leg.name,
-                    item_label=flow.flow_id,
-                    detail=f"upstream connect failed: {exc!r}",
-                )
-                delay = self.retry_budget.acquire(attempt)
-                if delay is None:
-                    self.degradations.record(
-                        kind="retry-budget-exhausted",
-                        time=self._now(),
-                        path_name=flow.leg.name,
-                        item_label=flow.flow_id,
-                        detail=(
-                            f"no retry token after attempt {attempt}"
-                        ),
-                    )
+                if not self._backoff(
+                    flow,
+                    attempt,
+                    "peer-unreachable",
+                    f"upstream connect failed: {exc!r}",
+                ):
                     return None
-                # The jittered backoff sleep doubles as a cancel point.
-                flow.cancel.wait(delay)
 
-    def _respond(
-        self, flow: _Flow, payload: bytes
-    ) -> bool:
-        """Send a response to the client; False when it vanished."""
-        try:
-            flow.client.sendall(payload)
-            return True
-        except OSError:
-            return False
-
-    def _relay_flow(
-        self, flow: _Flow
-    ) -> Tuple[str, str, int, int]:
-        """Serve one flow's requests; returns (outcome, reason, status,
-        cellular-ish bytes moved).
+    def _relay_flow(self, flow: _Flow) -> _End:
+        """Serve one flow's requests until its terminal outcome.
 
         Structured on the MobileProxy relay loop, with the service's
         extra machinery: flow deadline, propagated per-request
         deadline, retry budget on the upstream, cancellation points
-        between every blocking step.
+        between every blocking step. A cancelled flow raises
+        :class:`_Cancelled` from the first point that sees it;
+        :meth:`_serve_flow` turns that into its ``aborted`` end.
         """
         flow_deadline = Deadline(self.flow_deadline_s)
-        moved = 0
-        status = 0
         upstream = self._dial(flow, flow_deadline)
         if upstream is None:
-            if flow.cancel.is_set():
-                return (ABORTED, flow.abort_reason, 0, moved)
             reason = (
                 "deadline-expired"
                 if flow_deadline.expired
                 else "retry-budget-exhausted"
             )
-            self._respond(
-                flow,
-                httpwire.render_response(
-                    503, "Service Unavailable", b"upstream"
-                ),
-            )
-            return (SHED, reason, 503, moved)
+            return _End(SHED, reason, 503, _UPSTREAM_UNAVAILABLE)
         try:
             while True:
-                if flow.cancel.is_set():
-                    return (ABORTED, flow.abort_reason, status, moved)
+                flow.check()
                 if flow_deadline.expired:
-                    return self._expire_flow(flow, moved)
+                    return self._expire_flow(flow)
                 try:
                     # The overall bounds are the slow-loris defence: a
                     # peer trickling bytes under the per-recv timeout
@@ -679,14 +678,7 @@ class OnloadService(LoopbackServer):
                     )
                 except WireError as exc:
                     return self._end_on_client_error(
-                        flow, exc, flow_deadline, status, moved
-                    )
-                except OSError:
-                    return (
-                        ABORTED,
-                        flow.abort_reason or "path-fault",
-                        status,
-                        moved,
+                        flow, exc, flow_deadline
                     )
                 deadline = self._effective_deadline(
                     flow_deadline, request.deadline_s
@@ -699,50 +691,38 @@ class OnloadService(LoopbackServer):
                         item_label=flow.flow_id,
                         detail="request arrived with a spent budget",
                     )
-                    self._respond(
-                        flow,
-                        httpwire.render_response(
-                            504, "Deadline Expired"
-                        ),
-                    )
-                    return (SHED, "deadline-expired", 504, moved)
+                    return _End(SHED, "deadline-expired", 504, _EXPIRED)
                 exchanged = self._exchange_upstream(
                     flow, upstream, request.first, request.headers, body,
                     deadline,
                 )
                 if exchanged is None:
-                    if flow.cancel.is_set():
-                        return (
-                            ABORTED, flow.abort_reason, status, moved
-                        )
-                    self._respond(
-                        flow,
-                        httpwire.render_response(
-                            503, "Service Unavailable", b"upstream"
-                        ),
+                    return _End(
+                        SHED,
+                        "retry-budget-exhausted",
+                        503,
+                        _UPSTREAM_UNAVAILABLE,
                     )
-                    return (SHED, "retry-budget-exhausted", 503, moved)
-                upstream, status, response, up_bytes = exchanged
-                moved += up_bytes + len(response)
+                upstream, flow.status, response, up_bytes = exchanged
+                flow.moved += up_bytes + len(response)
                 self._meter(flow, up_bytes, "up")
                 self._meter(flow, len(response), "down")
-                payload = httpwire.render_response(
-                    status, "OK" if status == 200 else "Err", response
-                )
-                if not self._respond(flow, payload):
-                    return (
-                        ABORTED,
-                        flow.abort_reason or "path-fault",
-                        status,
-                        moved,
+                flow.client.sendall(
+                    httpwire.render_response(
+                        flow.status,
+                        "OK" if flow.status == 200 else "Err",
+                        response,
                     )
+                )
+        except OSError:
+            # The client socket failed under a read or a reply.
+            flow.check()
+            return _End(ABORTED, "path-fault", flow.status)
         finally:
             with contextlib.suppress(OSError):
                 upstream.close()
 
-    def _expire_flow(
-        self, flow: _Flow, moved: int
-    ) -> Tuple[str, str, int, int]:
+    def _expire_flow(self, flow: _Flow) -> _End:
         self.degradations.record(
             kind="deadline-expired",
             time=self._now(),
@@ -750,39 +730,32 @@ class OnloadService(LoopbackServer):
             item_label=flow.flow_id,
             detail=f"flow outlived its {self.flow_deadline_s}s budget",
         )
-        self._respond(
-            flow, httpwire.render_response(504, "Deadline Expired")
-        )
-        return (ABORTED, "deadline-expired", 504, moved)
+        return _End(ABORTED, "deadline-expired", 504, _EXPIRED)
 
     def _end_on_client_error(
-        self,
-        flow: _Flow,
-        exc: WireError,
-        flow_deadline: Deadline,
-        status: int,
-        moved: int,
-    ) -> Tuple[str, str, int, int]:
+        self, flow: _Flow, exc: WireError, flow_deadline: Deadline
+    ) -> _End:
         """Classify a client-side wire failure into a terminal outcome."""
-        if flow.cancel.is_set():
-            return (ABORTED, flow.abort_reason, status, moved)
+        flow.check()
         if "closed before request" in str(exc):
             # Clean end of a keep-alive connection.
-            return (COMPLETED, "", status or 200, moved)
+            return _End(COMPLETED, "", flow.status or 200)
         if flow_deadline.expired:
-            return self._expire_flow(flow, moved)
-        stalled = isinstance(exc, StallError)
+            return self._expire_flow(flow)
+        kind = "stall" if isinstance(exc, StallError) else "bad-peer"
         self.degradations.record(
-            kind="stall" if stalled else "bad-peer",
+            kind=kind,
             time=self._now(),
             path_name=flow.leg.name,
             item_label=flow.flow_id,
             detail=f"client wire failure: {exc!r}",
         )
-        self._respond(
-            flow, httpwire.render_response(400, "Bad Request")
+        return _End(
+            COMPLETED,
+            kind,
+            400,
+            httpwire.render_response(400, "Bad Request"),
         )
-        return (COMPLETED, "stall" if stalled else "bad-peer", 400, moved)
 
     @staticmethod
     def _effective_deadline(
@@ -814,7 +787,8 @@ class OnloadService(LoopbackServer):
         request = self._forward_request(first, headers, body, deadline)
         attempt = 0
         while True:
-            if flow.cancel.is_set() or deadline.expired:
+            flow.check()
+            if deadline.expired:
                 return None
             try:
                 upstream.settimeout(deadline.clamp(self.recv_timeout))
@@ -827,29 +801,16 @@ class OnloadService(LoopbackServer):
                 return (upstream, status, response, len(body))
             except (WireError, OSError) as exc:
                 stalled = isinstance(exc, (StallError, socket.timeout))
-                self.degradations.record(
-                    kind="stall" if stalled else "path-fault",
-                    time=self._now(),
-                    path_name=flow.leg.name,
-                    item_label=flow.flow_id,
-                    detail=f"upstream exchange failed: {exc!r}",
-                )
-                attempt += 1
-                delay = self.retry_budget.acquire(attempt)
-                if delay is None:
-                    self.degradations.record(
-                        kind="retry-budget-exhausted",
-                        time=self._now(),
-                        path_name=flow.leg.name,
-                        item_label=flow.flow_id,
-                        detail=(
-                            f"no retry token after attempt {attempt}"
-                        ),
-                    )
-                    return None
-                flow.cancel.wait(delay)
                 with contextlib.suppress(OSError):
                     upstream.close()
+                attempt += 1
+                if not self._backoff(
+                    flow,
+                    attempt,
+                    "stall" if stalled else "path-fault",
+                    f"upstream exchange failed: {exc!r}",
+                ):
+                    return None
                 fresh = self._dial(flow, deadline)
                 if fresh is None:
                     return None

@@ -24,14 +24,6 @@ class TestParser:
         ):
             assert key in ids
 
-    def test_pilot_defaults_are_the_registered_params(self):
-        # `repro pilot` and `repro run pilot` must simulate one pilot.
-        args = build_parser().parse_args(["pilot"])
-        params = registry.get("pilot").bench_params
-        assert {"n_households": args.households, "seed": args.seed} == dict(
-            params
-        )
-
 
 class TestCommands:
     def test_list(self, capsys):
@@ -118,11 +110,6 @@ class TestCommands:
         second = json.loads(capsys.readouterr().out)
         assert second["status"] == "cached"
         assert second["result"] == first["result"]
-
-    def test_pilot_tiny(self, capsys):
-        assert main(["pilot", "--households", "2", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "Pilot study" in out
 
     def test_report_to_tmpfile(self, tmp_path, capsys):
         # The full report is slow; this only checks wiring by writing to

@@ -227,8 +227,8 @@ class TestStallingPeer:
     def test_proxy_times_out_single_transfer_and_keeps_serving(self):
         # The origin accepts the proxy's connection and never answers:
         # each LAN request costs one 504, one structured stall event
-        # (the canonical kind — the proxy's old peer-stall spelling is
-        # an alias now), and the proxy remains responsive for the next.
+        # (the schema's kind), and the proxy remains responsive for the
+        # next.
         with silent_server() as stalled_origin:
             proxy = MobileProxy(
                 stalled_origin, name="ph-stall", recv_timeout=0.3

@@ -9,6 +9,7 @@ the drain-discipline invariant ``report().stranded() == 0`` throughout.
 """
 
 import socket
+import struct
 import threading
 import time
 
@@ -30,7 +31,7 @@ from repro.service.lifecycle import (
     Lifecycle,
     LifecycleError,
 )
-from repro.service.server import OnloadService, ServiceLeg
+from repro.service.server import OnloadService, ServiceLeg, _Flow
 from repro.util.units import MB
 
 
@@ -41,14 +42,14 @@ from repro.util.units import MB
 
 class TestLifecycle:
     def test_full_legal_path(self):
-        machine = Lifecycle(clock=lambda: 0.0)
+        machine = Lifecycle()
         assert machine.state == STARTING
         assert machine.transition(SERVING) == STARTING
+        assert machine.state == SERVING
         assert machine.transition(DRAINING) == SERVING
+        assert machine.state == DRAINING
         assert machine.transition(STOPPED) == DRAINING
-        assert [state for state, _ in machine.history] == [
-            STARTING, SERVING, DRAINING, STOPPED,
-        ]
+        assert machine.state == STOPPED
 
     def test_failed_start_stops_directly(self):
         machine = Lifecycle()
@@ -70,21 +71,6 @@ class TestLifecycle:
             machine.transition(state)
         with pytest.raises(LifecycleError):
             machine.transition(bad)
-
-    def test_wait_for_wakes_on_transition(self):
-        machine = Lifecycle()
-        seen = []
-        waiter = threading.Thread(
-            target=lambda: seen.append(machine.wait_for(SERVING, 5.0))
-        )
-        waiter.start()
-        machine.transition(SERVING)
-        waiter.join(timeout=5.0)
-        assert seen == [True]
-
-    def test_wait_for_times_out(self):
-        machine = Lifecycle()
-        assert not machine.wait_for(STOPPED, 0.05)
 
 
 class TestDeadline:
@@ -124,8 +110,8 @@ class TestDeadline:
         assert deadline.header_value() == "1.500"
 
     def test_from_header_value_zero_budget_is_spent(self):
-        deadline = Deadline.from_header_value(0.0)
-        assert deadline.expired
+        budget = httpwire.parse_deadline({httpwire.DEADLINE_HEADER: "0.000"})
+        assert Deadline(budget).expired
 
     def test_effective_deadline_takes_the_tighter_budget(self):
         flow = Deadline(10.0, clock=lambda: 0.0)
@@ -135,6 +121,37 @@ class TestDeadline:
         chosen = OnloadService._effective_deadline(flow, 60.0)
         assert chosen is flow
         assert OnloadService._effective_deadline(flow, None) is flow
+
+
+class TestFlowAbort:
+    def test_abort_wakes_recv_and_leaves_the_socket_to_its_owner(self):
+        # The worker that owns a client socket is the only thread that
+        # closes it: a close from the aborting thread would free the
+        # descriptor number while the worker may still wait on it.
+        owner, peer = socket.socketpair()
+        try:
+            flow = _Flow("f0", owner, ServiceLeg("ph1", ("127.0.0.1", 9)))
+            parked = threading.Event()
+            got = []
+
+            def read():
+                parked.set()
+                got.append(owner.recv(64))
+
+            reader = threading.Thread(target=read, daemon=True)
+            reader.start()
+            assert parked.wait(5.0)
+            time.sleep(0.05)  # let the reader block in recv
+            flow.abort("permit-revoked")
+            reader.join(timeout=1.0)
+            assert not reader.is_alive()
+            assert got == [b""]
+            assert flow.cancel.is_set()
+            assert flow.abort_reason == "permit-revoked"
+            assert owner.fileno() != -1
+        finally:
+            owner.close()
+            peer.close()
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +186,11 @@ class TestAdmissionController:
             max_active=1, max_queued=1, queue_timeout_s=0.05
         )
         assert pool.try_admit().admitted
+        started = time.monotonic()
         decision = pool.try_admit()
         assert not decision.admitted
         assert decision.reason == "queue-timeout"
-        assert decision.queued_s >= 0.05
+        assert time.monotonic() - started >= 0.05
 
     def test_queued_flow_gets_the_freed_slot(self):
         pool = AdmissionController(
@@ -180,17 +198,21 @@ class TestAdmissionController:
         )
         assert pool.try_admit().admitted
         results = []
-        waiter = threading.Thread(
-            target=lambda: results.append(pool.try_admit())
-        )
+
+        def wait_for_a_slot():
+            started = time.monotonic()
+            decision = pool.try_admit()
+            results.append((decision, time.monotonic() - started))
+
+        waiter = threading.Thread(target=wait_for_a_slot)
         waiter.start()
         deadline = time.monotonic() + 5.0
         while pool.queued == 0 and time.monotonic() < deadline:
             time.sleep(0.005)
         pool.release()
         waiter.join(timeout=5.0)
-        assert results and results[0].admitted
-        assert results[0].queued_s > 0.0
+        assert results and results[0][0].admitted
+        assert results[0][1] > 0.0
 
     def test_queue_bound_sheds_overload(self):
         pool = AdmissionController(
@@ -235,15 +257,6 @@ class TestAdmissionController:
         assert not pool.wait_idle(0.05)
         pool.release()
         assert pool.wait_idle(1.0)
-
-    def test_stats_snapshot(self):
-        pool = AdmissionController(max_active=1, max_queued=0)
-        pool.try_admit()
-        pool.try_admit()
-        stats = pool.stats()
-        assert stats.admitted == 1
-        assert stats.shed == {"overload": 1}
-        assert stats.peak_active == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -489,6 +502,7 @@ class TestOnloadService:
         report = service.report()
         assert report.admitted == 1
         assert report.outcome_counts() == {"completed": 1}
+        assert (report.flows[0].reason, report.flows[0].status) == ("", 200)
         assert report.stranded() == 0
         assert service.lifecycle.state == STOPPED
 
@@ -533,6 +547,35 @@ class TestOnloadService:
         assert report.stranded() == 0
         assert service.degradations.of_kind("overload-shed")
 
+    @pytest.mark.parametrize(
+        "reason", ["overload", "queue-timeout", "draining"]
+    )
+    def test_admission_refusal_is_an_unadmitted_503_shed(
+        self, origin, reason
+    ):
+        service = _service(
+            origin,
+            max_active=1,
+            max_queued=0 if reason == "overload" else 1,
+            queue_timeout_s=0.05,
+        )
+        with service:
+            holder = socket.create_connection(
+                service.address, timeout=5.0
+            )
+            try:
+                assert _wait_active(service, 1)
+                if reason == "draining":
+                    service.admission.begin_drain()
+                status, _, _ = _request(service.address, "/late")
+            finally:
+                holder.close()
+        assert status == 503
+        shed = [f for f in service.report().flows if f.outcome == "shed"]
+        assert [(f.reason, f.status, f.admitted, f.leg) for f in shed] == [
+            (reason, 503, False, ""),
+        ]
+
     def test_spent_request_deadline_sheds_with_504(self, origin):
         with _service(origin) as service:
             status, _, _ = _request(
@@ -543,6 +586,9 @@ class TestOnloadService:
             assert status == 504
         report = service.report()
         assert report.shed_reasons() == {"deadline-expired": 1}
+        assert (report.flows[0].outcome, report.flows[0].status) == (
+            "shed", 504,
+        )
         assert service.degradations.of_kind("deadline-expired")
         assert report.stranded() == 0
 
@@ -615,9 +661,71 @@ class TestOnloadService:
             assert status == 503
         report = service.report()
         assert report.shed_reasons() == {"retry-budget-exhausted": 1}
+        assert (report.flows[0].outcome, report.flows[0].status) == (
+            "shed", 503,
+        )
         assert report.stranded() == 0
         assert service.degradations.of_kind("peer-unreachable")
         assert service.degradations.of_kind("retry-budget-exhausted")
+
+    def test_spent_flow_deadline_sheds_before_dialling(self, origin):
+        with _service(origin, flow_deadline_s=0.0) as service:
+            status, _, _ = _request(service.address, "/late")
+            assert status == 503
+        flow = service.report().flows[0]
+        assert (flow.outcome, flow.reason, flow.status) == (
+            "shed", "deadline-expired", 503,
+        )
+        assert flow.admitted
+
+    def test_flow_outliving_its_deadline_aborts_with_504(self, origin):
+        with _service(origin, flow_deadline_s=0.3) as service:
+            with socket.create_connection(
+                service.address, timeout=5.0
+            ) as silent:
+                status, _, _ = httpwire.read_response(silent, timeout=5.0)
+            assert status == 504
+        flow = service.report().flows[0]
+        assert (flow.outcome, flow.reason, flow.status) == (
+            "aborted", "deadline-expired", 504,
+        )
+        assert service.degradations.of_kind("deadline-expired")
+
+    def test_client_reset_aborts_with_path_fault(self, origin):
+        with _service(origin, idle_timeout=10.0) as service:
+            client = socket.create_connection(service.address, timeout=5.0)
+            assert _wait_until(lambda: service.report().active == 1)
+            # Linger 0: close sends a reset, and the worker's read fails.
+            client.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            client.close()
+            assert service.admission.wait_idle(5.0)
+        flow = service.report().flows[0]
+        assert (flow.outcome, flow.reason) == ("aborted", "path-fault")
+
+    @pytest.mark.parametrize(
+        "reason, sent",
+        [
+            ("stall", b"POST /x HTTP/1.1\r\n"),
+            ("bad-peer", b"POST /x HTTP/1.1\r\nno colon here\r\n\r\n"),
+        ],
+    )
+    def test_client_wire_failure_completes_with_400(
+        self, origin, reason, sent
+    ):
+        with _service(origin, idle_timeout=0.3) as service:
+            with socket.create_connection(
+                service.address, timeout=5.0
+            ) as client:
+                client.sendall(sent)
+                status, _, _ = httpwire.read_response(client, timeout=5.0)
+            assert status == 400
+        flow = service.report().flows[0]
+        assert (flow.outcome, flow.reason, flow.status) == (
+            "completed", reason, 400,
+        )
+        assert service.degradations.of_kind(reason)
 
     def test_no_authorized_leg_sheds_with_503(self, origin):
         dry = CapTracker(daily_budget_bytes=0.0)
@@ -635,6 +743,9 @@ class TestOnloadService:
             assert status == 503
         report = service.report()
         assert report.shed_reasons() == {"authority": 1}
+        assert (report.flows[0].outcome, report.flows[0].status) == (
+            "shed", 503,
+        )
         # Admitted (a pool slot was held), then shed on authority.
         assert report.flows[0].admitted
         assert report.stranded() == 0

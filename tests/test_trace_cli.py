@@ -81,3 +81,13 @@ class TestDiff:
     def test_missing_file_is_usage_error(self, trace_file, capsys):
         code = main(["diff", str(trace_file), "/no/such/file.jsonl"])
         assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["export", "summary"])
+def test_jobs_flag_is_gone(command, capsys):
+    # One traced experiment runs in-process; the runner's own
+    # across-jobs determinism is pinned in tests/test_obs.py.
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "fig06", "--jobs", "2"])
+    assert exit_info.value.code == EXIT_USAGE
+    assert "--jobs" in capsys.readouterr().err
