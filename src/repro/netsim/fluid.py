@@ -23,11 +23,17 @@ golden digests. Concretely:
 
 * the step **boundary sequence is pinned**: rates depend on the exact
   query time (diurnal modulation is continuous in ``t``), so rate
-  allocation is asked for at every step, exactly like the original. The
-  allocator re-runs the water-fill unless the flow membership is the
-  last call's and every live link capacity ``==`` its value then: the
-  rates are a pure function of membership, rate caps and capacities,
-  so the rates it keeps are the ones it would recompute;
+  allocation is asked for at every step, exactly like the original.
+  While the last answer left every shared link unable to bind and no
+  two distinct private bounds within the share tolerance, each flow's
+  rate is its own bound, and the allocator applies only what changed
+  since (arrivals, departures, capacities ``!=`` the last ones seen),
+  re-checking each touched shared link with the water-fill's own sum;
+  any change that could bind a link or tie two bounds re-runs the
+  water-fill. Otherwise it re-runs the water-fill unless the membership
+  is the last call's and every live link capacity ``==`` its value
+  then: the rates are a pure function of membership, rate caps and
+  capacities, so the rates it keeps are the ones it would recompute;
 * flow ETAs are re-derived whenever a flow's rate changed or bytes moved
   (an unchanged ETA would differ by ulps from a re-derived one, shifting
   completion times), and the derivation arithmetic is unchanged;
@@ -53,6 +59,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -82,7 +89,7 @@ _SHARE_EPSILON = 1e-12
 
 #: Relative slack by which a shared link's capacity must exceed its
 #: members' summed private bounds to be left out of the water-fill (it
-#: cannot bind; see ``FluidNetwork._recompute_rates``).
+#: cannot bind; see ``FluidNetwork._water_fill``).
 _SLACK_MARGIN = 1e-9
 
 #: Active-flow count from which the stepper switches from the scalar
@@ -177,6 +184,9 @@ class Flow:
         #: Position in the network's flow list at the last allocator
         #: cache rebuild.
         self._pos = -1
+        #: Private bound in the network's kept allocation (NaN until one
+        #: holds it; see ``FluidNetwork._recompute_rates``).
+        self._bound = math.nan
 
     @property
     def remaining_bytes(self) -> float:
@@ -281,15 +291,20 @@ class FluidNetwork:
         self._shared: Dict[int, None] = {}
         self._repeating: Dict[Flow, None] = {}
 
-        # Allocator setup (flow positions, live uses, shared columns): a
-        # pure function of membership, rebuilt only when a
-        # flow starts or finishes. ``_alloc_capacities`` holds the
-        # capacities the last water-fill ran on (``None``: none since
-        # the rebuild).
+        # Allocator state. ``_capacity`` holds each column's capacity as
+        # the last allocation saw it (NaN: not seen yet).
+        # ``_alloc_dirty`` marks a membership change since the last
+        # allocation, or flow positions that lag one (a water-fill
+        # renumbers the flows first). ``_kept_bounds`` holds every live
+        # flow's ``_bound``, sorted, while the last answer is one that
+        # changes can be applied to (``None`` otherwise). The membership
+        # changes since are logged: flows to re-bound (arrivals, and
+        # owners that gained or lost a private column) and departures.
         self._alloc_dirty = True
-        self._alloc_uses: List[_LinkUse] = []
-        self._alloc_shared: List[int] = []
-        self._alloc_capacities: Optional[List[float]] = None
+        self._capacity: List[float] = []
+        self._kept_bounds: Optional[List[float]] = []
+        self._rebound: Dict[Flow, None] = {}
+        self._left: List[Flow] = []
 
         self.engine.set_eta_source(self._earliest_eta)
 
@@ -362,6 +377,8 @@ class FluidNetwork:
             col = len(self._col_members)
             self._col_members.append([])
             self._col_live.append(0)
+            self._capacity.append(0.0)
+        self._capacity[col] = math.nan
         use = _LinkUse(link, col)
         self._col_members[col] = use.members
         self._uses[id(link)] = use
@@ -443,6 +460,7 @@ class FluidNetwork:
                     owner._private_cols.remove(col)
                     owner._shared_cols.append(col)
                     self._shared[col] = None
+                    self._rebound[owner] = None
                 flow._shared_cols.append(col)
             use.members.append(flow)
             col_live[use.col] += 1
@@ -456,6 +474,7 @@ class FluidNetwork:
                 seen.add(col)
             self._repeating[flow] = None
         self._flows.append(flow)
+        self._rebound[flow] = None
         self._rates_dirty = True
         self._alloc_dirty = True
 
@@ -471,6 +490,7 @@ class FluidNetwork:
         self._free_slots.append(slot)
         flow._slot = -1
         self._retire_pairs(flow)
+        self._left.append(flow)
         col_live = self._col_live
         for link in flow._alloc_links:
             use = self._uses[id(link)]
@@ -483,14 +503,16 @@ class FluidNetwork:
                 owner._shared_cols.remove(col)
                 owner._private_cols.append(col)
                 del self._shared[col]
+                self._rebound[owner] = None
             elif not col_live[col]:
                 del self._uses[id(link)]
                 self._free_cols.append(col)
             self.engine.links.release(link)
         if flow._repeat_cols:
             del self._repeating[flow]
+        # The shared columns stay listed: the allocator's next update
+        # re-checks the ones the flow left.
         flow._private_cols = []
-        flow._shared_cols = []
         flow._repeat_cols = []
         self._rates_dirty = True
         self._alloc_dirty = True
@@ -544,14 +566,142 @@ class FluidNetwork:
     # Rate allocation (event-driven water-filling)
     # ------------------------------------------------------------------
     def _recompute_rates(self) -> None:
-        """Max-min fair rates for the active flows by progressive filling.
+        """Max-min fair rates for the active flows.
 
         A link column one live flow crosses alone acts on that flow like
-        a rate cap (its share ``c / 1`` is ``c``, and only that flow's
-        freeze changes it), so each flow's rate cap and private columns
-        fold into one *private bound*, their minimum. The bounds never
-        change during a call: they are sorted once and walked with a
-        pointer. Only the *shared* columns (two or more live members)
+        a rate cap, so each flow's rate cap and private columns fold into
+        one *private bound*, their minimum (see :meth:`_water_fill`).
+
+        Every call first reads each live link's capacity and notes the
+        columns whose capacity differs from the one the last call saw.
+        While the last answer *left every shared column pruned* and its
+        sorted bounds were *tie-free* (no two distinct bounds within a
+        factor ``1 + _SHARE_EPSILON``), each flow's rate is its own
+        bound, so the changes since then are applied to that answer
+        (:meth:`_update_kept`) and the water-fill runs only when they
+        break one of the two conditions. Otherwise the rates are a pure
+        function of membership, rate caps and capacities: a call with
+        the last one's membership and every capacity ``==`` to its value
+        then keeps the last rates, and any other call water-fills.
+        """
+        self._rates_dirty = False
+        if not self._flows:
+            # No flow: the empty answer is kept, with nothing to undo.
+            self._keep([])
+            return
+        now = self.engine.time
+        capacity = self._capacity
+        changed: List[int] = []
+        for use in self._uses.values():
+            cap = use.link.capacity_at(now)
+            col = use.col
+            if cap != capacity[col]:
+                capacity[col] = cap
+                changed.append(col)
+        if self._kept_bounds is not None:
+            if self._update_kept(self._kept_bounds, changed):
+                self._alloc_dirty = False
+                return
+            self._alloc_dirty = True  # kept updates leave flows unnumbered
+        elif not changed and not self._alloc_dirty:
+            return
+        self._water_fill()
+
+    def _keep(self, kept_bounds: Optional[List[float]]) -> None:
+        """Start a new change log after an answer (``None``: not kept)."""
+        self._kept_bounds = kept_bounds
+        self._rebound.clear()
+        self._left.clear()
+
+    def _update_kept(self, kept: List[float], changed: List[int]) -> bool:
+        """Apply the changes since the last call to the kept answer.
+
+        Departed flows' bounds leave the sorted ``kept`` list. Arrivals,
+        owners that gained or lost a private column and owners of a
+        private column whose capacity changed are re-bounded; a bound
+        that changed moves in the list, where it must not lie within a
+        factor ``1 + _SHARE_EPSILON`` of a distinct neighbour. Every
+        shared column a change touched (a member arrived, left or
+        changed its bound, or its capacity changed) must still be
+        pruned by the water-fill's own test on the same ``sum`` of
+        member bounds in member order. Then each flow whose bound
+        changed gets the rate the water-fill's walk would give it.
+
+        Returns ``False`` (and leaves the rates alone) when a check
+        fails or a touched column is one a chain repeats: the caller
+        then water-fills, which rebuilds the kept state.
+        """
+        capacity = self._capacity
+        col_members = self._col_members
+        rebound = self._rebound
+        touched: List[int] = []
+        for col in changed:
+            members = col_members[col]
+            if len(members) == 1:
+                rebound[members[0]] = None
+            else:
+                touched.append(col)
+        for flow in self._left:
+            if not math.isnan(flow._bound):
+                del kept[bisect_left(kept, flow._bound)]
+            touched.extend(flow._shared_cols)
+        self._left.clear()
+        widen = 1 + _SHARE_EPSILON
+        moved: List[Flow] = []
+        for flow in rebound:
+            if flow._net is not self:
+                continue  # it left again since
+            bound = flow._cap_bound
+            for col in flow._private_cols:
+                if capacity[col] < bound:
+                    bound = capacity[col]
+            old = flow._bound
+            if bound == old:
+                continue
+            if not math.isnan(old):
+                del kept[bisect_left(kept, old)]
+            at = bisect_left(kept, bound)
+            if at and not bound > kept[at - 1] * widen:
+                return False  # a near-tie below
+            if (
+                at < len(kept)
+                and kept[at] != bound
+                and not kept[at] > bound * widen
+            ):
+                return False  # a near-tie above
+            kept.insert(at, bound)
+            flow._bound = bound
+            moved.append(flow)
+            touched.extend(flow._shared_cols)
+        if touched:
+            slack = 1 - _SLACK_MARGIN
+            for col in set(touched):
+                members = col_members[col]
+                if len(members) < 2:
+                    continue  # private again, or gone
+                for flow in self._repeating:
+                    if col in flow._repeat_cols:
+                        return False
+                need = sum([flow._bound for flow in members])
+                if not need <= capacity[col] * slack:
+                    return False  # it can bind
+        arr_rate = self._arr_rate
+        for flow in moved:
+            bound = flow._bound
+            rate = 0.0 if bound == math.inf else max(bound, 0.0)
+            flow.current_rate_bps = rate
+            arr_rate[flow._slot] = rate
+        rebound.clear()
+        return True
+
+    def _water_fill(self) -> None:
+        """Max-min fair rates for the active flows by progressive filling.
+
+        Each flow's rate cap and private columns fold into its *private
+        bound*: a column with one live member has share ``c / 1`` equal
+        to ``c``, and only that flow's freeze changes it. The bounds
+        never change during a call: they are sorted once and walked with
+        a pointer. Only the *shared* columns (two or more live members)
         that can bind sit in a min-heap of ``(share, col)`` entries.
 
         A shared column *cannot bind* when its members' bounds (counted
@@ -591,25 +741,14 @@ class FluidNetwork:
         result, and the rates are bit-identical to the reference (see the
         property tests).
 
-        The rates are a pure function of membership, rate caps and link
-        capacities, so a call with the membership of the last one and
-        every capacity ``==`` to its value then keeps the last rates.
+        When no shared column is left in the heap and the sorted bounds
+        are tie-free, each group is one bound value and each flow's rate
+        its own bound: the answer is kept for :meth:`_update_kept`.
         """
-        flows = self._flows
-        self._rates_dirty = False
-        if not flows:
-            return
-        now = self.engine.time
         if self._alloc_dirty:
             self._rebuild_alloc_caches()
-
-        capacity = [0.0] * len(self._col_live)
-        for use in self._alloc_uses:
-            capacity[use.col] = use.link.capacity_at(now)
-        if capacity == self._alloc_capacities:
-            return
-        self._alloc_capacities = capacity
-
+        flows = self._flows
+        capacity = self._capacity
         bounds: List[float] = []
         for flow in flows:
             bound = flow._cap_bound
@@ -624,7 +763,7 @@ class FluidNetwork:
         # a member once per chain occurrence.
         col_members = self._col_members
         need = [0.0] * len(capacity)
-        for col in self._alloc_shared:
+        for col in self._shared:
             need[col] = sum([bounds[flow._pos] for flow in col_members[col]])
         for flow in self._repeating:
             for col in flow._repeat_cols:
@@ -635,13 +774,26 @@ class FluidNetwork:
         share = rem.copy()
         heap: List[Tuple[float, int]] = []
         slack = 1 - _SLACK_MARGIN
-        for col in self._alloc_shared:
+        for col in self._shared:
             if need[col] <= rem[col] * slack:
                 live[col] = 0  # pruned: out of the water-fill
             else:
                 share[col] = rem[col] / live[col]
                 heap.append((share[col], col))
         heapq.heapify(heap)
+
+        kept: Optional[List[float]] = None
+        if not heap:
+            ordered = [bounds[pos] for pos in order]
+            widen = 1 + _SHARE_EPSILON
+            if all(
+                high == low or high > low * widen
+                for low, high in zip(ordered, ordered[1:])
+            ):
+                kept = ordered
+                for flow, bound in zip(flows, bounds):
+                    flow._bound = bound
+        self._keep(kept)
 
         heappop, heappush, heapreplace = (
             heapq.heappop, heapq.heappush, heapq.heapreplace
@@ -738,13 +890,9 @@ class FluidNetwork:
             arr_rate[flow._slot] = flow_rate
 
     def _rebuild_alloc_caches(self) -> None:
-        """Rebuild the allocator setup after a membership change."""
-        flows = self._flows
-        for pos, flow in enumerate(flows):
+        """Number the flows for the water-fill after a membership change."""
+        for pos, flow in enumerate(self._flows):
             flow._pos = pos
-        self._alloc_uses = list(self._uses.values())
-        self._alloc_shared = list(self._shared)
-        self._alloc_capacities = None
         self._alloc_dirty = False
 
     # ------------------------------------------------------------------

@@ -46,7 +46,13 @@ class Link:
         return TIME_INFINITY
 
     def set_capacity(self, capacity_bps: float) -> None:
-        """Update the fixed capacity (callers must recompute allocations)."""
+        """Update the fixed capacity.
+
+        A :class:`~repro.netsim.fluid.FluidNetwork` crossing the link
+        sees the new value at its next rate allocation (every step
+        begins with one), which compares each live link's capacity with
+        the value it last saw.
+        """
         self._capacity_bps = check_non_negative("capacity_bps", capacity_bps)
 
     def __repr__(self) -> str:

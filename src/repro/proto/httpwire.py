@@ -326,15 +326,19 @@ def read_body(
             f"{max_body_bytes}-byte bound"
         )
     budget = _ReadBudget(overall_timeout)
-    body = leftover
-    while len(body) < content_length:
+    # Chunks are joined once at the end: appending each one to a bytes
+    # body would copy it again per chunk, quadratic in the chunk count.
+    chunks = [leftover]
+    received = len(leftover)
+    while received < content_length:
         chunk = budget.read_chunk(sock, timeout)
         if not chunk:
             raise WireError("connection closed mid-body")
-        body += chunk
-    if len(body) > content_length:
+        chunks.append(chunk)
+        received += len(chunk)
+    if received > content_length:
         raise FramingError("more body bytes than Content-Length")
-    return body
+    return b"".join(chunks)
 
 
 class RequestHead(NamedTuple):

@@ -446,6 +446,123 @@ def allocation_topologies(draw):
     return flows, aborts
 
 
+def _member_need(link, active, now):
+    """What ``link``'s live members can take at most: each one's private
+    bound (its rate cap and every link of its chain no other live flow
+    crosses), counted once per occurrence of ``link`` in its chain."""
+    crossing = {}
+    for flow in active:
+        for chain_link in flow.links:
+            crossing.setdefault(chain_link, set()).add(flow)
+    need = 0.0
+    for flow in active:
+        if link not in flow.links:
+            continue
+        bound = math.inf if flow.rate_cap_bps is None else flow.rate_cap_bps
+        for chain_link in flow.links:
+            if crossing[chain_link] == {flow}:
+                bound = min(bound, chain_link.capacity_at(now))
+        need += bound * flow.links.count(link)
+    return need
+
+
+class TestAllocatorEventSequences:
+    """The allocator against the reference after every step of a drawn
+    event sequence: the kept answer must absorb arrivals, departures and
+    capacity changes exactly, and give way to the water-fill whenever a
+    change could make a shared link bind or bring two bounds within the
+    share tolerance of each other."""
+
+    #: Nudges that keep two bounds apart (``3e-12``) or tie them within
+    #: the share tolerance.
+    NUDGES = (0.0, 0.0, 5e-13, -5e-13, 3e-12)
+    #: What happens between checks, stepping twice as often as the rest.
+    EVENTS = ("step", "step", "add", "abort", "set", "edge")
+
+    @given(data=st.data())
+    @settings(max_examples=ALLOCATOR_EXAMPLES, deadline=None)
+    def test_every_step_matches_reference(self, data):
+        from repro.netsim.link import StochasticLink
+        from repro.netsim.stochastic import LognormalProcess
+
+        draw = data.draw
+        base = draw(st.sampled_from([1e6, 3e6]), label="base")
+
+        def near(multiple):
+            nudge = draw(st.sampled_from(self.NUDGES))
+            return base * multiple * (1.0 + nudge)
+
+        fixed = Link(
+            "fixed", draw(st.sampled_from([0.0, 2 * base, 8 * base]))
+        )
+        shared = [
+            fixed,
+            PiecewiseLink(
+                "piecewise",
+                [(0.0, 3 * base), (0.3, base), (0.9, 0.0), (1.2, 6 * base)],
+            ),
+            StochasticLink(
+                "stochastic",
+                4 * base,
+                LognormalProcess(
+                    seed=draw(st.integers(0, 9)), interval=0.4, sigma=0.3
+                ),
+            ),
+        ]
+        net = FluidNetwork()
+        flows = []
+
+        def add():
+            multiple = draw(st.sampled_from([0.5, 1.0, 1.0, 2.0]))
+            chain = [
+                shared[j]
+                for j in draw(st.lists(st.integers(0, 2), max_size=3))
+            ]
+            cap = None
+            if not chain or draw(st.booleans()):
+                chain.insert(0, Link(f"own-{len(flows)}", near(multiple)))
+                if draw(st.booleans()):
+                    chain.append(chain[0])  # a repeated private link
+            else:
+                cap = near(multiple)
+            flow = make_flow(
+                draw(st.sampled_from([2e4, 1e5, 4e5])), chain, rate_cap_bps=cap
+            )
+            flows.append(flow)
+            net.add_flow(flow, delay=draw(st.sampled_from([0.0, 0.1, 0.35])))
+
+        for _ in range(draw(st.integers(1, 6))):
+            add()
+        for event in range(draw(st.integers(1, 30))):
+            kind = draw(st.sampled_from(self.EVENTS))
+            active = net.active_flows
+            if kind == "step":
+                net.step()
+            elif kind == "add":
+                add()
+            elif kind == "abort" and flows:
+                net.abort_flow(draw(st.sampled_from(flows)))  # any state
+            elif kind == "set":
+                # The fixed shared link, or a flow's own link.
+                own = [f.links[0] for f in active if f.links[0] not in shared]
+                link = draw(st.sampled_from([fixed, *own]))
+                link.set_capacity(
+                    near(draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 8.0])))
+                )
+            elif kind == "edge":
+                # The fixed link at the edge of binding: its members'
+                # bounds sum to C * (1 + k * 1e-9).
+                need = _member_need(fixed, active, net.time)
+                if 0.0 < need < math.inf:
+                    k = draw(st.integers(-3, 3))
+                    fixed.set_capacity(need / (1.0 + k * 1e-9))
+            assert_matches_reference(net, f"event {event} ({kind})")
+        for step in range(40):
+            if not net.step():
+                break
+            assert_matches_reference(net, f"drain step {step}")
+
+
 class TestIncrementalAllocatorEquivalence:
     """The stepper's event-driven allocator vs the brute-force reference."""
 
@@ -644,6 +761,64 @@ class TestCannotBindPruning:
         assert [f.current_rate_bps for f in flows] == [
             mbps(1.0 + i / 8) for i in range(30)
         ]
+
+
+class TestKeptAllocation:
+    """While no shared link can bind, the allocator applies arrivals,
+    departures and capacity changes to its last answer instead of
+    water-filling again."""
+
+    #: Most water-fills the slack scenario below may run. Each costs
+    #: O(n log n) over the live flows, where the kept update costs
+    #: O(log n) per change; running one per event would multiply the
+    #: allocator's share of an engine step.
+    MAX_WATER_FILLS = 2
+
+    def test_slack_scenario_rarely_water_fills(self, monkeypatch):
+        from repro.util.units import kbps
+
+        calls = {"allocate": 0, "fill": 0, "rebuild": 0}
+
+        def counted(name, method):
+            def wrapper(self):
+                calls[name] += 1
+                return method(self)
+
+            return wrapper
+
+        for name, attr in (
+            ("allocate", "_recompute_rates"),
+            ("fill", "_water_fill"),
+            ("rebuild", "_rebuild_alloc_caches"),
+        ):
+            monkeypatch.setattr(
+                FluidNetwork, attr, counted(name, getattr(FluidNetwork, attr))
+            )
+        net = FluidNetwork()
+        # 120 flows bound at most 5 Mbps each: the bottleneck's capacity
+        # always exceeds their 600 Mbps sum, and changes twice.
+        bottleneck = PiecewiseLink(
+            "bottleneck",
+            [(0.0, mbps(800.0)), (2.0, mbps(650.0)), (4.0, mbps(900.0))],
+        )
+        flows = []
+        for i in range(120):
+            access = Link(f"access-{i}", mbps(2.0 + (i % 7) * 0.5))
+            cap = kbps(900.0 + (i % 3) * 150.0) if i % 5 == 0 else None
+            flow = make_flow(
+                200_000.0 + (i * 37 % 97) * 8_000.0,
+                (access, bottleneck),
+                rate_cap_bps=cap,
+            )
+            net.add_flow(flow, delay=(i * 53 % 120) * 0.05)
+            flows.append(flow)
+        for k in range(20):
+            net.schedule(0.25 * (k + 1), lambda: None)
+        net.run()
+        assert all(flow.completed_at is not None for flow in flows)
+        assert calls["allocate"] > 200
+        assert calls["fill"] <= self.MAX_WATER_FILLS, calls
+        assert calls["rebuild"] <= self.MAX_WATER_FILLS, calls
 
 
 class TestVectorScalarBitEquality:

@@ -20,6 +20,7 @@ from repro.core.scheduler.greedy import GreedyPolicy
 from repro.fuzz.targets import FakeSocket
 from repro.proto import LoopbackOrigin, MobileProxy, PrototypeClient
 from repro.proto.httpwire import (
+    FramingError,
     StallError,
     WireError,
     read_response,
@@ -335,6 +336,44 @@ class TestStallingPeer:
                     timeout=10.0,
                 )
             assert len(client.degradations.of_kind("stall")) == 1
+
+
+# ---------------------------------------------------------------------------
+# Body reads: many chunks, exact bytes, strict length
+# ---------------------------------------------------------------------------
+
+
+class TestBodyRead:
+    def test_large_body_in_small_writes_reads_back_exactly(self):
+        from repro.proto.httpwire import read_body
+
+        body = bytes(range(256)) * (2_500_000 // 256) + b"tail"
+        ours, theirs = socket.socketpair()
+
+        def write():
+            for start in range(0, len(body), 4096):
+                theirs.sendall(body[start : start + 4096])
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            got = read_body(
+                ours, body[:100], len(body) + 100, timeout=10.0
+            )
+        finally:
+            writer.join(timeout=10.0)
+            ours.close()
+            theirs.close()
+        assert got == body[:100] + body
+
+    def test_bytes_past_the_length_raise(self):
+        from repro.proto.httpwire import read_body
+
+        # Three-byte recvs: the fourth overshoots a 10-byte body.
+        with pytest.raises(FramingError, match="more body bytes"):
+            read_body(FakeSocket(b"x" * 12, chunk=3), b"", 10)
+        with pytest.raises(FramingError, match="more body bytes"):
+            read_body(FakeSocket(b""), b"x" * 11, 10)
 
 
 # ---------------------------------------------------------------------------
