@@ -24,6 +24,12 @@ golden digests. Concretely:
 * the step **boundary sequence is pinned**: rates depend on the exact
   query time (diurnal modulation is continuous in ``t``), so rate
   allocation is asked for at every step, exactly like the original.
+  Each allocation reads the capacity of every live link whose class
+  overrides ``Link.capacity_at``; a link that keeps the stored value
+  is read once, when its allocator column is created, and again only
+  after some ``Link.set_capacity`` call (the only way that value
+  changes), so the capacities seen are the ones a read of every link
+  would see.
   While the last answer left every shared link unable to bind and no
   two distinct private bounds within the share tolerance, each flow's
   rate is its own bound, and the allocator applies only what changed
@@ -37,12 +43,16 @@ golden digests. Concretely:
 * flow ETAs are re-derived whenever a flow's rate changed or bytes moved
   (an unchanged ETA would differ by ulps from a re-derived one, shifting
   completion times), and the derivation arithmetic is unchanged;
-* the vectorized advance/ETA paths use the same IEEE-754 double
+* the vectorized advance/ETA/sweep paths use the same IEEE-754 double
   operations in the same order as the scalar loops they replace
-  (elementwise multiply/divide/min over the whole slot arrays, where
-  free slots carry rate zero, and ``np.add.at`` over (slot, row) pairs
-  kept in flow order for in-order link byte accumulation), so both
-  paths are bit-equal;
+  (elementwise multiply/divide/min over the whole slot arrays, and
+  ``np.add.at`` over (slot, row) pairs kept in flow order for in-order
+  link byte accumulation), so both paths are bit-equal. A free slot
+  holds rate zero and remaining ``+inf``: it moves no bytes, its ETA
+  quotient is ``inf`` like that of a live flow at rate zero, and no
+  completion epsilon reaches it. The ETA is ``now + min(bits / rate)``
+  rather than ``min(now + bits / rate)``: rounding is monotone, so
+  ``min fl(now + x_i) == fl(now + min x_i)``;
 * the event-driven water-filling allocator performs the same operations
   on the same values as brute-force progressive filling, in an order
   the result does not depend on — property-tested against a reference
@@ -93,7 +103,7 @@ _SHARE_EPSILON = 1e-12
 _SLACK_MARGIN = 1e-9
 
 #: Active-flow count from which the stepper switches from the scalar
-#: per-flow advance/ETA loops to the vectorized numpy paths. Both paths
+#: per-flow advance/ETA/sweep loops to the vectorized numpy paths. Both paths
 #: are bit-identical; the threshold only picks whichever has less
 #: overhead.
 VECTOR_MIN_FLOWS = 8
@@ -251,10 +261,16 @@ class FluidNetwork:
         self._flows: List[Flow] = []
         self._rates_dirty = True
 
-        # Slot arrays: remaining volume and current rate per active flow.
-        self._arr_remaining: NDArray[np.float64] = np.zeros(_INITIAL_SLOTS)
+        # Slot arrays: remaining volume, current rate and completion
+        # epsilon per active flow, and the flow in each slot. A free slot
+        # holds remaining ``+inf`` and rate zero (see the module
+        # docstring), so the vectorized paths read the whole arrays.
+        self._arr_remaining: NDArray[np.float64] = np.full(
+            _INITIAL_SLOTS, math.inf
+        )
         self._arr_rate: NDArray[np.float64] = np.zeros(_INITIAL_SLOTS)
         self._arr_eps: NDArray[np.float64] = np.zeros(_INITIAL_SLOTS)
+        self._slot_flow: List[Optional[Flow]] = [None] * _INITIAL_SLOTS
         self._free_slots: List[int] = list(range(_INITIAL_SLOTS - 1, -1, -1))
 
         # Byte accounting, keyed by link *name* (two link objects sharing
@@ -292,7 +308,13 @@ class FluidNetwork:
         self._repeating: Dict[Flow, None] = {}
 
         # Allocator state. ``_capacity`` holds each column's capacity as
-        # the last allocation saw it (NaN: not seen yet).
+        # the last allocation saw it (NaN: not seen yet). The uses in
+        # ``_varying`` (links whose class overrides ``Link.capacity_at``)
+        # are read at every allocation; a stored-value link is read when
+        # its column is created, and the column is listed in
+        # ``_fresh_cols`` as changed for the next allocation; every live
+        # use is read again once ``Link.capacity_writes`` has moved past
+        # ``_writes_seen``.
         # ``_alloc_dirty`` marks a membership change since the last
         # allocation, or flow positions that lag one (a water-fill
         # renumbers the flows first). ``_kept_bounds`` holds every live
@@ -302,6 +324,9 @@ class FluidNetwork:
         # owners that gained or lost a private column) and departures.
         self._alloc_dirty = True
         self._capacity: List[float] = []
+        self._varying: Dict[int, _LinkUse] = {}
+        self._fresh_cols: List[int] = []
+        self._writes_seen = Link.capacity_writes
         self._kept_bounds: Optional[List[float]] = []
         self._rebound: Dict[Flow, None] = {}
         self._left: List[Flow] = []
@@ -363,10 +388,15 @@ class FluidNetwork:
         if not self._free_slots:
             old = len(self._arr_remaining)
             grown = old * 2
-            for name in ("_arr_remaining", "_arr_rate", "_arr_eps"):
-                arr = np.zeros(grown)
+            for name, free in (
+                ("_arr_remaining", math.inf),
+                ("_arr_rate", 0.0),
+                ("_arr_eps", 0.0),
+            ):
+                arr = np.full(grown, free)
                 arr[:old] = getattr(self, name)
                 setattr(self, name, arr)
+            self._slot_flow.extend([None] * old)
             self._free_slots = list(range(grown - 1, old - 1, -1))
         return self._free_slots.pop()
 
@@ -378,10 +408,16 @@ class FluidNetwork:
             self._col_members.append([])
             self._col_live.append(0)
             self._capacity.append(0.0)
-        self._capacity[col] = math.nan
         use = _LinkUse(link, col)
         self._col_members[col] = use.members
         self._uses[id(link)] = use
+        if type(link).capacity_at is Link.capacity_at:
+            # A stored value: read once here, again after a write.
+            self._capacity[col] = link.capacity_at(self.engine.time)
+            self._fresh_cols.append(col)
+        else:
+            self._capacity[col] = math.nan
+            self._varying[col] = use
         return use
 
     def _row_for(self, name: str) -> int:
@@ -440,6 +476,7 @@ class FluidNetwork:
         self._arr_remaining[slot] = flow._remaining
         self._arr_rate[slot] = 0.0
         self._arr_eps[slot] = flow._eps
+        self._slot_flow[slot] = flow
         flow._slot = slot
         flow._net = self
         flow._link_rows = [self._row_for(link.name) for link in flow.links]
@@ -484,9 +521,9 @@ class FluidNetwork:
         slot = flow._slot
         flow._remaining = float(self._arr_remaining[slot])
         flow._net = None
-        # A free slot moves no bytes: the advance and ETA paths read the
-        # whole slot arrays.
+        self._arr_remaining[slot] = math.inf
         self._arr_rate[slot] = 0.0
+        self._slot_flow[slot] = None
         self._free_slots.append(slot)
         flow._slot = -1
         self._retire_pairs(flow)
@@ -506,6 +543,7 @@ class FluidNetwork:
                 self._rebound[owner] = None
             elif not col_live[col]:
                 del self._uses[id(link)]
+                self._varying.pop(col, None)
                 self._free_cols.append(col)
             self.engine.links.release(link)
         if flow._repeat_cols:
@@ -572,8 +610,12 @@ class FluidNetwork:
         a rate cap, so each flow's rate cap and private columns fold into
         one *private bound*, their minimum (see :meth:`_water_fill`).
 
-        Every call first reads each live link's capacity and notes the
-        columns whose capacity differs from the one the last call saw.
+        Every call first notes the columns whose capacity differs from
+        the one the last call saw. It reads every live link whose class
+        overrides ``Link.capacity_at``, and every live link after a
+        ``Link.set_capacity`` call anywhere (``Link.capacity_writes``
+        moved); a stored-value link was read when its column was
+        created, and that column counts as changed.
         While the last answer *left every shared column pruned* and its
         sorted bounds were *tie-free* (no two distinct bounds within a
         factor ``1 + _SHARE_EPSILON``), each flow's rate is its own
@@ -585,14 +627,20 @@ class FluidNetwork:
         then keeps the last rates, and any other call water-fills.
         """
         self._rates_dirty = False
+        changed = self._fresh_cols
+        self._fresh_cols = []
         if not self._flows:
             # No flow: the empty answer is kept, with nothing to undo.
             self._keep([])
             return
         now = self.engine.time
         capacity = self._capacity
-        changed: List[int] = []
-        for use in self._uses.values():
+        if self._writes_seen == Link.capacity_writes:
+            reads = self._varying.values()
+        else:
+            self._writes_seen = Link.capacity_writes
+            reads = self._uses.values()
+        for use in reads:
             cap = use.link.capacity_at(now)
             col = use.col
             if cap != capacity[col]:
@@ -905,14 +953,10 @@ class FluidNetwork:
             return math.inf
         now = self.engine.time
         if len(flows) >= VECTOR_MIN_FLOWS:
-            # Free slots carry rate zero, so the whole arrays will do.
-            rates = self._arr_rate
-            moving = rates > 0.0
-            if not moving.any():
-                return math.inf
-            remaining = self._arr_remaining[moving]
-            etas = now + bytes_to_bits(remaining) / rates[moving]
-            return float(etas.min())
+            # Free slots and live flows at rate zero give ``inf``.
+            with np.errstate(divide="ignore"):
+                waits = bytes_to_bits(self._arr_remaining) / self._arr_rate
+            return now + float(waits.min())
         best = math.inf
         arr_rate = self._arr_rate
         arr_remaining = self._arr_remaining
@@ -940,8 +984,7 @@ class FluidNetwork:
         flows = self._flows
         if dt > 0.0 and flows:
             if len(flows) >= VECTOR_MIN_FLOWS:
-                # Whole slot arrays: a free slot has rate zero and moves
-                # nothing.
+                # Whole slot arrays: a free slot moves nothing.
                 slots, rows = self._flat()
                 remaining = self._arr_remaining
                 moved = np.minimum(
@@ -980,10 +1023,17 @@ class FluidNetwork:
         arr_remaining = self._arr_remaining
         arr_eps = self._arr_eps
         done: List[Flow] = []
-        for flow in flows:
-            slot = flow._slot
-            if arr_remaining[slot] <= arr_eps[slot]:
+        if len(flows) >= VECTOR_MIN_FLOWS:
+            slot_flow = self._slot_flow
+            for slot in (arr_remaining <= arr_eps).nonzero()[0].tolist():
+                flow = slot_flow[slot]
+                assert flow is not None  # a free slot's remaining is inf
                 done.append(flow)
+        else:
+            for flow in flows:
+                slot = flow._slot
+                if arr_remaining[slot] <= arr_eps[slot]:
+                    done.append(flow)
         if not done:
             return
         if len(done) > 1:

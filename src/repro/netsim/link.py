@@ -31,6 +31,12 @@ class Link:
     progress and the caller is expected to time them out).
     """
 
+    #: ``set_capacity`` calls on any link so far, process-wide. A class
+    #: that keeps :meth:`capacity_at` returns the stored value, which only
+    #: ``set_capacity`` changes, so a reader that saw this count unchanged
+    #: knows every such link still has the capacity it read last.
+    capacity_writes = 0
+
     def __init__(self, name: str, capacity_bps: float) -> None:
         if not name:
             raise ValueError("link name must be non-empty")
@@ -48,12 +54,14 @@ class Link:
     def set_capacity(self, capacity_bps: float) -> None:
         """Update the fixed capacity.
 
-        A :class:`~repro.netsim.fluid.FluidNetwork` crossing the link
-        sees the new value at its next rate allocation (every step
-        begins with one), which compares each live link's capacity with
-        the value it last saw.
+        The call counts in :attr:`Link.capacity_writes`. A
+        :class:`~repro.netsim.fluid.FluidNetwork` reads a stored-value
+        link's capacity once, when the link's allocator column is
+        created; seeing the count move, its next rate allocation (every
+        step begins with one) reads every live link again.
         """
         self._capacity_bps = check_non_negative("capacity_bps", capacity_bps)
+        Link.capacity_writes += 1
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, {self._capacity_bps:.4g} bps)"
@@ -152,23 +160,6 @@ class StochasticLink(Link):
                 next_change, next_grid_time(time, self.modulation_interval)
             )
         return next_change
-
-
-def effective_chain_capacity(
-    links: Iterable["Link"], time: float
-) -> float:
-    """Capacity of a chain of links for a single flow at ``time``.
-
-    A lone flow on a series chain gets the minimum link capacity; used for
-    quick estimates (e.g. the MIN scheduler's initial guess and topology
-    sanity checks), not by the fluid solver itself.
-    """
-    capacity = math.inf
-    for link in links:
-        capacity = min(capacity, link.capacity_at(time))
-    if capacity is math.inf:
-        raise ValueError("chain must contain at least one link")
-    return capacity
 
 
 def validate_chain(links: Iterable[object]) -> Tuple["Link", ...]:

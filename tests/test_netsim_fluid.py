@@ -821,6 +821,124 @@ class TestKeptAllocation:
         assert calls["rebuild"] <= self.MAX_WATER_FILLS, calls
 
 
+class _DriftingLink(Link):
+    """A link whose capacity moves with ``t`` but announces no change."""
+
+    def capacity_at(self, time):
+        return self._capacity_bps * (1.0 + 0.5 * math.sin(time))
+
+
+class TestCapacityReads:
+    """Only capacities that can change are read at every allocation.
+
+    A link whose class keeps ``Link.capacity_at`` returns a stored value
+    that only ``set_capacity`` changes: the stepper reads it when its
+    allocator column is created and again after a ``set_capacity``.
+    Every other link is read at every allocation.
+    """
+
+    def test_stored_value_links_read_once_per_use(self, monkeypatch):
+        from repro.netsim.link import StochasticLink
+        from repro.netsim.stochastic import LognormalProcess
+
+        reads = {}
+        stored_read = Link.capacity_at
+
+        def counted(self, time):
+            reads[self.name] = reads.get(self.name, 0) + 1
+            return stored_read(self, time)
+
+        monkeypatch.setattr(Link, "capacity_at", counted)
+        allocations = [0]
+        allocate = FluidNetwork._recompute_rates
+
+        def counted_allocate(self):
+            allocations[0] += bool(self._flows)
+            allocate(self)
+
+        monkeypatch.setattr(FluidNetwork, "_recompute_rates", counted_allocate)
+
+        class CountedStochastic(StochasticLink):
+            def capacity_at(self, time):
+                reads[self.name] = reads.get(self.name, 0) + 1
+                return super().capacity_at(time)
+
+        bottleneck = CountedStochastic(
+            "bottleneck",
+            mbps(200.0),
+            LognormalProcess(seed=5, interval=1.0, sigma=0.25),
+        )
+        net = FluidNetwork()
+        flows = []
+        for i in range(120):
+            access = Link(f"access-{i}", mbps(2.0 + (i % 7) * 0.5))
+            flow = make_flow(
+                200_000.0 + (i * 37 % 97) * 8_000.0, (access, bottleneck)
+            )
+            net.add_flow(flow, delay=(i * 53 % 120) * 0.05)
+            flows.append(flow)
+        # Each write makes the next allocation read every live link once.
+        expected = {f"access-{i}": 1 for i in range(120)}
+
+        def write(index):
+            for flow in net.active_flows:
+                expected[flow.links[0].name] += 1
+            flows[index].links[0].set_capacity(mbps(3.0))
+
+        for k, at in enumerate((1.013, 2.029, 3.041)):
+            net.schedule(at, lambda index=40 * k: write(index))
+        net.run()
+        assert all(flow.completed_at is not None for flow in flows)
+        assert sum(expected.values()) > 120  # the writes met live links
+        assert {name: reads[name] for name in expected} == expected
+        assert reads["bottleneck"] == allocations[0] > 200
+
+    def test_unannounced_changes_are_read_every_step(self):
+        from repro.netsim.link import StochasticLink
+        from repro.netsim.stochastic import LognormalProcess
+
+        drifting = _DriftingLink("drift", mbps(6.0))
+        modulated = StochasticLink(
+            "modulated",
+            mbps(8.0),
+            LognormalProcess(seed=3, interval=50.0, sigma=0.2),
+            modulation=lambda t: 1.0 + 0.4 * math.cos(3.0 * t),
+            modulation_interval=0.0,
+        )
+        net = FluidNetwork()
+        for i in range(12):
+            chain = [Link(f"a{i}", mbps(1.0 + 0.25 * i))]
+            chain.append(drifting if i % 2 else modulated)
+            net.add_flow(make_flow(2 * MB, chain), delay=0.1 * (i % 4))
+        for k in range(1, 30):
+            net.schedule(0.17 * k, lambda: None)
+        steps = 0
+        while net.step():
+            assert_matches_reference(net, f"step {steps}")
+            steps += 1
+        assert steps > 30
+
+    @pytest.mark.parametrize("recycler", ["stored", "varying"])
+    def test_flow_aborted_before_allocation(self, recycler):
+        # The aborted flow's link was never read; its column goes to a
+        # link of another capacity before the next allocation.
+        shared = Link("s", mbps(10.0))
+        net = FluidNetwork()
+        for i in range(3):
+            net.add_flow(make_flow(MB, [Link(f"a{i}", mbps(2.0)), shared]))
+        net.step()
+        gone = make_flow(MB, [Link("gone", mbps(1.0))])
+        net.add_flow(gone)
+        net.abort_flow(gone)
+        if recycler == "stored":
+            link = Link("next", mbps(7.0))
+        else:
+            link = PiecewiseLink("next", [(0.0, mbps(7.0))])
+        net.add_flow(make_flow(MB, [link]))
+        assert_matches_reference(net, f"{recycler} recycler")
+        assert net.active_flows[-1].current_rate_bps == mbps(7.0)
+
+
 class TestVectorScalarBitEquality:
     #: sha256 of the trajectory below, as produced by the allocator and
     #: stepper before the event-driven allocator replaced them.
@@ -878,6 +996,66 @@ class TestVectorScalarBitEquality:
 
         assert digest(2) == self.DIGEST
         assert digest(10**9) == self.DIGEST
+
+    @pytest.mark.filterwarnings("error")
+    def test_free_and_zero_rate_slots_match_scalar(self, monkeypatch):
+        """Grown, freed and reused slots beside a live zero-rate flow.
+
+        Free slots hold remaining ``+inf`` and rate zero, and a flow on
+        a dead link is live at rate zero: the vectorized ETA and sweep
+        must skip both exactly as the scalar loops do, without a
+        divide-by-zero warning.
+        """
+        import random
+
+        import repro.netsim.fluid as fluid_mod
+        from repro.netsim.fluid import _INITIAL_SLOTS
+
+        def trajectory(vector_min_flows):
+            monkeypatch.setattr(
+                fluid_mod, "VECTOR_MIN_FLOWS", vector_min_flows
+            )
+            rng = random.Random(35)
+            net = FluidNetwork()
+            shared = Link("shared", mbps(20.0))
+            stalled = make_flow(MB, [Link("dead", 0.0), shared])
+            net.add_flow(stalled)
+            flows = []
+            completions = []
+
+            def spawn(delay):
+                i = len(flows)
+                access = Link(f"a{i}", mbps(rng.uniform(0.5, 3.0)))
+                flow = make_flow(
+                    rng.uniform(1e4, 3e5),
+                    [access, shared],
+                    on_complete=lambda f, t: completions.append((f.label, t)),
+                    label=str(i),
+                )
+                flows.append(flow)
+                net.add_flow(flow, delay=delay)
+
+            def churn():
+                for flow in rng.sample(flows, 3):
+                    net.abort_flow(flow)
+                for _ in range(6):
+                    spawn(rng.uniform(0.0, 0.1))
+
+            for _ in range(2 * _INITIAL_SLOTS + 5):
+                spawn(0.0)
+            for k in range(8):
+                net.schedule(0.2 + 0.25 * k, churn)
+            steps = []
+            while net.step():
+                steps.append(net.time)
+            assert len(net._arr_rate) > 2 * _INITIAL_SLOTS
+            assert net.active_flows == (stalled,)
+            assert stalled.current_rate_bps == 0.0
+            return steps, completions, net.link_bytes
+
+        vector = trajectory(1)
+        assert len(vector[1]) > 60
+        assert vector == trajectory(10**9)
 
     #: sha256 of the churn trajectory below, recorded with the allocator
     #: and stepper as they were before private bounds were folded, repeat
