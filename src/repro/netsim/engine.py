@@ -6,10 +6,14 @@ This module provides the discrete half, structured as three pieces:
 
 * :class:`EventQueue` — a binary-heap timer queue with stable FIFO
   ordering for simultaneous events, O(1) live counting and automatic
-  compaction when cancelled entries accumulate;
+  compaction when cancelled entries accumulate. Heap entries are
+  ``(time, sequence, event)`` tuples, so ``heapq`` orders them in C and
+  never compares the events themselves;
 * :class:`LinkChangeTracker` — an incremental index of the *earliest
   upcoming capacity change* across the links currently carrying flows,
-  so the stepper never rescans every link per step;
+  so the stepper never rescans every link per step. The fluid layer
+  tracks a link once per allocator column, and only a link whose class
+  can announce a change;
 * :class:`SimulationEngine` — the clock owner. It unifies the three
   boundary sources of the simulation (scheduled timers, link capacity
   changes, and flow-completion ETAs supplied by the fluid layer) behind
@@ -43,25 +47,23 @@ class SupportsNextChange(Protocol):
 _COMPACT_MIN_HEAP = 16
 
 
-@dataclass(order=True)
+@dataclass(eq=False)
 class ScheduledEvent:
     """A callback scheduled at an absolute simulation time.
 
-    Ordering is by ``(time, sequence)`` so events scheduled earlier run
-    first among equal timestamps; the callback itself never participates in
-    comparisons.
+    The queue orders events by ``(time, sequence)``, so events scheduled
+    earlier run first among equal timestamps; events are never compared
+    with each other (equality is identity).
     """
 
     time: float
     sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
+    label: str = ""
     #: Owning queue while the event sits in its heap; ``None`` once
     #: popped (or never queued), so late cancels don't corrupt counters.
-    _queue: Optional["EventQueue"] = field(
-        default=None, compare=False, repr=False
-    )
+    _queue: Optional["EventQueue"] = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so the queue skips it when its time comes."""
@@ -76,6 +78,10 @@ class ScheduledEvent:
 class EventQueue:
     """Binary-heap queue of :class:`ScheduledEvent` objects.
 
+    The heap holds ``(time, sequence, event)`` tuples. Sequences are
+    unique, so a comparison never reaches the event, and ``heapq``
+    compares times and sequences in C.
+
     Live events are counted incrementally (``len`` is O(1)); when more
     than half of a non-trivial heap is cancelled entries, the heap is
     compacted in one pass so cancelled timers cannot accumulate without
@@ -83,7 +89,7 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: List[ScheduledEvent] = []
+        self._heap: List[Tuple[float, int, ScheduledEvent]] = []
         self._counter = itertools.count()
         self._live = 0
         self._cancelled = 0
@@ -98,14 +104,11 @@ class EventQueue:
         """
         if math.isnan(time) or math.isinf(time):
             raise ValueError(f"event time must be finite, got {time}")
-        event = ScheduledEvent(
-            time=float(time),
-            sequence=next(self._counter),
-            callback=callback,
-            label=label,
-        )
+        time = float(time)
+        sequence = next(self._counter)
+        event = ScheduledEvent(time, sequence, callback, label=label)
         event._queue = self
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, sequence, event))
         self._live += 1
         return event
 
@@ -121,26 +124,26 @@ class EventQueue:
 
     def _compact(self) -> None:
         """Drop every cancelled entry and re-heapify the survivors."""
-        survivors = [event for event in self._heap if not event.cancelled]
+        survivors = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(survivors)
         self._heap = survivors
         self._cancelled = 0
 
     def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
             self._cancelled -= 1
 
     def peek_time(self) -> float:
         """Time of the next live event, or ``inf`` when the queue is empty."""
         self._drop_cancelled()
-        return self._heap[0].time if self._heap else math.inf
+        return self._heap[0][0] if self._heap else math.inf
 
     def pop_due(self, now: float) -> Optional[ScheduledEvent]:
         """Pop the next live event if its time is <= ``now``; else ``None``."""
         self._drop_cancelled()
-        if self._heap and self._heap[0].time <= now:
-            event = heapq.heappop(self._heap)
+        if self._heap and self._heap[0][0] <= now:
+            event = heapq.heappop(self._heap)[2]
             event._queue = None
             self._live -= 1
             return event
@@ -163,45 +166,37 @@ def run_callback(event: ScheduledEvent) -> Any:
 class LinkChangeTracker:
     """Earliest upcoming capacity change across the links in use.
 
-    Links are refcounted by :meth:`acquire`/:meth:`release` as flows
-    start and finish; each acquired link caches its next change time in
-    a lazy heap. A cached time ``t`` computed at clock ``t0`` stays valid
-    while ``now < t``: the stepper never jumps over a boundary (the
-    global boundary is the min over all sources), so no change can hide
-    in ``(t0, now]`` — which is exactly why reusing the cache is
-    float-identical to re-asking the link every step. Entries are
-    recomputed the moment the clock reaches them and dropped lazily when
-    their link's refcount hits zero.
+    The fluid layer calls :meth:`track` when a link's allocator column
+    is created and :meth:`untrack` when its last flow leaves, and only
+    for a link whose class can announce a change (a plain ``Link``
+    always answers ``inf``). Each tracked link caches its next change
+    time in a lazy heap. A cached time ``t`` computed at clock ``t0``
+    stays valid while ``now < t``: the stepper never jumps over a
+    boundary (the global boundary is the min over all sources), so no
+    change can hide in ``(t0, now]`` — which is exactly why reusing the
+    cache is float-identical to re-asking the link every step. Entries
+    are recomputed the moment the clock reaches them and dropped lazily
+    once their link is untracked.
     """
 
     def __init__(self) -> None:
-        self._refs: Dict[int, int] = {}
         self._links: Dict[int, SupportsNextChange] = {}
         #: Current valid cached next-change per link id; heap entries
         #: whose time disagrees are stale and dropped on sight.
         self._next: Dict[int, float] = {}
         self._heap: List[Tuple[float, int]] = []
 
-    def acquire(self, link: SupportsNextChange, now: float) -> None:
-        """A flow started using ``link``; begin tracking its changes."""
+    def track(self, link: SupportsNextChange, now: float) -> None:
+        """Begin tracking ``link``'s changes (it must not be tracked)."""
         key = id(link)
-        count = self._refs.get(key, 0)
-        self._refs[key] = count + 1
-        if count:
-            return
         self._links[key] = link
         self._push(key, link.next_change_after(now))
 
-    def release(self, link: SupportsNextChange) -> None:
-        """A flow stopped using ``link``; drop tracking at refcount zero."""
+    def untrack(self, link: SupportsNextChange) -> None:
+        """Stop tracking ``link``; its heap entry goes stale."""
         key = id(link)
-        count = self._refs.get(key, 0)
-        if count <= 1:
-            self._refs.pop(key, None)
-            self._links.pop(key, None)
-            self._next.pop(key, None)
-        else:
-            self._refs[key] = count - 1
+        del self._links[key]
+        del self._next[key]
 
     def _push(self, key: int, when: float) -> None:
         self._next[key] = when
@@ -214,21 +209,19 @@ class LinkChangeTracker:
         while heap:
             when, key = heap[0]
             if self._next.get(key) != when:
-                heapq.heappop(heap)  # stale: link released or rescheduled
+                heapq.heappop(heap)  # stale: link untracked or rescheduled
                 continue
             if when <= now:
                 # The clock reached this boundary: ask the link afresh.
                 heapq.heappop(heap)
-                link = self._links.get(key)
-                if link is not None:
-                    self._push(key, link.next_change_after(now))
+                self._push(key, self._links[key].next_change_after(now))
                 continue
             return when
         return math.inf
 
     def tracked_count(self) -> int:
         """Number of distinct links currently tracked (for tests)."""
-        return len(self._refs)
+        return len(self._links)
 
 
 class SimulationEngine:
@@ -238,7 +231,8 @@ class SimulationEngine:
     discrete event?" by combining
 
     * its own timer queue (:meth:`schedule_at` / :meth:`schedule_in`),
-    * the :class:`LinkChangeTracker` fed by the fluid layer, and
+    * the :class:`LinkChangeTracker` fed by the fluid layer (once per
+      allocator column of a link that can announce a change), and
     * a flow-ETA source callback installed by the fluid layer (the
       earliest completion among flows currently moving bytes).
 

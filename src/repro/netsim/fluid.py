@@ -33,13 +33,26 @@ golden digests. Concretely:
   While the last answer left every shared link unable to bind and no
   two distinct private bounds within the share tolerance, each flow's
   rate is its own bound, and the allocator applies only what changed
-  since (arrivals, departures, capacities ``!=`` the last ones seen),
-  re-checking each touched shared link with the water-fill's own sum;
+  since (arrivals, departures, capacities ``!=`` the last ones seen);
   any change that could bind a link or tie two bounds re-runs the
   water-fill. Otherwise it re-runs the water-fill unless the membership
   is the last call's and every live link capacity ``==`` its value
   then: the rates are a pure function of membership, rate caps and
   capacities, so the rates it keeps are the ones it would recompute;
+* a shared link's *need* is its members' bounds added left to right in
+  member order, by one explicit ``need += bound`` loop in both the
+  water-fill's prune test and the kept update (Python 3.12's builtin
+  ``sum`` compensates, so it would neither match the loop nor extend
+  term by term). The kept update re-checks a shared link only when
+  its need can have grown: a member arrived, a member's bound changed,
+  or its capacity changed. A departure is not re-checked: rounding is
+  monotone, so a left-to-right sum of non-negative terms cannot grow
+  when a term is dropped or lowered, and a link that could not bind
+  still cannot. Each re-checked need is cached with its member count;
+  arrivals only append members, so the next check extends the cached
+  sum by their bounds, and a member's bound change, a departure and
+  every water-fill drop the entry. The need only picks the allocator's
+  path: the rates equal the reference's either way;
 * flow ETAs are re-derived whenever a flow's rate changed or bytes moved
   (an unchanged ETA would differ by ulps from a re-derived one, shifting
   completion times), and the derivation arithmetic is unchanged;
@@ -117,6 +130,12 @@ _DUMP_ROW = 0
 #: Retired (slot, row) pairs below which the pair arrays are never
 #: compacted, so a small network does not compact on every other exit.
 _COMPACT_MIN_PAIRS = 64
+
+
+def _announces_changes(link: Link) -> bool:
+    """Whether ``link``'s class may announce a capacity change (a plain
+    ``Link`` answers ``inf`` to every ``next_change_after``)."""
+    return type(link).next_change_after is not Link.next_change_after
 
 
 class Flow:
@@ -322,6 +341,9 @@ class FluidNetwork:
         # changes can be applied to (``None`` otherwise). The membership
         # changes since are logged: flows to re-bound (arrivals, and
         # owners that gained or lost a private column) and departures.
+        # ``_needs`` maps a shared column to ``(need, count)``: the
+        # left-to-right sum of the kept bounds of its first ``count``
+        # members, which arrivals extend and any other change clears.
         self._alloc_dirty = True
         self._capacity: List[float] = []
         self._varying: Dict[int, _LinkUse] = {}
@@ -330,6 +352,7 @@ class FluidNetwork:
         self._kept_bounds: Optional[List[float]] = []
         self._rebound: Dict[Flow, None] = {}
         self._left: List[Flow] = []
+        self._needs: Dict[int, Tuple[float, int]] = {}
 
         self.engine.set_eta_source(self._earliest_eta)
 
@@ -418,6 +441,8 @@ class FluidNetwork:
         else:
             self._capacity[col] = math.nan
             self._varying[col] = use
+        if _announces_changes(link):
+            self.engine.links.track(link, self.engine.time)
         return use
 
     def _row_for(self, name: str) -> int:
@@ -481,7 +506,6 @@ class FluidNetwork:
         flow._net = self
         flow._link_rows = [self._row_for(link.name) for link in flow.links]
         flow._pair_start = self._append_pairs(slot, flow._link_rows)
-        now = self.engine.time
         uses = self._uses
         col_live = self._col_live
         for link in flow._alloc_links:
@@ -501,7 +525,6 @@ class FluidNetwork:
                 flow._shared_cols.append(col)
             use.members.append(flow)
             col_live[use.col] += 1
-            self.engine.links.acquire(link, now)
         if len(flow._alloc_links) < len(flow.links):
             seen: Set[int] = set()
             for link in flow.links:
@@ -545,12 +568,16 @@ class FluidNetwork:
                 del self._uses[id(link)]
                 self._varying.pop(col, None)
                 self._free_cols.append(col)
-            self.engine.links.release(link)
+                if _announces_changes(link):
+                    self.engine.links.untrack(link)
         if flow._repeat_cols:
             del self._repeating[flow]
-        # The shared columns stay listed: the allocator's next update
-        # re-checks the ones the flow left.
+        # A member left the middle of each shared column's sum.
+        needs = self._needs
+        for col in flow._shared_cols:
+            needs.pop(col, None)
         flow._private_cols = []
+        flow._shared_cols = []
         flow._repeat_cols = []
         self._rates_dirty = True
         self._alloc_dirty = True
@@ -660,6 +687,7 @@ class FluidNetwork:
         self._kept_bounds = kept_bounds
         self._rebound.clear()
         self._left.clear()
+        self._needs.clear()
 
     def _update_kept(self, kept: List[float], changed: List[int]) -> bool:
         """Apply the changes since the last call to the kept answer.
@@ -669,11 +697,14 @@ class FluidNetwork:
         private column whose capacity changed are re-bounded; a bound
         that changed moves in the list, where it must not lie within a
         factor ``1 + _SHARE_EPSILON`` of a distinct neighbour. Every
-        shared column a change touched (a member arrived, left or
+        shared column whose need can have grown (a member arrived or
         changed its bound, or its capacity changed) must still be
-        pruned by the water-fill's own test on the same ``sum`` of
-        member bounds in member order. Then each flow whose bound
-        changed gets the rate the water-fill's walk would give it.
+        pruned by the water-fill's own test on the same left-to-right
+        sum of member bounds in member order; ``_needs`` extends the
+        last sum by the arrivals appended since. A column that only
+        lost members is not re-checked: its sum cannot have grown (see
+        the module docstring). Then each flow whose bound changed gets
+        the rate the water-fill's walk would give it.
 
         Returns ``False`` (and leaves the rates alone) when a check
         fails or a touched column is one a chain repeats: the caller
@@ -682,6 +713,7 @@ class FluidNetwork:
         capacity = self._capacity
         col_members = self._col_members
         rebound = self._rebound
+        needs = self._needs
         touched: List[int] = []
         for col in changed:
             members = col_members[col]
@@ -692,7 +724,6 @@ class FluidNetwork:
         for flow in self._left:
             if not math.isnan(flow._bound):
                 del kept[bisect_left(kept, flow._bound)]
-            touched.extend(flow._shared_cols)
         self._left.clear()
         widen = 1 + _SHARE_EPSILON
         moved: List[Flow] = []
@@ -708,6 +739,8 @@ class FluidNetwork:
                 continue
             if not math.isnan(old):
                 del kept[bisect_left(kept, old)]
+                for col in flow._shared_cols:
+                    needs.pop(col, None)  # a summed term changed
             at = bisect_left(kept, bound)
             if at and not bound > kept[at - 1] * widen:
                 return False  # a near-tie below
@@ -725,12 +758,16 @@ class FluidNetwork:
             slack = 1 - _SLACK_MARGIN
             for col in set(touched):
                 members = col_members[col]
-                if len(members) < 2:
+                count = len(members)
+                if count < 2:
                     continue  # private again, or gone
                 for flow in self._repeating:
                     if col in flow._repeat_cols:
                         return False
-                need = sum([flow._bound for flow in members])
+                need, summed = needs.get(col, (0.0, 0))
+                for flow in members[summed:]:
+                    need += flow._bound
+                needs[col] = (need, count)
                 if not need <= capacity[col] * slack:
                     return False  # it can bind
         arr_rate = self._arr_rate
@@ -753,9 +790,10 @@ class FluidNetwork:
         that can bind sit in a min-heap of ``(share, col)`` entries.
 
         A shared column *cannot bind* when its members' bounds (counted
-        once per chain occurrence) sum to at most ``capacity * (1 -
-        _SLACK_MARGIN)``: it is pruned, never enters the heap, and its
-        ``rem``/``live``/``share`` bookkeeping is skipped. Every flow
+        once per chain occurrence, added left to right in member order)
+        sum to at most ``capacity * (1 - _SLACK_MARGIN)``: it is pruned,
+        never enters the heap, and its ``rem``/``live``/``share``
+        bookkeeping is skipped. Every flow
         freezes at or below its bound (a round's bottleneck is at most
         the first unfrozen bound), so the pruned column's remainder
         stays at least the unfrozen members' bounds plus ``_SLACK_MARGIN
@@ -812,7 +850,10 @@ class FluidNetwork:
         col_members = self._col_members
         need = [0.0] * len(capacity)
         for col in self._shared:
-            need[col] = sum([bounds[flow._pos] for flow in col_members[col]])
+            total = 0.0
+            for flow in col_members[col]:
+                total += bounds[flow._pos]
+            need[col] = total
         for flow in self._repeating:
             for col in flow._repeat_cols:
                 need[col] += bounds[flow._pos]

@@ -104,9 +104,6 @@ class TestFig05:
         medians = [v.median for v in result.violins.values()]
         assert all(mbps(0.2) < m < mbps(3.0) for m in medians)
 
-    def test_multiple_stations_observed(self, result):
-        assert len(result.stations_for("location1")) >= 2
-
 
 class TestTable02:
     @pytest.fixture(scope="class")

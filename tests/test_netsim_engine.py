@@ -90,6 +90,39 @@ class TestEventQueue:
             times.append(event.time)
         assert times == [float(i) for i in range(20, 32)]
 
+    def test_equal_times_pop_in_sequence_order_after_compaction(self):
+        # Forty events at one time, each with a callback that refuses to
+        # be compared: the heap orders them by sequence alone. Cancelling
+        # just over half of them compacts the heap, which must keep the
+        # order.
+        class Incomparable:
+            def __eq__(self, other):
+                raise TypeError("callbacks are never compared")
+
+            __lt__ = __gt__ = __le__ = __ge__ = __eq__
+            __hash__ = object.__hash__
+
+            def __call__(self):
+                pass
+
+        queue = EventQueue()
+        handles = [queue.schedule(7.0, Incomparable()) for _ in range(40)]
+        doomed = handles[::2] + [handles[-1]]
+        for handle in doomed:
+            handle.cancel()
+        assert len(queue._heap) < 40  # compacted
+        popped = []
+        while True:
+            event = queue.pop_due(7.0)
+            if event is None:
+                break
+            popped.append(event)
+        survivors = [h for h in handles if h not in doomed]
+        assert popped == survivors
+        assert [e.sequence for e in popped] == sorted(
+            e.sequence for e in popped
+        )
+
     def test_len_is_constant_time_bookkeeping(self):
         queue = EventQueue()
         a = queue.schedule(1.0, lambda: None)
@@ -124,8 +157,8 @@ class TestLinkChangeTracker:
         tracker = LinkChangeTracker()
         early = _FakeLink([5.0, 9.0])
         late = _FakeLink([7.0])
-        tracker.acquire(early, now=0.0)
-        tracker.acquire(late, now=0.0)
+        tracker.track(early, now=0.0)
+        tracker.track(late, now=0.0)
         assert tracker.next_change(0.0) == 5.0
         # Cached while unexpired: no re-query for the same answer.
         queries = early.queries
@@ -137,24 +170,32 @@ class TestLinkChangeTracker:
 
         tracker = LinkChangeTracker()
         link = _FakeLink([5.0, 9.0])
-        tracker.acquire(link, now=0.0)
+        tracker.track(link, now=0.0)
         assert tracker.next_change(5.0) == 9.0  # 5.0 expired -> re-asked
         assert tracker.next_change(9.0) == math.inf
 
-    def test_refcounting_drops_at_zero(self):
+    def test_untrack_drops_link(self):
         from repro.netsim.engine import LinkChangeTracker
 
         tracker = LinkChangeTracker()
         link = _FakeLink([4.0])
-        tracker.acquire(link, now=0.0)
-        tracker.acquire(link, now=0.0)
-        tracker.release(link)
-        assert tracker.tracked_count() == 1
+        other = _FakeLink([6.0])
+        tracker.track(link, now=0.0)
+        tracker.track(other, now=0.0)
+        assert tracker.tracked_count() == 2
         assert tracker.next_change(0.0) == 4.0
-        tracker.release(link)
+        tracker.untrack(link)
+        assert tracker.tracked_count() == 1
+        # The stale heap entry for the untracked link is dropped on sight.
+        assert tracker.next_change(0.0) == 6.0
+        tracker.untrack(other)
         assert tracker.tracked_count() == 0
-        # The stale heap entry for the released link is dropped on sight.
         assert tracker.next_change(0.0) == math.inf
+        # Tracked again, a link is asked afresh.
+        queries = link.queries
+        tracker.track(link, now=1.0)
+        assert link.queries == queries + 1
+        assert tracker.next_change(1.0) == 4.0
 
     def test_untracked_is_inf(self):
         from repro.netsim.engine import LinkChangeTracker
@@ -168,7 +209,7 @@ class TestSimulationEngine:
 
         engine = SimulationEngine()
         engine.schedule_at(8.0, lambda: None)
-        engine.links.acquire(_FakeLink([6.0]), now=0.0)
+        engine.links.track(_FakeLink([6.0]), now=0.0)
         engine.set_eta_source(lambda: 7.0)
         assert engine.next_boundary() == 6.0
         engine.set_eta_source(lambda: 2.5)

@@ -773,11 +773,30 @@ class TestKeptAllocation:
     #: O(log n) per change; running one per event would multiply the
     #: allocator's share of an engine step.
     MAX_WATER_FILLS = 2
+    #: Most full member sums of the shared bottleneck the scenario may
+    #: run (58 today): one after each water-fill and after each
+    #: departure that an arrival or a capacity change follows.
+    #: Re-summing every touched column instead takes 237 here.
+    MAX_FULL_SUMS = 70
 
     def test_slack_scenario_rarely_water_fills(self, monkeypatch):
         from repro.util.units import kbps
 
         calls = {"allocate": 0, "fill": 0, "rebuild": 0}
+        # Full sums of a column's need, and those in an allocation that
+        # saw no arrival and no capacity change (departures only).
+        sums = {"full": 0, "extended": 0, "after_departures": 0}
+        growth = {"arrivals": 0, "capacity": None, "can_grow": False}
+
+        class CountingNeeds(dict):
+            def __setitem__(self, col, entry):
+                if col in self:
+                    sums["extended"] += 1
+                else:
+                    sums["full"] += 1
+                    if not growth["can_grow"]:
+                        sums["after_departures"] += 1
+                super().__setitem__(col, entry)
 
         def counted(name, method):
             def wrapper(self):
@@ -794,7 +813,26 @@ class TestKeptAllocation:
             monkeypatch.setattr(
                 FluidNetwork, attr, counted(name, getattr(FluidNetwork, attr))
             )
+        register = FluidNetwork._register
+        allocate = FluidNetwork._recompute_rates
+
+        def counted_register(self, flow):
+            growth["arrivals"] += 1
+            register(self, flow)
+
+        def noted_allocate(self):
+            capacity = bottleneck.capacity_at(self.time)
+            growth["can_grow"] = (
+                growth["arrivals"] > 0 or capacity != growth["capacity"]
+            )
+            growth["capacity"] = capacity
+            allocate(self)
+            growth["arrivals"] = 0
+
+        monkeypatch.setattr(FluidNetwork, "_register", counted_register)
+        monkeypatch.setattr(FluidNetwork, "_recompute_rates", noted_allocate)
         net = FluidNetwork()
+        net._needs = CountingNeeds()
         # 120 flows bound at most 5 Mbps each: the bottleneck's capacity
         # always exceeds their 600 Mbps sum, and changes twice.
         bottleneck = PiecewiseLink(
@@ -819,6 +857,176 @@ class TestKeptAllocation:
         assert calls["allocate"] > 200
         assert calls["fill"] <= self.MAX_WATER_FILLS, calls
         assert calls["rebuild"] <= self.MAX_WATER_FILLS, calls
+        # A departure cannot raise a need, so it never starts a sum over.
+        assert sums["after_departures"] == 0, sums
+        assert sums["full"] <= self.MAX_FULL_SUMS, sums
+        assert sums["extended"], sums  # arrivals extend cached sums
+
+
+def assert_needs_fresh(net, context=""):
+    """Each cached need is a fresh left-to-right sum of the kept bounds
+    of its column's current members."""
+    if net._kept_bounds is None:
+        assert not net._needs, f"{context}: needs cached without a kept answer"
+    for col, (need, count) in net._needs.items():
+        members = net._col_members[col]
+        assert count == len(members) >= 2, f"{context}: column {col}"
+        fresh = 0.0
+        for flow in members:
+            fresh += flow._bound
+        assert need == fresh, f"{context}: column {col} {need!r} != {fresh!r}"
+
+
+class TestNeedCache:
+    """The kept update caches each shared column's need, the
+    left-to-right sum of its members' bounds: an arrival extends the
+    last sum, and a member's bound change, a departure or a water-fill
+    starts it over."""
+
+    #: Capacities, in units of ``base``, that a ``set`` event draws:
+    #: mostly slack for flows bound at ``base`` or less, sometimes tight
+    #: enough to bind.
+    SCALES = (0.05, 0.3, 1.0, 4.0, 30.0)
+
+    @given(data=st.data())
+    @settings(max_examples=ALLOCATOR_EXAMPLES, deadline=None)
+    def test_cached_needs_are_fresh_sums(self, data):
+        draw = data.draw
+        base = draw(st.sampled_from([1e6, 3e6]), label="base")
+        shared = [
+            Link("wide", base * draw(st.sampled_from([4.0, 30.0]))),
+            Link("narrow", base * draw(st.sampled_from([2.0, 6.0]))),
+            PiecewiseLink(
+                "fade",
+                [(0.0, 20 * base), (0.4, 3 * base), (0.8, 40 * base)],
+            ),
+        ]
+        net = FluidNetwork()
+        flows = []
+
+        def add():
+            chain = [
+                shared[j]
+                for j in draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+            ]
+            own = draw(st.booleans())
+            if own:
+                scale = draw(st.sampled_from([0.1, 0.5, 1.0]))
+                chain.insert(0, Link(f"own-{len(flows)}", base * scale))
+            cap = None
+            if not own or draw(st.booleans()):
+                cap = base * draw(st.sampled_from([0.1, 0.2, 0.7]))
+            flow = make_flow(
+                draw(st.sampled_from([2e4, 1e5, 4e5])), chain, rate_cap_bps=cap
+            )
+            flows.append(flow)
+            net.add_flow(flow, delay=draw(st.sampled_from([0.0, 0.0, 0.2])))
+
+        for _ in range(draw(st.integers(2, 8))):
+            add()
+        for event in range(draw(st.integers(1, 40))):
+            kind = draw(
+                st.sampled_from(("step", "step", "add", "add", "abort", "set"))
+            )
+            if kind == "step":
+                net.step()
+            elif kind == "add":
+                add()
+            elif kind == "abort":
+                net.abort_flow(draw(st.sampled_from(flows)))  # any state
+            elif kind == "set":
+                own_links = [
+                    f.links[0] for f in net.active_flows
+                    if f.links[0] not in shared
+                ]
+                link = draw(st.sampled_from([*shared[:2], *own_links]))
+                link.set_capacity(base * draw(st.sampled_from(self.SCALES)))
+            assert_matches_reference(net, f"event {event} ({kind})")
+            assert_needs_fresh(net, f"event {event} ({kind})")
+        for step in range(60):
+            if not net.step():
+                break
+            assert_matches_reference(net, f"drain step {step}")
+            assert_needs_fresh(net, f"drain step {step}")
+
+    def test_need_accumulates_left_to_right(self):
+        # Ten bounds of 0.1 add up to 0.9999999999999999 one at a time;
+        # Python 3.12's compensated ``sum`` would give 1.0.
+        shared = Link("s", 10.0)
+        net = FluidNetwork()
+        for _ in range(10):
+            net.add_flow(make_flow(100.0, [shared], rate_cap_bps=0.1))
+        net._recompute_rates()
+        col = net._uses[id(shared)].col
+        assert net._needs[col] == (0.9999999999999999, 10)
+
+    #: A capacity whose slack-scaled value is the left-to-right sum of
+    #: ten 0.1 bounds: ``1.0000000009999999 * (1 - 1e-9)`` rounds to
+    #: ``0.9999999999999999``, one ulp below 1.0.
+    EDGE_CAPACITY = 1.0000000009999999
+
+    def test_both_prune_tests_use_the_left_to_right_sum(self):
+        # Pruned by the loop's sum, unpruned by a compensated one: the
+        # kept update and the water-fill must both prune.
+        shared = Link("s", self.EDGE_CAPACITY)
+        flows = [make_flow(100.0, [shared], rate_cap_bps=0.1) for _ in range(10)]
+        net = FluidNetwork()
+        for flow in flows:
+            net.add_flow(flow)
+        net._recompute_rates()  # the kept update
+        assert net._needs, "the kept update did not prune"
+        shared.set_capacity(0.5)  # binds: the water-fill keeps nothing
+        assert_matches_reference(net, "binding")
+        assert net._kept_bounds is None
+        shared.set_capacity(self.EDGE_CAPACITY)
+        assert_matches_reference(net, "edge")
+        assert net._kept_bounds is not None, "the water-fill did not prune"
+        assert [flow.current_rate_bps for flow in flows] == [0.1] * 10
+
+
+class TestLinkTracking:
+    """The engine tracks a link for capacity changes once per allocator
+    column, and only a link whose class can announce one."""
+
+    def test_plain_links_are_never_tracked(self):
+        shared = Link("s", mbps(4.0))
+        net = FluidNetwork()
+        for i in range(3):
+            net.add_flow(make_flow(1 * MB, [Link(f"a{i}", mbps(3.0)), shared]))
+        while net.step():
+            assert net.engine.links.tracked_count() == 0
+        assert net.engine.links.tracked_count() == 0
+
+    def test_shared_piecewise_link_tracked_once_while_crossed(self):
+        fade = PiecewiseLink(
+            "fade", [(0.0, mbps(8.0)), (1.0, mbps(4.0)), (2.5, mbps(9.0))]
+        )
+        net = FluidNetwork()
+        tracker = net.engine.links
+        flows = [
+            make_flow(1 * MB, [Link(f"a{i}", mbps(3.0 + i)), fade])
+            for i in range(3)
+        ]
+        net.add_flow(flows[0])
+        net.add_flow(flows[1])
+        assert tracker.tracked_count() == 1
+        net.add_flow(flows[2], delay=0.5)
+        late = make_flow(0.5 * MB, [Link("late", mbps(2.0)), fade])
+        net.add_flow(late, delay=10.0)
+        boundaries = []
+        counts = []
+        while net.step():
+            boundaries.append(net.time)
+            counts.append(tracker.tracked_count())
+        boundaries.append(net.time)
+        # Once while any flow crosses the link, none while none does.
+        assert counts == [1, 1, 1, 1, 1, 0, 1]
+        assert tracker.tracked_count() == 0
+        # The boundaries a tracker refcounted per flow and per link gave.
+        assert boundaries == [
+            0.5, 1.0, 2.5, 3.388888888888889, 3.555555555555556,
+            3.7888888888888888, 10.0, 12.0,
+        ]
 
 
 class _DriftingLink(Link):
